@@ -174,8 +174,7 @@ def cmd_run(args) -> int:
                    snapshot_every=args.snapshot_every,
                    snapshot_dir=args.snapshot_dir,
                    resume_from=args.resume_from,
-                   engine=args.engine, chunk_size=args.chunk_size,
-                   native=args.native)
+                   engine=args.engine, native=args.native)
     if args.profile is not None:
         from repro.perf.profiling import profile_and_report
 
@@ -219,8 +218,7 @@ def cmd_compare(args) -> int:
     jobs = build_matrix_jobs(
         [args.trace], names, scale=args.scale, mtps=args.mtps,
         faults=_parse_faults(args),
-        engine=args.engine, chunk_size=args.chunk_size,
-        native=args.native,
+        engine=args.engine, native=args.native,
     )
     jobs = _attach_stores(args, jobs)
     runner = _build_runner(args, len(jobs))
@@ -261,8 +259,7 @@ def cmd_suite(args) -> int:
     jobs = build_matrix_jobs(
         trace_names, names, scale=args.scale, mtps=args.mtps,
         faults=_parse_faults(args),
-        engine=args.engine, chunk_size=args.chunk_size,
-        native=args.native,
+        engine=args.engine, native=args.native,
     )
     jobs = _attach_stores(args, jobs)
     runner = _build_runner(args, len(jobs))
@@ -302,9 +299,8 @@ def cmd_sancheck(args) -> int:
     )
 
     modes = list({
-        "classic": ("reference",), "batched": ("engines",),
-        "native": ("native",), "both": ("reference", "engines"),
-        "all": ("reference", "engines", "native"),
+        "classic": ("reference",), "native": ("native",),
+        "all": ("reference", "native"),
     }[args.engine])
     if "native" in modes:
         from repro.native.build import kernel_available
@@ -320,19 +316,16 @@ def cmd_sancheck(args) -> int:
                 return 0
     reports = []
 
-    def check(trace, l1d="none", l2="none"):
+    def check(trace, l1d="none", l2="none", seed_divergence=None):
         if "reference" in modes:
-            reports.append(lockstep_run(trace, l1d=l1d, l2=l2))
-            print(reports[-1].describe())
-        if "engines" in modes:
-            reports.append(lockstep_engines(
-                trace, l1d=l1d, l2=l2, chunk_size=args.chunk_size,
+            reports.append(lockstep_run(
+                trace, l1d=l1d, l2=l2, seed_divergence=seed_divergence,
             ))
             print(reports[-1].describe())
         if "native" in modes:
             reports.append(lockstep_engines(
                 trace, l1d=l1d, l2=l2, chunk_size=args.chunk_size,
-                engine="native",
+                seed_divergence=seed_divergence,
             ))
             print(reports[-1].describe())
 
@@ -345,55 +338,18 @@ def cmd_sancheck(args) -> int:
                 continue  # covered by the L1D sweep's l2="none"
             check(trace, l2=pf)
         if "reference" in modes:
-            # Multicore never engages the batched loop (it demotes to the
-            # per-access path), so there is no engines variant to diff.
+            # Multicore has no native path, so there is no engines
+            # variant to diff.
             mix = [quick_trace(args.records // 2, f"mix{i}")
                    for i in range(2)]
             reports.append(lockstep_multicore(mix, ["berti", "none"],
                                               ["none", "spp"]))
             print(reports[-1].describe())
+        if args.seed_divergence is not None:
+            check(trace, l1d="berti", seed_divergence=args.seed_divergence)
     else:
-        trace = resolve_trace(args.trace, args.scale)
-        if "reference" in modes:
-            reports.append(lockstep_run(
-                trace, l1d=args.l1d, l2=args.l2,
-                seed_divergence=args.seed_divergence,
-            ))
-            print(reports[-1].describe())
-        if "engines" in modes:
-            reports.append(lockstep_engines(
-                trace, l1d=args.l1d, l2=args.l2,
-                chunk_size=args.chunk_size,
-                seed_divergence=args.seed_divergence,
-            ))
-            print(reports[-1].describe())
-        if "native" in modes:
-            reports.append(lockstep_engines(
-                trace, l1d=args.l1d, l2=args.l2,
-                chunk_size=args.chunk_size,
-                seed_divergence=args.seed_divergence,
-                engine="native",
-            ))
-            print(reports[-1].describe())
-    if args.seed_divergence is not None and args.quick:
-        trace = quick_trace(args.records)
-        if "reference" in modes:
-            reports.append(lockstep_run(
-                trace, l1d="berti", seed_divergence=args.seed_divergence,
-            ))
-            print(reports[-1].describe())
-        if "engines" in modes:
-            reports.append(lockstep_engines(
-                trace, l1d="berti", chunk_size=args.chunk_size,
-                seed_divergence=args.seed_divergence,
-            ))
-            print(reports[-1].describe())
-        if "native" in modes:
-            reports.append(lockstep_engines(
-                trace, l1d="berti", chunk_size=args.chunk_size,
-                seed_divergence=args.seed_divergence, engine="native",
-            ))
-            print(reports[-1].describe())
+        check(resolve_trace(args.trace, args.scale), l1d=args.l1d,
+              l2=args.l2, seed_divergence=args.seed_divergence)
 
     bad = [r for r in reports if not r.ok]
     seeded = args.seed_divergence is not None
@@ -804,20 +760,15 @@ def _add_engine_args(p) -> None:
     """Simulator inner-loop selection, shared by run/compare/suite."""
     g = p.add_argument_group("engine (docs/performance.md)")
     g.add_argument("--engine", default="classic",
-                   choices=["classic", "batched", "native"],
+                   choices=["classic", "native"],
                    help="simulator inner loop: classic per-record "
-                        "dispatch, the batched columnar loop, or the "
-                        "native C span kernel (both bit-identical, "
-                        "faster on stock configs)")
-    g.add_argument("--chunk-size", type=int, default=0, metavar="N",
-                   help="batched/native span length in records "
-                        "(0 = engine default)")
+                        "dispatch or the native C span kernel "
+                        "(bit-identical, faster on stock configs)")
     g.add_argument("--native", default="auto",
-                   choices=["auto", "force", "off"],
+                   choices=["auto", "force"],
                    help="native-backend policy with --engine native: "
-                        "auto demotes to the batched path when the C "
-                        "kernel is unavailable, force errors instead, "
-                        "off pins the batched fallback")
+                        "auto demotes to the classic loop when the C "
+                        "kernel is unavailable, force errors instead")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -903,19 +854,17 @@ def build_parser() -> argparse.ArgumentParser:
                      help="perturb the optimized engine at access N; the "
                           "oracle must localise the divergence to N")
     san.add_argument("--engine", default="classic",
-                     choices=["classic", "batched", "native", "both",
-                              "all"],
+                     choices=["classic", "native", "all"],
                      help="which differential to run: classic = optimized "
-                          "vs pure-reference oracle; batched = batched vs "
-                          "classic inner loop, digests compared at every "
-                          "chunk boundary and the first divergent access "
-                          "localised; native = the C span kernel vs the "
-                          "classic loop, same digest cadence (skipped "
-                          "with a note when no compiler is available); "
-                          "both = classic + batched; all = everything")
+                          "vs pure-reference oracle; native = the C span "
+                          "kernel vs the classic loop, digests compared "
+                          "at every chunk boundary and the first "
+                          "divergent access localised (skipped with a "
+                          "note when no compiler is available); all = "
+                          "classic and native")
     san.add_argument("--chunk-size", type=int, default=0, metavar="N",
-                     help="batched/native chunk length for --engine "
-                          "batched/native/both/all (0 = engine default)")
+                     help="records between native compare points "
+                          "(0 = default 1024)")
 
     chaos = sub.add_parser(
         "chaos",

@@ -49,13 +49,6 @@ class BertiPrefetcher(Prefetcher):
     # allocations.  Subclasses fall back to virtual dispatch unless they
     # re-declare the flag in their own class body.
     kernel_hooks = True
-    # Opt into the batched engine's chunk delivery (same own-class-body
-    # rule: subclasses demote unless they re-declare it).  The batched
-    # engine also reads ``kernel_batch_key`` to compute the training key
-    # without a per-access ``_key`` call: "ip" here, "page" for the
-    # page-keyed variant.
-    kernel_batch_hooks = True
-    kernel_batch_key = "ip"
 
     def __init__(self, config: BertiConfig | None = None) -> None:
         self.config = config or BertiConfig()
@@ -203,36 +196,6 @@ class BertiPrefetcher(Prefetcher):
         timely.clear()
         self.history.search_timely_into(key, line, now, pf_latency, timely)
         self.deltas.record_search(key, timely)
-
-    # ------------------------------------------------------------------
-    # Batch protocol (chunk-at-a-time mirrors, see repro.simulator.batched)
-    # ------------------------------------------------------------------
-
-    def on_access_batch(self, triples) -> None:
-        """Observe one chunk's training stream: ``(ip, vline, cycle)``
-        per history insert (demand misses and prefetch first-hits).
-
-        The batched engine has already fed every insert through the
-        per-access kernels by the time the chunk boundary delivers the
-        batch, so this hook MUST NOT mutate prefetcher state — snapshots
-        taken after a chunk are byte-identical whether or not it ran.
-        Subclasses may override it for batch-level analyses as long as
-        they preserve that contract (or drop ``kernel_batch_hooks`` from
-        their class body to demote to per-access dispatch).
-        """
-
-    def on_fill_batch(self, fills) -> None:
-        """Batch twin of :meth:`on_fill_kernel` over ``(line, now,
-        latency, ip)`` tuples.
-
-        Fill training feeds the very next access's prediction, so the
-        engine resolves fills per access and never calls this; it exists
-        for offline/replay tooling and is pinned equivalent to the
-        per-access kernel by test.
-        """
-        on_fill = self.on_fill_kernel
-        for line, now, latency, ip in fills:
-            on_fill(line, now, latency, ip)
 
     # ------------------------------------------------------------------
 

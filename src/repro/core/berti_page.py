@@ -25,12 +25,9 @@ class BertiPagePrefetcher(BertiPrefetcher):
 
     name = "berti_page"
     level = "l1d"
-    # Re-declare the opt-ins: the hierarchy (and the batched engine)
-    # check the *own* class body, so subclasses do not inherit kernel or
-    # batch dispatch by accident.
+    # Re-declare the opt-in: the hierarchy checks the *own* class body,
+    # so subclasses do not inherit kernel dispatch by accident.
     kernel_hooks = True
-    kernel_batch_hooks = True
-    kernel_batch_key = "page"
 
     def __init__(self, config: BertiConfig | None = None) -> None:
         super().__init__(config)

@@ -99,7 +99,7 @@ class TLB:
         # _map mirrors _sets for O(1) probes; LRU order lives in _sets.
         # Canonicalise the index's dict order so snapshots taken under
         # the native backend (which rebuilds it in scan order) are
-        # byte-identical to classic/batched ones.
+        # byte-identical to classic ones.
         state = self.__dict__.copy()
         state["_map"] = dict(sorted(self._map.items()))
         return state

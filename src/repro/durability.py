@@ -1,10 +1,14 @@
-"""Shared crash-durability primitives for JSON artifacts.
+"""Shared crash-durability primitives for whole-file artifacts.
 
 Three layers of the system persist whole-document JSON next to their
 append-only journals: the fleet event manifest
 (:mod:`repro.fleet.manifest`), the campaign supervisor's manifest
 (:mod:`repro.runner.supervisor`), and the fuzzing campaign reports
-(:mod:`repro.fuzz`).  They all need the same three guarantees:
+(:mod:`repro.fuzz`).  The runner's checkpoint journal
+(:mod:`repro.runner.journal`) and the simulator snapshots
+(:mod:`repro.sanitizer.snapshot`) rewrite whole files the same way
+through :func:`atomic_write_bytes`.  They all need the same three
+guarantees:
 
 * **atomic visibility** — readers never observe a half-written file
   (temp file + ``fsync`` + ``os.replace``);
@@ -32,6 +36,7 @@ from pathlib import Path
 from typing import Any, Optional, Tuple
 
 __all__ = [
+    "atomic_write_bytes",
     "atomic_write_json",
     "fsync_dir",
     "heal_truncated_json",
@@ -53,21 +58,20 @@ def fsync_dir(directory: str | Path) -> None:
         os.close(dir_fd)
 
 
-def atomic_write_json(path: str | Path, doc: Any, indent: int = 2,
-                      sort_keys: bool = True) -> None:
-    """Write ``doc`` to ``path`` so a crash leaves the old file or the new.
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so a crash leaves the old file or the new.
 
-    Temp file in the target directory, ``flush`` + ``fsync``, then
-    ``os.replace`` and a directory fsync — the same discipline as the
-    snapshot writer and the service WAL.
+    Temp file ``.<name>-*.tmp`` in the target directory, ``flush`` +
+    ``fsync``, then ``os.replace`` and a directory fsync.  The temp file
+    is removed if anything fails before the rename.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent),
                                prefix=f".{path.name}-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=indent, sort_keys=sort_keys)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -78,6 +82,13 @@ def atomic_write_json(path: str | Path, doc: Any, indent: int = 2,
             pass
         raise
     fsync_dir(path.parent)
+
+
+def atomic_write_json(path: str | Path, doc: Any, indent: int = 2,
+                      sort_keys: bool = True) -> None:
+    """:func:`atomic_write_bytes` of ``doc`` as UTF-8 JSON."""
+    atomic_write_bytes(path, json.dumps(doc, indent=indent,
+                                        sort_keys=sort_keys).encode("utf-8"))
 
 
 def _scan_state(text: str) -> Tuple[list, bool, bool]:

@@ -220,7 +220,7 @@ def _config_vector(rng: random.Random) -> Dict[str, Any]:
         config["berti"] = dict(sorted(berti.items()))
     if rng.random() < 0.15:
         # Native-backend edge: force the C kernel to demote to the
-        # batched Python loop mid-run (0 = before the first span), so
+        # classic Python loop mid-run (0 = before the first span), so
         # the marshal round-trip is exercised at awkward boundaries.
         config["native_demote_at"] = rng.choice([0, 1, 7, 64])
     return config

@@ -1,21 +1,22 @@
 """Differential oracle: one fuzz case through every engine we have.
 
-Five legs, each a self-contained verdict:
+Four legs, each a self-contained verdict:
 
-* **engines** — batched vs classic inner loop in chunk-boundary
-  lockstep (:func:`~repro.sanitizer.lockstep.lockstep_engines`), run at
-  the case's chunk size, with divergence auto-localised to the exact
-  access.
+* **engines** — the native engine vs the classic loop in
+  chunk-boundary lockstep
+  (:func:`~repro.sanitizer.lockstep.lockstep_engines`), run at the
+  case's chunk size, with divergence auto-localised to the exact
+  access; plus the forced mid-span demotion edge when the case carries
+  ``native_demote_at``.  On a host with no C compiler the native side
+  demotes every span to the classic loop: the leg still runs (so a
+  planted divergence is still caught), and that demotion is not a
+  finding.
 * **reference** — optimised vs pure-virtual-dispatch hierarchy in
   per-access lockstep (:func:`~repro.sanitizer.lockstep.lockstep_run`).
 * **snapshot** — the mid-trace checkpoint contract: ``simulate`` vs
   ``simulate_with_snapshots``, byte-identical checkpoint files across
   two write passes, and a resume from the newest checkpoint that must
   land on the same result dict.
-* **native** — the C kernel vs classic in the same chunk-boundary
-  lockstep, plus the forced mid-span demotion edge when the case
-  carries ``native_demote_at``.  Skipped (not failed) on hosts with no
-  C compiler.
 * **validity** — for ``expect="reject"`` cases only: every engine must
   refuse the input with a typed :class:`~repro.errors.ReproError`
   (raw exceptions and silent acceptance are both findings).
@@ -98,14 +99,9 @@ def _validity_leg(case: FuzzCase) -> Optional[FuzzFinding]:
     for label, run in (
         ("classic", lambda: simulate(
             trace, make(l1d), make(l2), warmup_fraction=wf)),
-        ("batched", lambda: simulate(
-            trace, make(l1d), make(l2), warmup_fraction=wf,
-            engine="batched",
-            chunk_size=case.config.get("chunk_size", 0))),
         ("native", lambda: simulate(
             trace, make(l1d), make(l2), warmup_fraction=wf,
-            engine="native",
-            chunk_size=case.config.get("chunk_size", 0))),
+            engine="native")),
         ("snapshot", lambda: simulate_with_snapshots(
             trace, make(l1d), make(l2), warmup_fraction=wf)),
     ):
@@ -115,7 +111,18 @@ def _validity_leg(case: FuzzCase) -> Optional[FuzzFinding]:
     return None
 
 
+def _strip_native_markers(result: dict) -> dict:
+    """The native engine's ``native_*`` extra keys are reporting-only
+    and excluded from the bit-identity contract."""
+    result = dict(result)
+    result["extra"] = {k: v for k, v in result.get("extra", {}).items()
+                       if not k.startswith("native")}
+    return result
+
+
 def _engines_leg(case: FuzzCase) -> Optional[FuzzFinding]:
+    from repro.native.build import kernel_available
+
     report = lockstep_engines(
         case.trace(),
         l1d=case.config.get("l1d", "berti"),
@@ -125,10 +132,31 @@ def _engines_leg(case: FuzzCase) -> Optional[FuzzFinding]:
         seed_divergence=case.config.get("plant_divergence"),
         make=case.make(),
     )
-    if report.ok:
+    no_kernel = (report.field == "native_demotion"
+                 and kernel_available()[0] is None)
+    if not report.ok and not no_kernel:
+        return _finding(case, "engines", f"engines:{report.field}",
+                        report.describe())
+    at = case.config.get("native_demote_at")
+    if at is None:
         return None
-    return _finding(case, "engines", f"engines:{report.field}",
-                    report.describe())
+    # Forced mid-span demotion: a run that flips from the C kernel to
+    # the classic loop partway through must still land on the classic
+    # result (modulo the native_* reporting markers).
+    make = case.make()
+    trace = case.trace()
+    l1d, l2 = case.config.get("l1d", "berti"), case.config.get("l2", "none")
+    wf = case.config.get("warmup_fraction", 0.2)
+    ref = simulate(trace, make(l1d), make(l2), warmup_fraction=wf).to_dict()
+    demoted = _strip_native_markers(simulate(
+        trace, make(l1d), make(l2), warmup_fraction=wf,
+        engine="native", native_demote_at=at).to_dict())
+    if demoted != ref:
+        keys = [k for k in ref if demoted.get(k) != ref[k]]
+        return _finding(case, "engines", "engines:demote-result",
+                        f"forced demotion at access {at} diverges from "
+                        f"the classic run in {keys[:4]}")
+    return None
 
 
 def _reference_leg(case: FuzzCase) -> Optional[FuzzFinding]:
@@ -196,63 +224,10 @@ def _snapshot_leg(case: FuzzCase) -> Optional[FuzzFinding]:
     return None
 
 
-def _strip_native_markers(result: dict) -> dict:
-    """The native engine's ``native_*`` extra keys are reporting-only
-    and excluded from the bit-identity contract."""
-    result = dict(result)
-    result["extra"] = {k: v for k, v in result.get("extra", {}).items()
-                       if not k.startswith("native")}
-    return result
-
-
-def _native_leg(case: FuzzCase) -> Optional[FuzzFinding]:
-    from repro.native.build import kernel_available
-
-    if kernel_available()[0] is None:
-        return None  # no compiler on this host: the leg degrades to a skip
-    report = lockstep_engines(
-        case.trace(),
-        l1d=case.config.get("l1d", "berti"),
-        l2=case.config.get("l2", "none"),
-        warmup_fraction=case.config.get("warmup_fraction", 0.2),
-        chunk_size=case.config.get("chunk_size", 0),
-        seed_divergence=case.config.get("plant_divergence"),
-        make=case.make(),
-        engine="native",
-    )
-    if not report.ok:
-        return _finding(case, "native", f"native:{report.field}",
-                        report.describe())
-    at = case.config.get("native_demote_at")
-    if at is None:
-        return None
-    # Forced mid-span demotion: a run that flips from the C kernel to
-    # the batched Python loop partway through must still land on the
-    # batched result (modulo the native_* reporting markers).
-    make = case.make()
-    trace = case.trace()
-    l1d, l2 = case.config.get("l1d", "berti"), case.config.get("l2", "none")
-    wf = case.config.get("warmup_fraction", 0.2)
-    cs = case.config.get("chunk_size", 0)
-    ref = _strip_native_markers(simulate(
-        trace, make(l1d), make(l2), warmup_fraction=wf,
-        engine="batched", chunk_size=cs).to_dict())
-    demoted = _strip_native_markers(simulate(
-        trace, make(l1d), make(l2), warmup_fraction=wf,
-        engine="native", chunk_size=cs, native_demote_at=at).to_dict())
-    if demoted != ref:
-        keys = [k for k in ref if demoted.get(k) != ref[k]]
-        return _finding(case, "native", "native:demote-result",
-                        f"forced demotion at access {at} diverges from "
-                        f"the batched run in {keys[:4]}")
-    return None
-
-
 _LEGS = (
     ("engines", _engines_leg),
     ("reference", _reference_leg),
     ("snapshot", _snapshot_leg),
-    ("native", _native_leg),
 )
 
 

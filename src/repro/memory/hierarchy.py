@@ -712,8 +712,8 @@ class Hierarchy:
         hoisted locals with no per-suggestion calls beyond the real work
         (``_access_l2``/``_access_llc``, ``allocate``, ``fill``).  Side
         effects happen in the same order as the call-based path; pure
-        counter increments are batched in locals and flushed once after
-        the loop, which is unobservable — the lockstep digest and all
+        counter increments accumulate in locals and are flushed once
+        after the loop, which is unobservable — the lockstep digest and all
         stats readers only sample between accesses.  Two loop-level
         facts the call-based path cannot exploit:
 

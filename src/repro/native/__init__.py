@@ -1,12 +1,13 @@
 """Opt-in native backend: C span kernel behind a bit-identity gate.
 
 ``engine="native"`` runs each simulation span through a small C shared
-object compiled at first use (:mod:`repro.native.build`) over the same
-columnar buffers the batched engine reads (:mod:`repro.native.marshal`,
-zero-copy for the trace columns and Berti history rings).  Every guard
-that demotes the batched engine also demotes the native one, plus a few
-of its own (:func:`repro.native.runner.native_mode`); demoted spans run
-on the batched Python path and produce bit-identical results.
+object compiled at first use (:mod:`repro.native.build`) over flat
+buffers (:mod:`repro.native.marshal`, zero-copy for the trace columns
+and Berti history rings).  Its guards
+(:func:`repro.native.runner.native_mode`) demote any span the kernel
+cannot run — no compiler, non-stock or instrumented parts, any
+prefetcher but the stock Berti — to the classic per-record loop, with
+bit-identical results.
 """
 
 from .build import (
@@ -24,6 +25,7 @@ from .runner import (
     NativeRunner,
     make_native_runner,
     native_mode,
+    non_stock_reason,
 )
 
 __all__ = [
@@ -42,5 +44,6 @@ __all__ = [
     "layout_digest",
     "make_native_runner",
     "native_mode",
+    "non_stock_reason",
     "reset_build_cache",
 ]

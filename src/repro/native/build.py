@@ -10,7 +10,7 @@ ABI: ``R_<NAME>``/``FR_<NAME>``/``B_<NAME>`` index defines derived from
 
 No build-time dependencies beyond a C compiler (``$CC``, ``cc``,
 ``gcc`` or ``clang``); when none is present :func:`kernel_available`
-reports the diagnostic and the caller demotes to the batched engine.
+reports the diagnostic and the caller demotes to the classic loop.
 """
 
 from __future__ import annotations

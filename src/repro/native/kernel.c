@@ -1,6 +1,11 @@
-/* repro.native kernel: bit-exact C transcription of the fused batched
- * span loop (repro/simulator/batched.py) plus the Berti kernel hooks
- * (repro/core/berti.py over history_table.py / delta_table.py).
+/* repro.native kernel: bit-exact C transcription of the classic demand
+ * path for one span of records -- CoreModel.issue_memory around
+ * Hierarchy.demand_access (repro/memory/hierarchy.py: the dTLB/STLB
+ * path of MMU.translate_demand, the L1D probe and MSHR merge ladder,
+ * _access_l2 / _access_llc, and the prefetch ladder of
+ * _run_l1d_prefetcher_on_access / _kernel_issue_selected) -- plus the
+ * Berti kernel hooks (repro/core/berti.py over history_table.py /
+ * delta_table.py).
  *
  * The layout header (repro_native_layout.h) is generated from
  * repro/native/marshal.py at build time; the R_/FR_/B_ indexes are the
@@ -55,7 +60,8 @@ static inline i64 ifdiv(i64 a, i64 b) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Span-delta counters: exactly the batched engine's flush list.       */
+/* Span-delta counters: the demand path's pure counters, in the order  */
+/* of marshal.DELTA_REGS.                                               */
 /* ------------------------------------------------------------------ */
 
 #define DELTA_LIST(X)                                                  \
@@ -1048,7 +1054,7 @@ static void berti_learn(i64 ip, i64 vline, i64 demand_time, i64 latency) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Prefetch ladder (run_ladder in batched.py, verbatim order)          */
+/* Prefetch ladder (Hierarchy._kernel_issue_selected, verbatim order)  */
 /* ------------------------------------------------------------------ */
 
 static i64 m1_reserve;
@@ -1381,7 +1387,7 @@ static void save_all(void) {
 }
 
 /* ------------------------------------------------------------------ */
-/* The fused record loop (batched.py span body, chunkless)             */
+/* The record loop (issue_memory + demand_access per record)           */
 /* ------------------------------------------------------------------ */
 
 static void run(void) {

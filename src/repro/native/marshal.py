@@ -23,12 +23,15 @@ Three marshalling classes of state:
 
 * **zero-copy** — the trace columns and the Berti history-table rings
   (``array('q')`` columns) are passed by pointer and mutated in place;
-* **span-delta counters** — exactly the batched engine's flush list
-  accumulates in registers zeroed at span start and added back on
-  success only (a crashed span discards them, like the batched loop);
+* **span-delta counters** — the pure counters the classic
+  :class:`~repro.memory.hierarchy.Hierarchy` methods bump accumulate in
+  registers zeroed at span start and added back on success only (a
+  crashed span discards them; a crashed run's statistics are discarded
+  anyway);
 * **absolute counters and structures** — everything else round-trips
   by value: exported at span start, imported unconditionally at span
-  end (even on error, matching the batched loop's in-place mutations).
+  end (even on error: like the classic loop, the kernel mutates
+  structures in place before it fails).
 
 Dict-shaped indexes (``Cache._where``, ``MSHR._entries``, TLB ``_map``,
 history ``_chains``, delta-table ``_by_delta``/``_by_tag``) are rebuilt
@@ -88,8 +91,9 @@ def _tlb_regs(p: str) -> Tuple[str, ...]:
     return (f"{p}_NSETS", f"{p}_WAYS")
 
 
-#: Span-delta counters: EXACTLY the batched engine's additive flush
-#: list, in its order.  Zeroed at span start; added on success only.
+#: Span-delta counters: the demand path's pure counters, flushed
+#: additively in this order.  Zeroed at span start; added on success
+#: only.
 DELTA_REGS = (
     "D_DT_ACC", "D_DT_HIT",
     "D_L1_ACC", "D_L1_HIT", "D_L1_MISS", "D_L1_USEFUL", "D_L1_LATE",
@@ -200,8 +204,8 @@ def decoded_columns(trace) -> Tuple[Any, Any]:
     """addr→(vline, vpage) derived columns for the whole trace.
 
     Delegates to :meth:`repro.workloads.trace.Trace.decoded_columns`
-    (numpy-vectorized, cached on the trace), so the batched fused loop
-    and the native span kernel share one decode by pointer.
+    (numpy-vectorized, cached on the trace), so every span of every run
+    over the trace shares one decode by pointer.
     """
     return trace.decoded_columns()
 
@@ -669,8 +673,9 @@ class NativeState:
         if ok:
             self._flush_deltas()
         else:
-            # A crashed span keeps its in-place mutations (the batched
-            # loop's immediate _credit_useful calls) but not the deltas.
+            # A crashed span keeps its in-place mutations (the
+            # immediate Hierarchy._credit_useful calls) but not the
+            # deltas.
             pfs2.useful = R[RIX["CREDIT2_USEFUL"]]
             pfs2.late = R[RIX["CREDIT2_LATE"]]
 
@@ -976,8 +981,8 @@ class NativeState:
         pfs1.dropped_queue_full += g("D_PF_DQ")
         pfs1.dropped_mshr_full += g("D_PF_DM")
         pfs2 = h.pf_stats["l2"]
-        # Dual-channel fields: the "credit" channel (the batched loop's
-        # immediate _credit_useful calls) lives in the absolute
+        # Dual-channel fields: the "credit" channel (the immediate
+        # Hierarchy._credit_useful calls) lives in the absolute
         # registers; the delta channel mirrors the flush list.
         pfs2.useful = g("CREDIT2_USEFUL") + g("D_PF2_USEFUL")
         pfs2.late = g("CREDIT2_LATE") + g("D_PF2_LATE")

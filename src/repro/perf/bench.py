@@ -47,8 +47,7 @@ class BenchCase:
     l1d: str            #: L1D prefetcher registry name
     scale: float = 1.0  #: trace scale passed to the catalog
     cores: int = 1      #: >1 runs the trace on every core of a shared-LLC mix
-    engine: str = "classic"  #: simulator inner loop ("classic"/"batched")
-    chunk_size: int = 0      #: batched-engine chunk length (0 = default)
+    engine: str = "classic"  #: simulator inner loop ("classic"/"native")
 
 
 @dataclass
@@ -72,7 +71,6 @@ class BenchResult:
             "scale": self.case.scale,
             "cores": self.case.cores,
             "engine": self.case.engine,
-            "chunk_size": self.case.chunk_size,
             "records": self.records,
             "repeats": self.repeats,
             "best_seconds": self.best_seconds,
@@ -88,13 +86,11 @@ def default_cases(scale: float = 1.0) -> List[BenchCase]:
     The ``none`` rows time the demand path alone; the ``berti`` rows add
     the full train/predict/issue machinery.  Both matter: sweeps run
     mostly prefetcher configs, but the demand path is the floor every
-    config pays.  Every single-core case gets an ``@batched`` twin timing
-    the fused columnar loop (:mod:`repro.simulator.batched`); the
-    multicore cases have no twins because the batched engine demotes to
-    the per-access path there.  The ``@native`` twins time the C span
-    kernel (:mod:`repro.native`); on hosts without a compiler they run
-    the batched fallback and report comparable numbers rather than
-    failing.
+    config pays.  Every single-core case gets an ``@native`` twin timing
+    the C span kernel (:mod:`repro.native`); on hosts without a compiler
+    it runs the classic fallback and reports comparable numbers rather
+    than failing.  The multicore cases have no twins: multicore has no
+    native path.
     """
     matrix = [
         ("synth", "synth:bench"),
@@ -107,10 +103,6 @@ def default_cases(scale: float = 1.0) -> List[BenchCase]:
         for pf in ("none", "berti"):
             cases.append(
                 BenchCase(name=f"{short}/{pf}", trace=spec, l1d=pf, scale=scale)
-            )
-            cases.append(
-                BenchCase(name=f"{short}/{pf}@batched", trace=spec, l1d=pf,
-                          scale=scale, engine="batched")
             )
             cases.append(
                 BenchCase(name=f"{short}/{pf}@native", trace=spec, l1d=pf,
@@ -207,16 +199,14 @@ def _time_once(case: BenchCase, trace) -> float:
 
         pf = make_prefetcher(case.l1d)
         t0 = time.perf_counter()
-        simulate(trace, l1d_prefetcher=pf, engine=case.engine,
-                 chunk_size=case.chunk_size)
+        simulate(trace, l1d_prefetcher=pf, engine=case.engine)
         return time.perf_counter() - t0
     from repro.simulator.multicore import simulate_multicore
 
     l1ds = [make_prefetcher(case.l1d) for _ in range(case.cores)]
     l2s = [make_prefetcher("none") for _ in range(case.cores)]
     t0 = time.perf_counter()
-    simulate_multicore([trace] * case.cores, l1ds, l2s,
-                       engine=case.engine, chunk_size=case.chunk_size)
+    simulate_multicore([trace] * case.cores, l1ds, l2s)
     return time.perf_counter() - t0
 
 

@@ -64,16 +64,12 @@ class JobSpec:
     # fields above, they are excluded from `key`.
     heartbeat_path: Optional[str] = None
     heartbeat_every: int = 0
-    # Simulator inner loop (repro.simulator.batched).  The batched engine
-    # is bit-identical to the classic one (that is its contract, enforced
-    # by `repro sancheck --engine`), so like the knobs above it is a
-    # performance detail excluded from `key`: results cached under one
-    # engine are valid under the other.
+    # Simulator inner loop and native-backend policy (repro.native).
+    # The native engine is bit-identical to the classic one (that is its
+    # contract, enforced by `repro sancheck --engine native`), so like
+    # the knobs above these are performance details excluded from `key`:
+    # results cached under one engine are valid under the other.
     engine: str = "classic"
-    chunk_size: int = 0
-    # Native-backend policy (repro.native), meaningful with
-    # engine="native": auto | force | off.  Same contract as above —
-    # bit-identical either way — so it is excluded from `key` too.
     native: str = "auto"
 
     @property

@@ -38,11 +38,10 @@ or corrupt lines (a worker killed mid-write) are skipped, not fatal.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
+from repro.durability import atomic_write_bytes
 from repro.errors import ResourceError
 from repro.runner.jobs import CompletedRun, QuarantinedRun, RunOutcome
 from repro.simulator.stats import SimResult
@@ -106,7 +105,6 @@ class Journal:
                 raise ResourceError(
                     f"journal append refused: {reason}", field="journal"
                 )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
             existing = self.path.read_bytes()
         except FileNotFoundError:
@@ -114,31 +112,7 @@ class Journal:
         if existing and not existing.endswith(b"\n"):
             existing += b"\n"  # heal a torn tail so the new record parses
         line = (json.dumps(self._encode(outcome)) + "\n").encode("utf-8")
-        fd, tmp = tempfile.mkstemp(
-            dir=str(self.path.parent), prefix=".journal-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(existing + line)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        try:
-            dir_fd = os.open(str(self.path.parent), os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
+        atomic_write_bytes(self.path, existing + line)
 
     @staticmethod
     def _encode(outcome: RunOutcome) -> dict:

@@ -24,20 +24,18 @@ def build_matrix_jobs(
     warmup_fraction: float = 0.2,
     faults: Optional[Mapping[str, FaultSpec]] = None,
     engine: str = "classic",
-    chunk_size: int = 0,
     native: str = "auto",
 ) -> List[JobSpec]:
     """One job per (trace, L1D prefetcher); ``faults`` maps trace names
     to the fault injected into every job of that trace.  ``engine``/
-    ``chunk_size``/``native`` select the simulator inner loop for every
-    job (a performance knob: results are bit-identical across
-    engines)."""
+    ``native`` select the simulator inner loop for every job (a
+    performance knob: results are bit-identical across engines)."""
     faults = faults or {}
     return [
         JobSpec(
             trace=trace, l1d=pf, l2=l2, scale=scale, mtps=mtps,
             warmup_fraction=warmup_fraction, fault=faults.get(trace),
-            engine=engine, chunk_size=chunk_size, native=native,
+            engine=engine, native=native,
         )
         for trace in traces
         for pf in prefetchers

@@ -213,11 +213,10 @@ class CampaignSupervisor(ExperimentRunner):
         # wall clock — the manifest's aggregate records/sec.
         self._records_done = 0
         self._busy_seconds = 0.0
-        # Per-engine record counts of fresh completions, plus the chunk
-        # sizes seen on batched jobs — the manifest's throughput block
-        # names which inner loop produced the campaign's records/sec.
+        # Per-engine record counts of fresh completions — the manifest's
+        # throughput block names which inner loop produced the
+        # campaign's records/sec.
         self._engine_records: Dict[str, int] = {}
-        self._chunk_sizes: set = set()
         self._campaign_started: Optional[float] = None
         self._drain = False
         self._hard_killed = False
@@ -412,10 +411,6 @@ class CampaignSupervisor(ExperimentRunner):
                     self._engine_records[engine] = (
                         self._engine_records.get(engine, 0) + int(records)
                     )
-                    if engine == "batched":
-                        self._chunk_sizes.add(
-                            getattr(job, "chunk_size", 0) or 0
-                        )
         if outcome.ok and isinstance(job, JobSpec):
             prev = self._trace_est.get(job.trace)
             self._trace_est[job.trace] = (
@@ -691,8 +686,7 @@ class CampaignSupervisor(ExperimentRunner):
         compare against ``BENCH_simcore.json``).  Journal-replayed jobs
         contribute to neither: they did no simulation this run.
         ``engines`` breaks the record count down by the simulator inner
-        loop that produced it; ``chunk_sizes`` lists the chunk lengths
-        batched jobs ran with (0 = engine default).
+        loop that produced it.
         """
         wall = 0.0
         if self._campaign_started is not None:
@@ -709,7 +703,6 @@ class CampaignSupervisor(ExperimentRunner):
                 if self._busy_seconds > 0 else 0.0
             ),
             "engines": dict(sorted(self._engine_records.items())),
-            "chunk_sizes": sorted(self._chunk_sizes),
         }
 
     def _write_manifest(self) -> None:

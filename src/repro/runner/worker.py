@@ -119,7 +119,6 @@ def run_job(spec: JobSpec, attempt: int = 1) -> SimResult:
                     if spec.sanitize else None
                 ),
                 engine=spec.engine,
-                chunk_size=spec.chunk_size,
                 native=spec.native,
             )
         else:
@@ -133,7 +132,6 @@ def run_job(spec: JobSpec, attempt: int = 1) -> SimResult:
                 progress=hb.ping if hb is not None else None,
                 progress_every=spec.heartbeat_every,
                 engine=spec.engine,
-                chunk_size=spec.chunk_size,
                 native=spec.native,
             )
     except ReproError:

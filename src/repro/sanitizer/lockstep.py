@@ -31,11 +31,19 @@ from repro.cpu.core_model import CoreModel
 from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.reference import to_reference
-from repro.simulator.batched import DEFAULT_CHUNK_SIZE, make_batched_runner
 from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import _collect, _Snapshot, build_hierarchy
+from repro.simulator.engine import (
+    _collect,
+    _Snapshot,
+    build_hierarchy,
+    make_classic_runner,
+)
 from repro.simulator.multicore import simulate_multicore
 from repro.workloads.trace import Trace
+
+#: Records between :func:`lockstep_engines` compare points when its
+#: ``chunk_size`` is 0.
+DEFAULT_CHUNK_SIZE = 1024
 
 
 @dataclass
@@ -54,12 +62,13 @@ class LockstepReport:
     optimized: Any = None
     reference: Any = None
     #: What was compared: ``"reference"`` pits the optimized hierarchy
-    #: against the pure-virtual-dispatch one; ``"engines"`` pits an
-    #: alternative inner loop (batched or native) against the classic
-    #: one (same hierarchy type).
+    #: against the pure-virtual-dispatch one; ``"engines"`` pits the
+    #: native engine against the classic loop (same hierarchy type).
     kind: str = "reference"
-    #: Which engine the optimized side ran (``"engines"`` kind only).
-    engine: str = "batched"
+    #: What the native side ran (``"engines"`` kind only): ``"native"``,
+    #: or ``"native[demoted]"`` when its guards sent spans to the
+    #: classic loop.
+    engine: str = "native"
 
     def describe(self) -> str:
         a, b = ((self.engine, "classic") if self.kind == "engines"
@@ -259,42 +268,42 @@ def lockstep_engines(
     localize: bool = True,
     seed_divergence: Optional[int] = None,
     make=make_prefetcher,
-    engine: str = "batched",
 ) -> LockstepReport:
-    """Differential check of the batched engine against the classic one.
+    """Differential check of the native engine against the classic loop.
 
-    ``engine="native"`` drives the optimized side through
-    :func:`repro.native.runner.make_native_runner` instead.  The oracle
-    is strict about what it compared: if the native guards say the
-    kernel should have engaged but spans still demoted (no compiler),
-    the report fails with ``field="native_demotion"`` rather than
-    silently passing a batched-vs-classic comparison off as a native
-    one — callers that want a graceful skip check
+    Both sides get independent, identically-seeded hierarchies (stock
+    types, so the native side is *not* demoted the way the capture
+    wrappers of :func:`lockstep_run` would demote it).  The classic side
+    runs :func:`~repro.simulator.engine.make_classic_runner`; the native
+    side runs :func:`repro.native.runner.make_native_runner` one chunk
+    of ``chunk_size`` records (0 → :data:`DEFAULT_CHUNK_SIZE`) at a
+    time, and the structural digest plus the core clock are compared at
+    every chunk boundary — the native runner imports its state back into
+    the Python objects there, so the digests are directly comparable.
+    On a mismatch with ``localize=True`` the whole run is repeated at
+    ``chunk_size=1``, which pins the divergence to the exact access; the
+    final :class:`~repro.simulator.stats.SimResult` dicts are compared
+    too.
+
+    The oracle is strict about what it compared: if the native guards
+    say the kernel should have engaged but spans still demoted (no
+    compiler), the report fails with ``field="native_demotion"`` rather
+    than silently passing a classic-vs-classic comparison off as a
+    native one — callers that want a graceful skip check
     :func:`repro.native.build.kernel_available` first.  Demotions the
     guards themselves mandate (unsupported prefetcher, non-stock parts)
     still pass, labelled ``native[demoted]``.
 
-    Both sides get independent, identically-seeded hierarchies (stock
-    types, so the batched side is *not* demoted the way the capture
-    wrappers of :func:`lockstep_run` would demote it).  The classic side
-    runs the per-record loop; the batched side runs
-    :func:`~repro.simulator.batched.make_batched_runner` one chunk at a
-    time, and the structural digest plus the core clock are compared at
-    every chunk boundary — the batched loop flushes its span-local state
-    there, so the digests are directly comparable.  On a mismatch with
-    ``localize=True`` the whole run is repeated at ``chunk_size=1``,
-    which pins the divergence to the exact access; the final
-    :class:`~repro.simulator.stats.SimResult` dicts are compared too.
-
     ``seed_divergence=N`` perturbs the *classic* side's latency on the
-    first read at or after access ``N`` — the classic loop calls its
-    demand hook through a local, so the wrapper never touches the
-    hierarchy attribute and the batched side keeps its fused fast path
-    (wrapping the batched side would demote it to the classic loop and
-    silently defeat the plant).  The perturbation is larger than any
-    real memory latency so the core's retire-frontier max cannot absorb
-    it, and it skips writes, whose latency never reaches the clock.
+    first read at or after access ``N`` — a wrapper on the classic
+    hierarchy only, so the native side keeps its kernel (wrapping the
+    native side would demote it and silently defeat the plant).  The
+    perturbation is larger than any real memory latency so the core's
+    retire-frontier max cannot absorb it, and it skips writes, whose
+    latency never reaches the clock.
     """
+    from repro.native.runner import make_native_runner, native_mode
+
     config = config or default_config()
 
     def build() -> Tuple[Hierarchy, CoreModel]:
@@ -305,23 +314,16 @@ def lockstep_engines(
         return h, core
 
     hc, cc = build()
-    hb, cb = build()
-    if engine == "native":
-        from repro.native.runner import make_native_runner
-
-        run_batched = make_native_runner(trace, hb, cb, chunk_size)
-    else:
-        run_batched = make_batched_runner(trace, hb, cb, chunk_size)
+    hn, cn = build()
+    run_native = make_native_runner(trace, hn, cn)
     cs = chunk_size or DEFAULT_CHUNK_SIZE
 
-    ips, addrs, writes, gaps, deps = trace.columns()
-    demand = hc.demand_access
     if seed_divergence is not None:
-        inner_demand = demand
+        inner_demand = hc.demand_access
         counter = [0, False]  # access index, plant already fired
 
-        def demand(ip: int, vaddr: int, now: int,  # noqa: F811
-                   is_write: bool = False) -> int:
+        def perturbed(ip: int, vaddr: int, now: int,
+                      is_write: bool = False) -> int:
             latency = inner_demand(ip, vaddr, now, is_write)
             if (not counter[1] and counter[0] >= seed_divergence
                     and not is_write):
@@ -329,16 +331,9 @@ def lockstep_engines(
                 counter[1] = True
             counter[0] += 1
             return latency
-    issue = cc.issue_memory
-    advance = cc.advance_nonmem
 
-    def run_classic(lo: int, hi: int) -> None:
-        for ip, vaddr, is_write, gap, dep in zip(
-            ips[lo:hi], addrs[lo:hi], writes[lo:hi], gaps[lo:hi], deps[lo:hi],
-        ):
-            if gap:
-                advance(gap)
-            issue(demand, ip, vaddr, is_write, dep)
+        hc.demand_access = perturbed  # type: ignore[method-assign]
+    run_classic = make_classic_runner(trace, hc, cc)
 
     n = len(trace)
     warmup_end = int(n * warmup_fraction)
@@ -352,44 +347,44 @@ def lockstep_engines(
                 trace, l1d, l2, config=config,
                 warmup_fraction=warmup_fraction, prewarm_tlb=prewarm_tlb,
                 chunk_size=1, localize=False,
-                seed_divergence=seed_divergence, make=make, engine=engine,
+                seed_divergence=seed_divergence, make=make,
             )
         at = mark - 1 if cs == 1 and mark < n else mark
         return LockstepReport(
             trace=trace.name, l1d=l1d, l2=l2, accesses=n, ok=False,
             diverged_at=at, field=field, optimized=a, reference=b,
-            kind="engines", engine=engine,
+            kind="engines",
         )
 
     marks = set(range(cs, n, cs))
     if warmup_end > 0:
         marks.add(warmup_end)
     marks.add(n)
-    start_c = start_b = _Snapshot(0, 0.0)
-    carry_c = carry_b = {"l1d": 0, "l2": 0}
+    start_c = start_n = _Snapshot(0, 0.0)
+    carry_c = carry_n = {"l1d": 0, "l2": 0}
     i = 0
     for mark in sorted(marks):
         run_classic(i, mark)
-        run_batched(i, mark)
+        run_native(i, mark)
         i = mark
         if mark == warmup_end and warmup_end > 0:
             hc.reset_stats()
-            hb.reset_stats()
+            hn.reset_stats()
             carry_c = hc.prefetched_line_counts()
-            carry_b = hb.prefetched_line_counts()
+            carry_n = hn.prefetched_line_counts()
             start_c = _Snapshot(*cc.snapshot())
-            start_b = _Snapshot(*cb.snapshot())
-            if carry_c != carry_b:
+            start_n = _Snapshot(*cn.snapshot())
+            if carry_c != carry_n:
                 return report(mark, "pf_carryover",
-                              dict(carry_b), dict(carry_c))
-        if (cb.instructions, cb.cycles) != (cc.instructions, cc.cycles):
+                              dict(carry_n), dict(carry_c))
+        if (cn.instructions, cn.cycles) != (cc.instructions, cc.cycles):
             return report(mark, "core_clock",
-                          (cb.instructions, cb.cycles),
+                          (cn.instructions, cn.cycles),
                           (cc.instructions, cc.cycles))
         d_c = _state_digest(hc)
-        d_b = _state_digest(hb)
-        if d_b != d_c:
-            key, a, b = _first_diff(d_b, d_c)
+        d_n = _state_digest(hn)
+        if d_n != d_c:
+            key, a, b = _first_diff(d_n, d_c)
             return report(mark, f"state:{key}", a, b)
 
     def final(h: Hierarchy, core: CoreModel, start, carry) -> Dict[str, Any]:
@@ -398,24 +393,22 @@ def lockstep_engines(
         res.extra["pf_carryover_l2"] = float(carry["l2"])
         return res.to_dict()
 
-    res_b = final(hb, cb, start_b, carry_b)
+    res_n = final(hn, cn, start_n, carry_n)
     res_c = final(hc, cc, start_c, carry_c)
-    if res_b != res_c:
-        key, a, b = _first_diff(res_b, res_c)
+    if res_n != res_c:
+        key, a, b = _first_diff(res_n, res_c)
         return report(n, f"result:{key}", a, b)
-    engine_label = engine
-    if engine == "native" and getattr(run_batched, "demoted_spans", 0):
-        from repro.native.runner import native_mode
-
-        if native_mode(hb, cb)[0]:
+    engine_label = "native"
+    if run_native.demoted_spans:
+        if native_mode(hn, cn)[0]:
             # The guards say native should have engaged, yet spans fell
-            # back (e.g. no compiler): refuse to pass a batched run off
+            # back (e.g. no compiler): refuse to pass a classic run off
             # as a native validation.
             return LockstepReport(
                 trace=trace.name, l1d=l1d, l2=l2, accesses=n, ok=False,
                 diverged_at=n, field="native_demotion",
-                optimized=run_batched.demotion_detail,
-                reference=None, kind="engines", engine=engine,
+                optimized=run_native.demotion_detail,
+                reference=None, kind="engines",
             )
         # Expected demotion (unsupported prefetcher etc.): the run is a
         # valid correctness check, just label what actually executed.

@@ -39,16 +39,14 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import tempfile
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.cpu.core_model import CoreModel
+from repro.durability import atomic_write_bytes
 from repro.errors import (
     ConfigError,
-    ReproError,
-    SimulationError,
     SnapshotError,
     TraceError,
 )
@@ -56,12 +54,12 @@ from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.base import Prefetcher
 from repro.sanitizer.config import SanitizerConfig
 from repro.sanitizer.invariants import attach_sanitizer
-from repro.simulator.batched import make_batched_runner
 from repro.simulator.config import SystemConfig, default_config
 from repro.simulator.engine import (
     _collect,
     _Snapshot,
     build_hierarchy,
+    make_classic_runner,
     validate_engine,
 )
 from repro.simulator.stats import SimResult
@@ -111,34 +109,6 @@ def latest_snapshot(directory: str) -> Optional[str]:
     return best
 
 
-def _atomic_write(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".snap-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    # Make the rename itself durable where the platform allows it.
-    try:
-        dir_fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-
-
 @dataclass
 class SnapshotState:
     """Everything needed to continue a run mid-trace."""
@@ -184,7 +154,7 @@ def save_snapshot(
     }
     header["header_crc"] = _header_crc(header)
     data = json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
-    _atomic_write(path, data)
+    atomic_write_bytes(path, data)
     return path
 
 
@@ -293,7 +263,6 @@ def simulate_with_snapshots(
     resume_from: Optional[str] = None,
     sanitize: Optional[SanitizerConfig] = None,
     engine: str = "classic",
-    chunk_size: int = 0,
     native: str = "auto",
 ) -> SimResult:
     """:func:`~repro.simulator.engine.simulate`, split at checkpoints.
@@ -306,13 +275,13 @@ def simulate_with_snapshots(
     checkpoint is used) continues an interrupted run.  ``sanitize``
     attaches the SimSan invariant checker on top.
 
-    ``engine``/``chunk_size`` select the inner loop exactly as in
-    ``simulate``.  Snapshots are taken at record boundaries the batched
-    engine flushes at, so checkpoint files are byte-identical across
-    engines and a run snapshotted under one engine resumes under the
-    other.  (With ``sanitize`` the batched engine demotes itself to the
-    classic per-record loop — the invariant checker wraps the dispatch
-    the fused loop bypasses.)
+    ``engine``/``native`` select the inner loop exactly as in
+    ``simulate``.  Snapshots are taken between spans, where the native
+    runner has imported its state back into the Python objects, so
+    checkpoint files are byte-identical across engines and a run
+    snapshotted under one engine resumes under the other.  (With
+    ``sanitize`` the native engine demotes every span to the classic
+    loop — the invariant checker wraps the dispatch the kernel bypasses.)
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(
@@ -331,7 +300,7 @@ def simulate_with_snapshots(
         )
     if snapshot_every:
         os.makedirs(snapshot_dir, exist_ok=True)
-    validate_engine(engine, chunk_size, trace.name, native)
+    validate_engine(engine, trace.name, native)
     if len(trace) == 0:
         # Same typed error as the engine: an empty trace used to slip
         # past the n > 0 warmup guard and return all-zero statistics.
@@ -399,60 +368,14 @@ def simulate_with_snapshots(
             sanitize.check_every - next_index % sanitize.check_every
         )
 
-    if engine == "batched":
-        # The runner revalidates eligibility per span, so the sanitizer
-        # wrapper installed above demotes it to the classic loop.
-        _run_span = make_batched_runner(trace, hierarchy, core, chunk_size)
-    elif engine == "native" and native != "off":
-        # Same per-span revalidation; with ``sanitize`` the wrapped
-        # demand hook demotes it all the way to the classic loop.
-        from repro.native.build import kernel_available
+    if engine == "native":
+        # The runner revalidates its guards per span, so the sanitizer
+        # wrapper installed above demotes every span to the classic loop.
         from repro.native.runner import make_native_runner
 
-        if native == "force":
-            fn, diag = kernel_available()
-            if fn is None:
-                raise ConfigError(
-                    f"engine='native' with native='force' but the "
-                    f"kernel is unavailable: {diag}",
-                    trace=trace.name,
-                    field="engine",
-                )
-        _run_span = make_native_runner(trace, hierarchy, core, chunk_size)
-    elif engine == "native":  # native == "off": pinned batched fallback
-        _run_span = make_batched_runner(trace, hierarchy, core, chunk_size)
+        _run_span = make_native_runner(trace, hierarchy, core, native)
     else:
-        demand = hierarchy.demand_access
-        issue = core.issue_memory
-        advance = core.advance_nonmem
-        ips, addrs, writes, gaps, deps = trace.columns()
-        l1d_stats = hierarchy.l1d.stats
-
-        def _run_span(lo: int, hi: int) -> None:
-            # Identical inner loop to the engine's _run_span: sub-spans
-            # of the same zip iteration are bit-identical to one long
-            # span.
-            base = l1d_stats.demand_accesses
-            try:
-                for ip, vaddr, is_write, gap, dep in zip(
-                    ips[lo:hi], addrs[lo:hi], writes[lo:hi], gaps[lo:hi],
-                    deps[lo:hi],
-                ):
-                    if gap:
-                        advance(gap)
-                    issue(demand, ip, vaddr, is_write, dep)
-            except ReproError:
-                raise
-            except Exception as exc:
-                done = l1d_stats.demand_accesses - base
-                raise SimulationError(
-                    f"simulation crashed at record ~{lo + done} "
-                    f"({done} accesses into span [{lo}, {hi})): "
-                    f"{type(exc).__name__}: {exc}",
-                    trace=trace.name,
-                    prefetcher=hierarchy.l1d_prefetcher.name,
-                    field="record_index",
-                ) from exc
+        _run_span = make_classic_runner(trace, hierarchy, core)
 
     def _boundaries():
         """Record indexes where the loop must pause, in order."""

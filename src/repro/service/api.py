@@ -73,6 +73,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     service = None  # injected by make_server
     protocol_version = "HTTP/1.1"
     server_version = "repro-service/1"
+    # Headers and body go out as two writes; with Nagle on, a keep-alive
+    # client waits out its own delayed ACK (~40 ms) on every request.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Routing

@@ -19,24 +19,22 @@ from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.base import NoPrefetcher, Prefetcher
-from repro.simulator.batched import DEFAULT_CHUNK_SIZE, make_batched_runner
 from repro.simulator.config import SystemConfig, default_config
 from repro.simulator.stats import PrefetchSummary, SimResult
 from repro.workloads.trace import Trace
 
 #: Engines selectable via ``simulate(..., engine=...)`` and ``--engine``.
-ENGINES = ("classic", "batched", "native")
+ENGINES = ("classic", "native")
 
 #: ``native=`` policies for ``engine="native"``: ``auto`` demotes to the
-#: batched path when the kernel is unavailable or a guard fires,
-#: ``force`` raises ConfigError when the kernel cannot be built, ``off``
-#: pins the batched fallback (for pinning the fallback in tests).
-NATIVE_POLICIES = ("auto", "force", "off")
+#: classic loop when the kernel is unavailable or a guard fires,
+#: ``force`` raises ConfigError when the kernel cannot be built.
+NATIVE_POLICIES = ("auto", "force")
 
 
-def validate_engine(engine: str, chunk_size: int, trace_name: str,
+def validate_engine(engine: str, trace_name: str,
                     native: str = "auto") -> None:
-    """Reject unknown engines / degenerate chunk sizes with field context."""
+    """Reject unknown engines / native policies with field context."""
     if engine not in ENGINES:
         raise ConfigError(
             f"unknown engine {engine!r} (expected one of {', '.join(ENGINES)})",
@@ -49,13 +47,6 @@ def validate_engine(engine: str, chunk_size: int, trace_name: str,
             f"{', '.join(NATIVE_POLICIES)})",
             trace=trace_name,
             field="native",
-        )
-    if chunk_size < 0:
-        raise ConfigError(
-            f"chunk_size must be >= 0 (0 selects the default "
-            f"{DEFAULT_CHUNK_SIZE}), got {chunk_size}",
-            trace=trace_name,
-            field="chunk_size",
         )
 
 
@@ -172,6 +163,62 @@ def _collect(
     return res
 
 
+def make_classic_runner(
+    trace: Trace,
+    hierarchy: Hierarchy,
+    core: CoreModel,
+) -> Callable[[int, int], None]:
+    """The per-record span loop: ``run_span(lo, hi)`` replays ``[lo, hi)``.
+
+    Every caller that splits a run into spans (warmup, heartbeat,
+    snapshots, lockstep compare points, native demotion) uses this one
+    loop.  Splitting a span at a record boundary performs exactly the
+    same operations in the same order, so sub-spans are bit-identical to
+    one long span.  The hierarchy's ``demand_access`` is read once, here:
+    instrumentation that wraps it must be attached before the runner is
+    built.
+    """
+    # Hot loop: columnar iteration over the trace's arrays, with the
+    # demand callback hoisted once (no closure allocation per record).
+    demand = hierarchy.demand_access
+    issue = core.issue_memory
+    advance = core.advance_nonmem
+    ips, addrs, writes, gaps, deps = trace.columns()
+
+    l1d_stats = hierarchy.l1d.stats
+
+    def _run_span(lo: int, hi: int) -> None:
+        # The try/except is zero-cost on the no-raise path (3.11+)
+        # and turns any internal failure into a typed SimulationError
+        # that names the record the run died on.  The index is
+        # recovered from the demand-access counter (one increment per
+        # record) rather than a per-record loop counter, so the hot
+        # loop is untouched.
+        base = l1d_stats.demand_accesses
+        try:
+            for ip, vaddr, is_write, gap, dep in zip(
+                ips[lo:hi], addrs[lo:hi], writes[lo:hi], gaps[lo:hi],
+                deps[lo:hi],
+            ):
+                if gap:
+                    advance(gap)
+                issue(demand, ip, vaddr, is_write, dep)
+        except ReproError:
+            raise  # already typed (incl. SanitizerError w/ exact index)
+        except Exception as exc:
+            done = l1d_stats.demand_accesses - base
+            raise SimulationError(
+                f"simulation crashed at record ~{lo + done} "
+                f"({done} accesses into span [{lo}, {hi})): "
+                f"{type(exc).__name__}: {exc}",
+                trace=trace.name,
+                prefetcher=hierarchy.l1d_prefetcher.name,
+                field="record_index",
+            ) from exc
+
+    return _run_span
+
+
 def simulate(
     trace: Trace,
     l1d_prefetcher: Optional[Prefetcher] = None,
@@ -183,7 +230,6 @@ def simulate(
     progress: Optional[Callable[[int], None]] = None,
     progress_every: int = 0,
     engine: str = "classic",
-    chunk_size: int = 0,
     native: str = "auto",
     native_demote_at: Optional[int] = None,
 ) -> SimResult:
@@ -199,26 +245,23 @@ def simulate(
     harness (:mod:`repro.runner.faultinject`) and by instrumentation.
     ``progress``, when set, is called with the number of records consumed
     every ``progress_every`` records — the supervisor's heartbeat hook.
-    It only splits the record spans at chunk boundaries (the same split
-    the snapshot machinery relies on), so results are bit-identical and
-    the default path (``progress=None``) is untouched.
+    It only splits the record spans (the same split the snapshot
+    machinery relies on), so results are bit-identical and the default
+    path (``progress=None``) is untouched.
     ``engine`` selects the inner loop: ``"classic"`` is the per-record
-    virtual-dispatch loop, ``"batched"`` the fused columnar loop of
-    :mod:`repro.simulator.batched` (bit-identical; demotes itself to the
-    classic loop when instrumentation or subclassed structures are
-    present), ``"native"`` the C span kernel of :mod:`repro.native`
-    (bit-identical; demotes span-by-span to the batched path under the
-    same guards plus its own).  ``chunk_size`` sets the batched/native
-    span length (0 → ``DEFAULT_CHUNK_SIZE``); the classic engine ignores
-    it.  ``native`` picks the native policy: ``"auto"`` falls back
+    loop of :func:`make_classic_runner`, ``"native"`` the C span kernel
+    of :mod:`repro.native` (bit-identical; demotes span-by-span to the
+    classic loop when the kernel is unavailable or instrumentation,
+    subclassed structures or an unsupported prefetcher are present).
+    ``native`` picks the native policy: ``"auto"`` falls back
     silently-but-recorded, ``"force"`` raises
-    :class:`~repro.errors.ConfigError` when no kernel can be built,
-    ``"off"`` pins the batched fallback.  ``native_demote_at`` forces
-    demotion for every span extending past that record index (fuzz /
-    test hook).  For ``engine="native"`` the result's ``extra`` carries
-    ``native_spans`` / ``native_demoted_spans`` markers (plus
-    ``native_demoted`` / ``native_demotion_code`` after a fallback) —
-    strip ``native_*`` keys before cross-engine dict comparisons.
+    :class:`~repro.errors.ConfigError` when no kernel can be built.
+    ``native_demote_at`` forces demotion for every span extending past
+    that record index (fuzz / test hook).  For ``engine="native"`` the
+    result's ``extra`` carries ``native_spans`` /
+    ``native_demoted_spans`` markers (plus ``native_demoted`` /
+    ``native_demotion_code`` after a fallback) — strip ``native_*`` keys
+    before cross-engine dict comparisons.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ConfigError(
@@ -226,7 +269,7 @@ def simulate(
             trace=trace.name,
             field="warmup_fraction",
         )
-    validate_engine(engine, chunk_size, trace.name, native)
+    validate_engine(engine, trace.name, native)
     if len(trace) == 0:
         # An empty trace used to fall through the warmup validation
         # (guarded by n > 0) and silently return all-zero statistics;
@@ -254,69 +297,15 @@ def simulate(
     carryover = {"l1d": 0, "l2": 0}
 
     native_runner = None
-    if engine == "batched":
-        _run_span = make_batched_runner(trace, hierarchy, core, chunk_size)
-    elif engine == "native":
-        if native == "off":
-            _run_span = make_batched_runner(trace, hierarchy, core,
-                                            chunk_size)
-        else:
-            from repro.native.build import kernel_available
-            from repro.native.runner import make_native_runner
+    if engine == "native":
+        from repro.native.runner import make_native_runner
 
-            if native == "force":
-                fn, diag = kernel_available()
-                if fn is None:
-                    raise ConfigError(
-                        f"engine='native' with native='force' but the "
-                        f"kernel is unavailable: {diag}",
-                        trace=trace.name,
-                        field="engine",
-                    )
-            native_runner = make_native_runner(
-                trace, hierarchy, core, chunk_size, native_demote_at,
-            )
-            _run_span = native_runner
+        native_runner = make_native_runner(
+            trace, hierarchy, core, native, native_demote_at,
+        )
+        _run_span = native_runner
     else:
-        # Hot loop: columnar iteration over the trace's arrays, with the
-        # demand callback hoisted once (no closure allocation per record).
-        # The warmup → measurement boundary splits the loop in two so the
-        # measured span carries no per-record boundary check.
-        demand = hierarchy.demand_access
-        issue = core.issue_memory
-        advance = core.advance_nonmem
-        ips, addrs, writes, gaps, deps = trace.columns()
-
-        l1d_stats = hierarchy.l1d.stats
-
-        def _run_span(lo: int, hi: int) -> None:
-            # The try/except is zero-cost on the no-raise path (3.11+)
-            # and turns any internal failure into a typed SimulationError
-            # that names the record the run died on.  The index is
-            # recovered from the demand-access counter (one increment per
-            # record) rather than a per-record loop counter, so the hot
-            # loop is untouched.
-            base = l1d_stats.demand_accesses
-            try:
-                for ip, vaddr, is_write, gap, dep in zip(
-                    ips[lo:hi], addrs[lo:hi], writes[lo:hi], gaps[lo:hi],
-                    deps[lo:hi],
-                ):
-                    if gap:
-                        advance(gap)
-                    issue(demand, ip, vaddr, is_write, dep)
-            except ReproError:
-                raise  # already typed (incl. SanitizerError w/ exact index)
-            except Exception as exc:
-                done = l1d_stats.demand_accesses - base
-                raise SimulationError(
-                    f"simulation crashed at record ~{lo + done} "
-                    f"({done} accesses into span [{lo}, {hi})): "
-                    f"{type(exc).__name__}: {exc}",
-                    trace=trace.name,
-                    prefetcher=hierarchy.l1d_prefetcher.name,
-                    field="record_index",
-                ) from exc
+        _run_span = make_classic_runner(trace, hierarchy, core)
 
     if progress is not None and progress_every > 0:
         # Heartbeat mode: run each span in chunks, pinging between them.
@@ -342,6 +331,8 @@ def simulate(
     if gc_was_enabled:
         gc.disable()
     try:
+        # The warmup → measurement boundary splits the run in two spans
+        # so the measured span carries no per-record boundary check.
         _run(0, warmup_end)
         if warmup_end > 0:
             hierarchy.reset_stats()
@@ -360,16 +351,12 @@ def simulate(
     # The invariant checker needs this to bound useful <= issued + carry.
     res.extra["pf_carryover_l1d"] = float(carryover["l1d"])
     res.extra["pf_carryover_l2"] = float(carryover["l2"])
-    if engine == "native":
-        if native_runner is not None:
-            res.extra["native_spans"] = float(native_runner.native_spans)
-            res.extra["native_demoted_spans"] = float(
-                native_runner.demoted_spans)
-            if native_runner.demotion_code is not None:
-                res.extra["native_demoted"] = 1.0
-                res.extra["native_demotion_code"] = float(
-                    native_runner.demotion_code)
-        else:  # native="off": the batched fallback was pinned explicitly
-            res.extra["native_spans"] = 0.0
-            res.extra["native_demoted_spans"] = 0.0
+    if native_runner is not None:
+        res.extra["native_spans"] = float(native_runner.native_spans)
+        res.extra["native_demoted_spans"] = float(
+            native_runner.demoted_spans)
+        if native_runner.demotion_code is not None:
+            res.extra["native_demoted"] = 1.0
+            res.extra["native_demotion_code"] = float(
+                native_runner.demotion_code)
     return res

@@ -15,17 +15,13 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.cpu.core_model import CoreModel
+from repro.errors import TraceError
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.base import Prefetcher
 from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import (
-    _Snapshot,
-    _collect,
-    build_hierarchy,
-    validate_engine,
-)
+from repro.simulator.engine import _Snapshot, _collect, build_hierarchy
 from repro.simulator.stats import SimResult
 from repro.workloads.trace import Trace
 
@@ -38,8 +34,6 @@ def simulate_multicore(
     warmup_fraction: float = 0.2,
     prewarm_tlb: bool = True,
     post_build: Optional[Callable[[Hierarchy], None]] = None,
-    engine: str = "classic",
-    chunk_size: int = 0,
 ) -> List[SimResult]:
     """Run one trace per core on a shared-LLC/DRAM system.
 
@@ -51,17 +45,16 @@ def simulate_multicore(
     hooks touching the shared LLC/DRAM must be idempotent, since those
     objects appear in every core's hierarchy.
 
-    ``engine``/``chunk_size`` are accepted for API symmetry with
-    ``simulate`` but the fused columnar loop never engages here: cores
-    interleave every ``CHUNK`` records, each core's warmup reset and
-    end-of-trace collection fire mid-interleave, and the LLC/DRAM stats
-    are shared — all of which break the fused loop's one-flush-per-span
-    delta accounting.  ``engine="batched"`` therefore runs the same
-    per-access loop as ``"classic"`` (the single-core demotion rule,
-    applied unconditionally; see :mod:`repro.simulator.batched`).
+    There is no engine choice here: the replay loop interleaves cores
+    every ``CHUNK`` records, and each core's warmup reset and
+    end-of-trace collection fire mid-interleave, so it stays a
+    per-access Python loop.
     """
+    for trace in traces:
+        if len(trace) == 0:
+            raise TraceError(f"trace {trace.name!r} has no records",
+                             trace=trace.name)
     config = config or default_config()
-    validate_engine(engine, chunk_size, traces[0].name if traces else "")
     num_cores = len(traces)
     config_mc = config
     if config.num_cores != num_cores:

@@ -199,9 +199,8 @@ class Trace:
         The page column is produced in one numpy pass (an arithmetic
         shift, so negative addresses floor-divide exactly like Python's
         ``>>``) and cached; staleness is detected by length, which is
-        sufficient because the column arrays are append-only.  Both the
-        batched fused loop and the native span kernel consume these —
-        the same decode, shared by pointer.
+        sufficient because the column arrays are append-only.  The
+        native span kernel reads these by pointer.
         """
         pages = self._pages_cache
         if pages is None or len(pages) != len(self._addrs):

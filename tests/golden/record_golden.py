@@ -61,12 +61,14 @@ def run_golden_matrix(engine: str = "optimized"):
     """All golden runs as {key: SimResult-dict}.
 
     ``engine`` selects which engine executes the matrix: the optimised
-    hot-path engine (what the test replays), the batched columnar engine
-    (``"batched"``), or the pure-reference virtual-dispatch engine (what
-    ``main()`` records with).  All are required to be bit-identical, so
-    the comparison in ``tests/test_golden_stats.py`` is differential by
+    hot-path engine (what the test replays), the native C span kernel
+    (``"native"``; its reporting-only ``native_*`` extra markers are
+    dropped, and it demotes to the classic loop wherever its guards say
+    so), or the pure-reference virtual-dispatch engine (what ``main()``
+    records with).  All are required to be bit-identical, so the
+    comparison in ``tests/test_golden_stats.py`` is differential by
     construction: reference-recorded numbers replayed on the optimised
-    and batched engines against the same golden JSON.
+    and native engines against the same golden JSON.
     """
     from dataclasses import replace
     from repro.prefetchers.registry import make_prefetcher
@@ -76,14 +78,21 @@ def run_golden_matrix(engine: str = "optimized"):
     from repro.simulator.multicore import simulate_multicore
 
     post_build = to_reference if engine == "reference" else None
-    sim_engine = "batched" if engine == "batched" else "classic"
+    sim_engine = "native" if engine == "native" else "classic"
+
+    def as_dict(res):
+        d = res.to_dict()
+        d["extra"] = {k: v for k, v in d["extra"].items()
+                      if not k.startswith("native")}
+        return d
+
     results = {}
     for spec, scale in GOLDEN_TRACES:
         trace = build_golden_trace(spec, scale)
         for pf in GOLDEN_PREFETCHERS:
             res = simulate(trace, l1d_prefetcher=make_prefetcher(pf),
                            post_build=post_build, engine=sim_engine)
-            results[f"{spec}@{scale}#{pf}"] = res.to_dict()
+            results[f"{spec}@{scale}#{pf}"] = as_dict(res)
 
     # A non-default replacement config: SRRIP at the L1D exercises the
     # cache's RRPV fast paths under Berti (the default matrix only sees
@@ -95,19 +104,17 @@ def run_golden_matrix(engine: str = "optimized"):
     trace = build_golden_trace("synth:golden", 0.0)
     res = simulate(trace, l1d_prefetcher=make_prefetcher("berti"),
                    config=config, post_build=post_build, engine=sim_engine)
-    results["synth:golden@0.0#berti+l1d_srrip"] = res.to_dict()
+    results["synth:golden@0.0#berti+l1d_srrip"] = as_dict(res)
 
     # One multicore mix: shared LLC/DRAM contention between a Berti core
-    # and a prefetcher-less core.  (engine="batched" demotes to the
-    # per-access loop here — passed through anyway so the parametrized
-    # golden replay also pins that the demotion changes nothing.)
+    # and a prefetcher-less core.  (Multicore has no native path, so the
+    # native replay runs the same loop here.)
     mix = [build_golden_trace("bfs-kron", 0.1),
            build_golden_trace("mcf_s-1554B", 0.1)]
     mc = simulate_multicore(
         mix,
         [make_prefetcher("berti"), make_prefetcher("none")],
         post_build=post_build,
-        engine=sim_engine,
     )
     results["mc:bfs-kron+mcf_s-1554B@0.1#berti,none"] = {
         f"core{i}": r.to_dict() for i, r in enumerate(mc)

@@ -202,6 +202,27 @@ def test_committed_corpus_replays_clean():
     assert "sentinel reproduced" in details
 
 
+def test_sentinel_replays_without_the_kernel(monkeypatch):
+    # With no kernel the engines leg's native side demotes every span to
+    # the classic loop.  The plant sits on the classic side, so the
+    # sentinel must still land in its bucket, and the same case without
+    # the plant must run clean (no-compiler demotion is not a finding).
+    import dataclasses
+
+    from repro.native import build
+
+    monkeypatch.setattr(build, "kernel_available",
+                        lambda: (None, "no C compiler (test)"))
+    case = load_case(CORPUS / "fz-5778b0fdf8ce.json")
+    assert len(case.records) == 41
+    finding = run_case(case)
+    assert finding is not None
+    assert finding.signature == case.expect_finding == "engines:core_clock"
+    config = {k: v for k, v in case.config.items()
+              if k != "plant_divergence"}
+    assert run_case(dataclasses.replace(case, config=config)) is None
+
+
 def test_replay_rejects_empty_corpus(tmp_path):
     with pytest.raises(FuzzError, match="no case files"):
         replay_corpus(tmp_path)

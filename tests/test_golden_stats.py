@@ -37,10 +37,10 @@ def golden():
         return json.load(fh)
 
 
-@pytest.fixture(scope="module", params=["optimized", "batched"])
+@pytest.fixture(scope="module", params=["optimized", "native"])
 def current(recorder, request):
-    # Both inner loops replay the same reference-recorded golden JSON:
-    # the classic per-record engine and the batched columnar one.
+    # Both engines replay the same reference-recorded golden JSON: the
+    # classic per-record loop and the native C span kernel.
     return recorder.run_golden_matrix(engine=request.param)
 
 

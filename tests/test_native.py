@@ -2,10 +2,11 @@
 
 The native backend (``simulate(..., engine="native")``) runs the Berti
 kernel hooks and the L1D/L2 demand ladder in a C shared object compiled
-at first use.  Its contract is the batched engine's, one level down:
-every counter, every structural state, every snapshot byte must match
-the classic engine, and anything the C side was not sized for must
-demote to the batched Python loop — never engage and silently diverge.
+at first use.  Its contract is bit-identity: every counter, every
+structural state, every snapshot byte must match the classic engine,
+wherever warmup, heartbeats or snapshots cut the run into spans, and
+anything the C side was not sized for must demote to the classic
+per-record loop — never engage and silently diverge.
 
 Tests that need the compiled kernel are skipped (not failed) on hosts
 without a C compiler; the demotion/fallback tests run everywhere — that
@@ -17,7 +18,7 @@ import pickle
 import pytest
 
 from repro.core.berti import BertiPrefetcher
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, TraceError
 from repro.memory.replacement import LRUPolicy
 from repro.native import build as native_build
 from repro.native.marshal import RIX
@@ -26,11 +27,14 @@ from repro.native.runner import (
     NativeRunner,
     make_native_runner,
     native_mode,
+    non_stock_reason,
 )
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.lockstep import _state_digest, lockstep_engines, quick_trace
+from repro.sanitizer.reference import to_reference
 from repro.sanitizer.snapshot import simulate_with_snapshots, snapshot_path
 from repro.simulator.engine import build_hierarchy, simulate
+from repro.simulator.multicore import simulate_multicore
 from repro.workloads.trace import Trace
 
 RECORDS = 1200
@@ -46,14 +50,28 @@ def trace():
     return quick_trace(RECORDS, "native_trace")
 
 
-def run(trace, l1d, engine, chunk_size=0, **kw):
+def run(trace, l1d, engine, **kw):
+    """simulate() capturing the hierarchy, for state-level comparison."""
     cap = {}
     res = simulate(
         trace, l1d_prefetcher=make_prefetcher(l1d),
         post_build=lambda h: cap.update(h=h),
-        engine=engine, chunk_size=chunk_size, **kw,
+        engine=engine, **kw,
     )
     return res, cap["h"]
+
+
+class SilentSubclass(BertiPrefetcher):
+    """A stock Berti in all but type, as a fault injector would be."""
+
+    name = "berti"  # same registry name → same SimResult labels
+    kernel_hooks = True
+
+
+class BareSubclass(BertiPrefetcher):
+    """A Berti subclass that does not re-declare the kernel opt-ins."""
+
+    name = "berti"
 
 
 def strip_native(result_dict):
@@ -76,16 +94,38 @@ class TestBitIdentity:
         assert _state_digest(hn) == _state_digest(hc)
         assert pickle.dumps(hn) == pickle.dumps(hc)
 
-    @pytest.mark.parametrize("chunk_size", [1, 17, 333, 10**9])
-    def test_chunk_size_invariant(self, trace, chunk_size):
+    @pytest.mark.parametrize(
+        "l1d", ["none", "berti", "berti_page", "ip_stride"]
+    )
+    def test_engines_identical(self, trace, l1d):
+        # From a cold TLB, so page walks run inside the spans too.  The
+        # prefetchers the kernel does not implement demote to classic.
+        rc, hc = run(trace, l1d, "classic", prewarm_tlb=False)
+        rn, hn = run(trace, l1d, "native", prewarm_tlb=False)
+        if l1d in ("none", "berti"):
+            assert rn.extra["native_demoted_spans"] == 0
+        else:
+            assert rn.extra["native_spans"] == 0
+            assert rn.extra["native_demotion_code"] == 3.0
+        assert strip_native(rn.to_dict()) == rc.to_dict()
+        assert _state_digest(hn) == _state_digest(hc)
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+    @pytest.mark.parametrize("every", [1, 17, 333, 10**9])
+    def test_span_cut_invariant(self, trace, every):
+        # Heartbeats cut the run into spans of `every` records; each cut
+        # is a marshal round-trip that must be invisible.  10**9 leaves
+        # one span per phase.
         rc, hc = run(trace, "berti", "classic")
-        rn, hn = run(trace, "berti", "native", chunk_size=chunk_size)
+        rn, hn = run(trace, "berti", "native", progress=lambda i: None,
+                     progress_every=every)
+        assert rn.extra["native_spans"] == -(-240 // every) + -(-960 // every)
         assert strip_native(rn.to_dict()) == rc.to_dict()
         assert _state_digest(hn) == _state_digest(hc)
 
     @pytest.mark.parametrize("at", [0, 1, 600, 1199])
     def test_forced_mid_run_demotion_matches(self, trace, at):
-        # Spans after `at` fall back to the batched loop: the marshal
+        # Spans after `at` fall back to the classic loop: the marshal
         # round-trip at the switch point must be lossless.
         rc, hc = run(trace, "berti", "classic")
         rn, hn = run(trace, "berti", "native", native_demote_at=at)
@@ -95,30 +135,114 @@ class TestBitIdentity:
         assert pickle.dumps(hn) == pickle.dumps(hc)
 
     def test_lockstep_engines_native(self, trace):
-        report = lockstep_engines(trace, l1d="berti", engine="native")
+        report = lockstep_engines(trace, l1d="berti")
         assert report.ok, report.describe()
         assert report.engine == "native"
 
     def test_lockstep_detects_planted_divergence(self, trace):
-        report = lockstep_engines(
-            trace, l1d="berti", engine="native", seed_divergence=700
-        )
+        report = lockstep_engines(trace, l1d="berti", seed_divergence=700)
         assert not report.ok
         assert report.diverged_at is not None
 
 
 @needs_kernel
+class TestSpanEdges:
+    """Where warmup, heartbeats and short traces cut the native spans."""
+
+    def test_warmup_boundary_mid_span(self, trace):
+        # warmup_end = 600 falls inside the heartbeat span [333, 666).
+        pings = {"classic": [], "native": []}
+        results = {}
+        for engine in ("classic", "native"):
+            results[engine] = simulate(
+                trace, l1d_prefetcher=make_prefetcher("berti"),
+                warmup_fraction=0.5, progress=pings[engine].append,
+                progress_every=333, engine=engine,
+            ).to_dict()
+        assert pings["native"] == pings["classic"] == [333, 600, 933, 1200]
+        assert strip_native(results["native"]) == results["classic"]
+
+    def test_trace_shorter_than_one_span(self):
+        short = quick_trace(50, "short_trace")
+        rc, hc = run(short, "berti", "classic")
+        rn, hn = run(short, "berti", "native", progress=lambda i: None,
+                     progress_every=1024)
+        assert rn.extra["native_spans"] == 2  # warmup + measured
+        assert strip_native(rn.to_dict()) == rc.to_dict()
+        assert _state_digest(hn) == _state_digest(hc)
+
+    def test_progress_every_off_span_edges(self, trace):
+        # 7 divides neither the warmup boundary (240) nor the trace.
+        pings = {"classic": [], "native": []}
+        results = {}
+        for engine in ("classic", "native"):
+            results[engine] = simulate(
+                trace, l1d_prefetcher=make_prefetcher("berti"),
+                progress=pings[engine].append, progress_every=7,
+                engine=engine,
+            ).to_dict()
+        assert pings["native"] == pings["classic"]
+        assert strip_native(results["native"]) == results["classic"]
+
+
+@needs_kernel
+class TestLockstepEngines:
+    def test_all_quick_prefetchers_agree(self, trace):
+        labels = {}
+        for l1d in ("none", "berti", "berti_page", "ip_stride"):
+            report = lockstep_engines(trace, l1d=l1d)
+            assert report.ok, report.describe()
+            assert report.kind == "engines"
+            assert "and classic" in report.describe()
+            labels[l1d] = report.engine
+        assert labels == {"none": "native", "berti": "native",
+                          "berti_page": "native[demoted]",
+                          "ip_stride": "native[demoted]"}
+
+    def test_small_chunk_runs_per_record(self, trace):
+        report = lockstep_engines(trace, l1d="berti", chunk_size=1)
+        assert report.ok, report.describe()
+
+
+class TestValidationAndEmptyTrace:
+    @pytest.mark.parametrize("engine", ["vectorized", "batched"])
+    def test_unknown_engine_rejected(self, trace, engine):
+        with pytest.raises(ConfigError) as exc:
+            simulate(trace, engine=engine)
+        assert exc.value.context()["field"] == "engine"
+
+    def test_unknown_engine_rejected_in_snapshots(self, trace):
+        with pytest.raises(ConfigError) as exc:
+            simulate_with_snapshots(trace, engine="batched")
+        assert exc.value.context()["field"] == "engine"
+
+    @pytest.mark.parametrize("engine", ["classic", "native"])
+    def test_empty_trace_raises_trace_error(self, engine):
+        with pytest.raises(TraceError):
+            simulate(Trace("empty"), engine=engine)
+
+    @pytest.mark.parametrize("engine", ["classic", "native"])
+    def test_empty_trace_raises_in_snapshot_runner(self, engine):
+        with pytest.raises(TraceError):
+            simulate_with_snapshots(Trace("empty"), engine=engine)
+
+    def test_empty_trace_raises_in_multicore(self, trace):
+        with pytest.raises(TraceError):
+            simulate_multicore([trace, Trace("empty")])
+
+
+@needs_kernel
 class TestSnapshots:
-    def test_snapshot_files_byte_identical_across_engines(
-        self, trace, tmp_path
-    ):
+    def assert_same_snapshot_bytes(self, trace, tmp_path, every):
+        """Snapshot every `every` records on both engines; return the
+        file names after checking that each file is byte-identical."""
         paths = {}
         for engine in ("classic", "native"):
             d = tmp_path / engine
             d.mkdir()
             simulate_with_snapshots(
                 trace, l1d_prefetcher=make_prefetcher("berti"),
-                snapshot_every=333, snapshot_dir=str(d), engine=engine,
+                snapshot_every=every, snapshot_dir=str(d), engine=engine,
             )
             paths[engine] = sorted(p.name for p in d.iterdir())
         assert paths["native"] == paths["classic"] != []
@@ -126,26 +250,52 @@ class TestSnapshots:
             classic = (tmp_path / "classic" / name).read_bytes()
             native = (tmp_path / "native" / name).read_bytes()
             assert native == classic, f"snapshot {name} differs"
+        return paths["classic"]
+
+    def test_snapshot_files_byte_identical_across_engines(
+        self, trace, tmp_path
+    ):
+        self.assert_same_snapshot_bytes(trace, tmp_path, 333)
+
+    def test_warmup_snapshots_byte_identical_across_engines(
+        self, trace, tmp_path
+    ):
+        # Snapshots at 100 and 200 precede the warmup reset at 240.
+        names = self.assert_same_snapshot_bytes(trace, tmp_path, 100)
+        assert names[:3] == [snapshot_path("", i) for i in (100, 200, 300)]
+
+    def resumed(self, trace, tmp_path, writer, resumer, index):
+        """Snapshot every `index` records under `writer`, then resume
+        from the snapshot at `index` under `resumer`."""
+        d = tmp_path / "ckpts"
+        d.mkdir()
+        simulate_with_snapshots(
+            trace, l1d_prefetcher=make_prefetcher("berti"),
+            snapshot_every=index, snapshot_dir=str(d), engine=writer,
+        )
+        return simulate_with_snapshots(
+            trace, l1d_prefetcher=make_prefetcher("berti"),
+            resume_from=snapshot_path(str(d), index), engine=resumer,
+        ).to_dict()
 
     @pytest.mark.parametrize(
-        "writer,resumer", [("classic", "native"), ("native", "batched"),
-                           ("batched", "native")]
+        "writer,resumer",
+        [("classic", "native"), ("native", "classic"), ("native", "native")],
     )
     def test_resume_across_backends(self, trace, tmp_path, writer, resumer):
         baseline = simulate(
             trace, l1d_prefetcher=make_prefetcher("berti")
         ).to_dict()
-        d = tmp_path / "ckpts"
-        d.mkdir()
-        simulate_with_snapshots(
-            trace, l1d_prefetcher=make_prefetcher("berti"),
-            snapshot_every=333, snapshot_dir=str(d), engine=writer,
-        )
-        resumed = simulate_with_snapshots(
-            trace, l1d_prefetcher=make_prefetcher("berti"),
-            resume_from=snapshot_path(str(d), 333), engine=resumer,
-        )
-        assert strip_native(resumed.to_dict()) == baseline
+        resumed = self.resumed(trace, tmp_path, writer, resumer, 333)
+        assert strip_native(resumed) == baseline
+
+    @pytest.mark.parametrize("index", [100, 1024])  # warmup / measured
+    def test_resume_across_engines(self, trace, tmp_path, index):
+        baseline = simulate(
+            trace, l1d_prefetcher=make_prefetcher("berti")
+        ).to_dict()
+        resumed = self.resumed(trace, tmp_path, "classic", "native", index)
+        assert strip_native(resumed) == baseline
 
 
 class TestDemotionGuards:
@@ -168,13 +318,11 @@ class TestDemotionGuards:
         ok, code, _ = native_mode(h, core)
         assert ok and code == 0
 
-    def test_fault_injection_subclass_demotes(self):
-        class SilentSubclass(BertiPrefetcher):
-            name = "berti"
-            kernel_hooks = True
-            kernel_batch_hooks = True
-            kernel_batch_key = "ip"
+    def test_no_prefetcher_is_native_ok(self):
+        h, core = self.make_parts("none")
+        assert native_mode(h, core) == (True, 0, "")
 
+    def test_fault_injection_subclass_demotes(self):
         h, core = self.make_parts(SilentSubclass())
         ok, code, detail = native_mode(h, core)
         assert not ok and code == 3
@@ -194,7 +342,7 @@ class TestDemotionGuards:
     def test_l2_prefetcher_demotes(self):
         h, core = self.make_parts(l2="spp")
         ok, code, _ = native_mode(h, core)
-        assert not ok and code == 2  # batch_mode already demotes
+        assert not ok and code == 2
 
     def test_replacement_subclass_demotes(self):
         class TracingLRU(LRUPolicy):
@@ -216,9 +364,86 @@ class TestDemotionGuards:
         assert not ok and code == 3
         assert "geometry" in detail
 
+    def test_reference_hierarchy_demotes(self):
+        h, core = self.make_parts()
+        to_reference(h)
+        ok, code, _ = native_mode(h, core)
+        assert not ok and code == 2
+
+    NON_STOCK_REASONS = {
+        "stock_berti": "",
+        "wrapped_demand_access": "demand_access is wrapped",
+        "l2_prefetcher": "L2 prefetcher SPPPrefetcher",
+    }
+
+    @pytest.mark.parametrize("case", list(NON_STOCK_REASONS))
+    def test_non_stock_reason(self, case):
+        # The stock-hierarchy guard native_mode starts from, which the
+        # benchmark's batch_mode shim also returns.
+        h, core = self.make_parts(
+            l2="spp" if case == "l2_prefetcher" else None)
+        if case == "wrapped_demand_access":
+            inner = h.demand_access
+            h.demand_access = (
+                lambda ip, vaddr, now, is_write=False:
+                inner(ip, vaddr, now, is_write)
+            )
+        reason = self.NON_STOCK_REASONS[case]
+        got = non_stock_reason(h, core)
+        assert reason in got if reason else got == ""
+
+    @pytest.mark.parametrize(
+        "variant,code", [("to_reference", 2), ("subclass", 3),
+                         ("bare_subclass", 3), ("berti_page", 3)]
+    )
+    def test_demotes_with_code_and_matches_classic(self, trace, variant,
+                                                   code):
+        def pf():
+            cls = {"subclass": SilentSubclass,
+                   "bare_subclass": BareSubclass}.get(variant)
+            if cls is not None:
+                return cls()
+            return make_prefetcher(
+                "berti_page" if variant == "berti_page" else "berti")
+
+        hook = to_reference if variant == "to_reference" else None
+        classic = simulate(trace, l1d_prefetcher=pf(), post_build=hook)
+        native = simulate(trace, l1d_prefetcher=pf(), post_build=hook,
+                          engine="native")
+        assert native.extra["native_spans"] == 0
+        # No kernel at all demotes first, as no-compiler.
+        expected = code if _KERNEL_FN is not None else 1
+        assert native.extra["native_demotion_code"] == float(expected)
+        assert strip_native(native.to_dict()) == classic.to_dict()
+
+    @pytest.mark.parametrize("every", [1, 7, 333, 10**9])
+    def test_demoted_span_cut_invariant(self, trace, every):
+        # Each demoted span builds its own classic runner; heartbeat cuts
+        # between them must be as invisible as native span cuts.
+        rc, hc = run(trace, "berti_page", "classic")
+        rn, hn = run(trace, "berti_page", "native", progress=lambda i: None,
+                     progress_every=every)
+        assert rn.extra["native_spans"] == 0
+        assert (rn.extra["native_demoted_spans"]
+                == -(-240 // every) + -(-960 // every))
+        assert strip_native(rn.to_dict()) == rc.to_dict()
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+    def test_sanitized_snapshot_run_matches_plain(self, trace):
+        from repro.sanitizer import SanitizerConfig
+
+        plain = simulate(
+            trace, l1d_prefetcher=make_prefetcher("berti")
+        ).to_dict()
+        sanitized = simulate_with_snapshots(
+            trace, l1d_prefetcher=make_prefetcher("berti"),
+            sanitize=SanitizerConfig(check_every=64), engine="native",
+        ).to_dict()
+        assert sanitized == plain
+
     def test_demoted_run_still_matches_classic(self, ):
         # A config the kernel refuses must still produce classic-identical
-        # results through the native entry point (via the batched twin).
+        # results through the native entry point (via the classic loop).
         t = quick_trace(400, "native_demoted")
         classic = simulate(
             t, l1d_prefetcher=make_prefetcher("berti"),
@@ -249,11 +474,16 @@ class TestDemotionGuards:
         core = runner.core
         runner(0, 400)
         inner = hn.demand_access
-        hn.demand_access = (
-            lambda ip, vaddr, now, is_write=False:
-            inner(ip, vaddr, now, is_write)
-        )
+        calls = []
+
+        def wrapped(ip, vaddr, now, is_write=False):
+            calls.append(ip)
+            return inner(ip, vaddr, now, is_write)
+
+        hn.demand_access = wrapped
         runner(400, 800)
+        # The demoted span runs through the wrapper that demoted it.
+        assert len(calls) == 400
         del hn.demand_access  # restore the class method: guard clears
         runner(800, 1200)
         assert runner.native_spans == 2
@@ -315,14 +545,10 @@ class TestCompilerFallback:
         assert exc.value.context()["field"] == "engine"
         assert "no C compiler" in str(exc.value)
 
-    def test_off_pins_batched_fallback(self, trace):
-        rc, hc = run(trace, "berti", "classic")
-        rn, hn = run(trace, "berti", "native", native="off")
-        assert rn.extra["native_spans"] == 0.0
-        assert rn.extra["native_demoted_spans"] == 0.0
-        assert "native_demoted" not in rn.extra
-        assert strip_native(rn.to_dict()) == rc.to_dict()
-        assert pickle.dumps(hn) == pickle.dumps(hc)
+    def test_off_policy_rejected(self, trace):
+        with pytest.raises(ConfigError) as exc:
+            simulate(trace, engine="native", native="off")
+        assert exc.value.context()["field"] == "native"
 
     def test_unknown_native_policy_rejected(self, trace):
         with pytest.raises(ConfigError) as exc:
@@ -332,7 +558,7 @@ class TestCompilerFallback:
 
 @needs_kernel
 class TestErrorMapping:
-    """rc != 0 from the kernel maps to the batched loop's exceptions."""
+    """rc != 0 from the kernel maps to the classic loop's exceptions."""
 
     def make_runner(self, trace):
         from repro.cpu.core_model import CoreModel
@@ -382,7 +608,7 @@ class TestErrorMapping:
 
 @needs_kernel
 class TestPredecodeSharing:
-    """The NumPy chunk pre-decode feeds both engines from one cache."""
+    """The NumPy pre-decode the kernel reads is cached on the trace."""
 
     def test_decoded_columns_cached_and_plain_int(self, trace):
         vlines1, vpages1 = trace.decoded_columns()

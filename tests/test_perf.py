@@ -26,9 +26,9 @@ class TestCases:
     def test_default_matrix_shape(self):
         cases = default_cases()
         # Three trace families plus synthetic, each with and without
-        # Berti, a @batched and a @native twin per single-core case,
-        # plus the two berti-on multicore (shared-LLC) cases.
-        assert len(cases) == 26
+        # Berti, a @native twin per single-core case, plus the two
+        # berti-on multicore (shared-LLC) cases.
+        assert len(cases) == 18
         names = {c.name for c in cases}
         assert "synth/none" in names and "mcf/berti" in names
         assert "mc2-synth/berti" in names and "mc2-bfs/berti" in names
@@ -39,18 +39,17 @@ class TestCases:
 
     def test_engine_twins_mirror_classic_cases(self):
         cases = {c.name: c for c in default_cases()}
-        for engine in ("batched", "native"):
-            suffix = f"@{engine}"
-            twins = [c for c in cases.values() if c.engine == engine]
-            assert len(twins) == 8  # every single-core case, no mc2 twins
-            for twin in twins:
-                assert twin.name.endswith(suffix)
-                classic = cases[twin.name[: -len(suffix)]]
-                assert (twin.trace, twin.l1d, twin.scale, twin.cores) == (
-                    classic.trace, classic.l1d, classic.scale, classic.cores
-                )
-                assert classic.engine == "classic"
-            assert all(not c.name.startswith("mc2") for c in twins)
+        assert {c.engine for c in cases.values()} == {"classic", "native"}
+        twins = [c for c in cases.values() if c.engine == "native"]
+        assert len(twins) == 8  # every single-core case, no mc2 twins
+        for twin in twins:
+            assert twin.name.endswith("@native")
+            classic = cases[twin.name[: -len("@native")]]
+            assert (twin.trace, twin.l1d, twin.scale, twin.cores) == (
+                classic.trace, classic.l1d, classic.scale, classic.cores
+            )
+            assert classic.engine == "classic"
+        assert all(not c.name.startswith("mc2") for c in twins)
 
     def test_scale_propagates(self):
         cases = default_cases(scale=0.125)

@@ -291,8 +291,9 @@ class TestJournalDurability:
         j = Journal(journal)
         for i in range(5):
             j.append(self._completed(f"job{i}"))
+        # atomic_write_bytes stages into ".<name>-*.tmp" beside the file.
         leftovers = [p.name for p in tmp_path.iterdir()
-                     if p.name.startswith(".journal-")]
+                     if p.name.startswith(".suite.jsonl-")]
         assert leftovers == []
         assert len(j.load()) == 5
 

@@ -885,6 +885,27 @@ class TestHTTPRoundTrip:
         assert exc.value.status == 404
         assert client.attempts_made == 2  # neither error was retried
 
+    def test_keep_alive_requests_do_not_stall(self, live_service):
+        # Ten requests on one connection.  With Nagle on the handler's
+        # two-write replies, each reuse waited out the client's delayed
+        # ACK (~40 ms, ~400 ms in total).
+        import http.client
+        import time
+
+        host, port = live_service.address
+        conn = http.client.HTTPConnection(host, port, timeout=10.0)
+        try:
+            t0 = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/v1/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                response.read()
+            elapsed = time.perf_counter() - t0
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"10 keep-alive requests took {elapsed:.3f}s"
+
     def test_bad_json_body_is_400(self, live_service):
         import http.client
 

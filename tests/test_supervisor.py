@@ -533,7 +533,7 @@ class TestThroughputEdges:
         journal = tmp_path / "j.jsonl"
         jobs = [
             JobSpec(trace=TRACE, l1d="none", scale=SCALE,
-                    engine="batched", chunk_size=256),
+                    engine="native"),
             JobSpec(trace=TRACE, l1d="berti", scale=SCALE),
         ]
         CampaignSupervisor(
@@ -542,7 +542,6 @@ class TestThroughputEdges:
         manifest = json.loads(
             (tmp_path / "j.jsonl.manifest.json").read_text())
         tp = manifest["throughput"]
-        assert set(tp["engines"]) == {"classic", "batched"}
-        assert tp["engines"]["batched"] > 0
+        assert set(tp["engines"]) == {"classic", "native"}
+        assert tp["engines"]["native"] > 0
         assert tp["engines"]["classic"] > 0
-        assert tp["chunk_sizes"] == [256]
