@@ -505,27 +505,30 @@ def cmd_serve(args) -> int:
         workers=args.workers, lease_duration=args.lease_duration,
         max_queue=args.max_queue,
     )
+    import signal as _signal
+    import threading as _threading
+
     service = CampaignService(config)
+    done = _threading.Event()
+
+    def _on_term(signum, frame):
+        print("draining: finishing leased jobs, refusing intake",
+              file=sys.stderr)
+        service.drain()
+        done.set()
+
+    # Before start(), which publishes endpoint.json: a client may send
+    # SIGTERM as soon as it reads the endpoint, and the default action
+    # would kill the daemon without draining.
+    _signal.signal(_signal.SIGTERM, _on_term)
+    _signal.signal(_signal.SIGINT, _on_term)
     service.start()
     host, port = service.address
     print(f"repro service on http://{host}:{port} "
           f"(state {config.state_dir}, epoch {service.epoch}, "
           f"{config.workers} workers)", file=sys.stderr)
     try:
-        # start() already ran; block until SIGTERM/SIGINT drains us.
-        import signal as _signal
-        import threading as _threading
-
-        done = _threading.Event()
-
-        def _on_term(signum, frame):
-            print("draining: finishing leased jobs, refusing intake",
-                  file=sys.stderr)
-            service.drain()
-            done.set()
-
-        _signal.signal(_signal.SIGTERM, _on_term)
-        _signal.signal(_signal.SIGINT, _on_term)
+        # Block until SIGTERM/SIGINT drains us.
         while not done.wait(timeout=0.5):
             pass
     finally:

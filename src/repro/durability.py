@@ -5,10 +5,11 @@ append-only journals: the fleet event manifest
 (:mod:`repro.fleet.manifest`), the campaign supervisor's manifest
 (:mod:`repro.runner.supervisor`), and the fuzzing campaign reports
 (:mod:`repro.fuzz`).  The runner's checkpoint journal
-(:mod:`repro.runner.journal`) and the simulator snapshots
-(:mod:`repro.sanitizer.snapshot`) rewrite whole files the same way
-through :func:`atomic_write_bytes`.  They all need the same three
-guarantees:
+(:mod:`repro.runner.journal`), the simulator snapshots
+(:mod:`repro.sanitizer.snapshot`), the service's result cache
+(:mod:`repro.service.resultcache`) and the trace stores
+(:mod:`repro.memory.tracestore`) write whole files the same way through
+:func:`atomic_write_bytes`.  They all need the same three guarantees:
 
 * **atomic visibility** — readers never observe a half-written file
   (temp file + ``fsync`` + ``os.replace``);
@@ -32,16 +33,30 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_json",
+    "canonical_json",
+    "crc32_of",
     "fsync_dir",
     "heal_truncated_json",
     "tolerant_read_json",
 ]
+
+
+def canonical_json(payload: Any) -> str:
+    """Deterministic JSON: sorted keys, no whitespace, pure ASCII."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True)
+
+
+def crc32_of(payload: Any) -> int:
+    """CRC32 over the canonical JSON encoding of ``payload``."""
+    return zlib.crc32(canonical_json(payload).encode("ascii")) & 0xFFFFFFFF
 
 
 def fsync_dir(directory: str | Path) -> None:
@@ -58,12 +73,14 @@ def fsync_dir(directory: str | Path) -> None:
         os.close(dir_fd)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so a crash leaves the old file or the new.
+def atomic_write_bytes(path: str | Path, *chunks: bytes) -> None:
+    """Write ``chunks``, in order, to ``path`` so a crash leaves the old
+    file or the new.
 
     Temp file ``.<name>-*.tmp`` in the target directory, ``flush`` +
     ``fsync``, then ``os.replace`` and a directory fsync.  The temp file
-    is removed if anything fails before the rename.
+    is removed if anything fails before the rename.  Passing a large
+    file as several chunks writes it without joining them in memory.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -71,7 +88,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
                                prefix=f".{path.name}-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -190,15 +190,11 @@ def corruption_matrix(workdir, seed: int = 0,
                   flips_per_format, report)
 
     # -- snapshot ------------------------------------------------------
-    from repro.sanitizer.snapshot import (
-        latest_snapshot,
-        load_snapshot,
-        simulate_with_snapshots,
-    )
+    from repro.sanitizer.snapshot import latest_snapshot, load_snapshot
+    from repro.simulator.engine import simulate
 
     snapdir = workdir / "snaps"
-    simulate_with_snapshots(trace, snapshot_every=len(trace) // 2,
-                            snapshot_dir=str(snapdir))
+    simulate(trace, snapshot_every=len(trace) // 2, snapshot_dir=str(snapdir))
     snap = Path(latest_snapshot(str(snapdir)))
 
     def read_snap() -> str:

@@ -13,10 +13,10 @@ Four legs, each a self-contained verdict:
   finding.
 * **reference** — optimised vs pure-virtual-dispatch hierarchy in
   per-access lockstep (:func:`~repro.sanitizer.lockstep.lockstep_run`).
-* **snapshot** — the mid-trace checkpoint contract: ``simulate`` vs
-  ``simulate_with_snapshots``, byte-identical checkpoint files across
-  two write passes, and a resume from the newest checkpoint that must
-  land on the same result dict.
+* **snapshot** — the mid-trace checkpoint contract: a straight
+  ``simulate`` vs one that writes checkpoints, byte-identical checkpoint
+  files across two write passes, and a resume from the newest
+  checkpoint that must land on the same result dict.
 * **validity** — for ``expect="reject"`` cases only: every engine must
   refuse the input with a typed :class:`~repro.errors.ReproError`
   (raw exceptions and silent acceptance are both findings).
@@ -39,10 +39,7 @@ from typing import Callable, Optional
 from repro.errors import ReproError
 from repro.fuzz.cases import FuzzCase
 from repro.sanitizer.lockstep import lockstep_engines, lockstep_run
-from repro.sanitizer.snapshot import (
-    latest_snapshot,
-    simulate_with_snapshots,
-)
+from repro.sanitizer.snapshot import latest_snapshot
 from repro.simulator.engine import simulate
 
 __all__ = ["FuzzFinding", "run_case"]
@@ -102,8 +99,6 @@ def _validity_leg(case: FuzzCase) -> Optional[FuzzFinding]:
         ("native", lambda: simulate(
             trace, make(l1d), make(l2), warmup_fraction=wf,
             engine="native")),
-        ("snapshot", lambda: simulate_with_snapshots(
-            trace, make(l1d), make(l2), warmup_fraction=wf)),
     ):
         found = attempt(label, run)
         if found is not None:
@@ -185,7 +180,7 @@ def _snapshot_leg(case: FuzzCase) -> Optional[FuzzFinding]:
                         warmup_fraction=wf).to_dict()
     with tempfile.TemporaryDirectory(prefix="fuzz-snap-") as d1, \
             tempfile.TemporaryDirectory(prefix="fuzz-snap-") as d2:
-        ckpt = simulate_with_snapshots(
+        ckpt = simulate(
             trace, make(l1d), make(l2), warmup_fraction=wf,
             snapshot_every=every, snapshot_dir=d1).to_dict()
         if ckpt != straight:
@@ -196,7 +191,7 @@ def _snapshot_leg(case: FuzzCase) -> Optional[FuzzFinding]:
         # Same run again into a second directory: checkpoint files must
         # be byte-identical (snapshots may not embed wall clock, ids,
         # or dict-order nondeterminism).
-        simulate_with_snapshots(
+        simulate(
             trace, make(l1d), make(l2), warmup_fraction=wf,
             snapshot_every=every, snapshot_dir=d2)
         names1 = sorted(os.listdir(d1))
@@ -212,7 +207,7 @@ def _snapshot_leg(case: FuzzCase) -> Optional[FuzzFinding]:
                                 f"across two write passes")
         newest = latest_snapshot(d1)
         if newest is not None:
-            resumed = simulate_with_snapshots(
+            resumed = simulate(
                 trace, make(l1d), make(l2), warmup_fraction=wf,
                 resume_from=newest).to_dict()
             if resumed != straight:

@@ -57,10 +57,10 @@ import mmap
 import os
 import struct
 import sys
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.durability import atomic_write_bytes, canonical_json
 from repro.errors import TraceError
 from repro.workloads.trace import Trace
 
@@ -99,8 +99,7 @@ def _identity_bytes(name: str, suite: str, description: str) -> bytes:
     even though the checksum itself lives in the same JSON object —
     the CRC field is simply excluded from its own coverage.
     """
-    return json.dumps([name, suite, description], sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    return canonical_json([name, suite, description]).encode("ascii")
 
 
 def _check(cond: bool, message: str, path: Path) -> None:
@@ -184,25 +183,7 @@ def write_trace_store(trace: Trace, path: str | Path) -> Path:
     header = _HEADER.pack(
         MAGIC, FORMAT_VERSION, len(meta), ENDIAN_SENTINEL, len(trace)
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=".trc-",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(meta)
-            fh.write(b"\x00" * pad)
-            for data in blobs:
-                fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write_bytes(path, header, meta, b"\x00" * pad, *blobs)
     return path
 
 

@@ -112,7 +112,7 @@ class Journal:
         if existing and not existing.endswith(b"\n"):
             existing += b"\n"  # heal a torn tail so the new record parses
         line = (json.dumps(self._encode(outcome)) + "\n").encode("utf-8")
-        atomic_write_bytes(self.path, existing + line)
+        atomic_write_bytes(self.path, existing, line)
 
     @staticmethod
     def _encode(outcome: RunOutcome) -> dict:

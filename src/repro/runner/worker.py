@@ -100,40 +100,28 @@ def run_job(spec: JobSpec, attempt: int = 1) -> SimResult:
         config = config.with_dram_mtps(spec.mtps)
 
     post_build = hierarchy_fault_hook(fault) if fault else None
-    try:
-        if spec.sanitize or spec.snapshot_every or spec.resume_from:
-            from repro.sanitizer import SanitizerConfig, simulate_with_snapshots
+    sanitize = None
+    if spec.sanitize:
+        from repro.sanitizer import SanitizerConfig
 
-            result = simulate_with_snapshots(
-                trace,
-                l1d_prefetcher=l1d,
-                l2_prefetcher=l2,
-                config=config,
-                warmup_fraction=spec.warmup_fraction,
-                post_build=post_build,
-                snapshot_every=spec.snapshot_every,
-                snapshot_dir=spec.snapshot_dir,
-                resume_from=spec.resume_from,
-                sanitize=(
-                    SanitizerConfig(check_every=spec.sanitize_every)
-                    if spec.sanitize else None
-                ),
-                engine=spec.engine,
-                native=spec.native,
-            )
-        else:
-            result = simulate(
-                trace,
-                l1d_prefetcher=l1d,
-                l2_prefetcher=l2,
-                config=config,
-                warmup_fraction=spec.warmup_fraction,
-                post_build=post_build,
-                progress=hb.ping if hb is not None else None,
-                progress_every=spec.heartbeat_every,
-                engine=spec.engine,
-                native=spec.native,
-            )
+        sanitize = SanitizerConfig(check_every=spec.sanitize_every)
+    try:
+        result = simulate(
+            trace,
+            l1d_prefetcher=l1d,
+            l2_prefetcher=l2,
+            config=config,
+            warmup_fraction=spec.warmup_fraction,
+            post_build=post_build,
+            progress=hb.ping if hb is not None else None,
+            progress_every=spec.heartbeat_every,
+            engine=spec.engine,
+            native=spec.native,
+            snapshot_every=spec.snapshot_every,
+            snapshot_dir=spec.snapshot_dir,
+            resume_from=spec.resume_from,
+            sanitize=sanitize,
+        )
     except ReproError:
         raise
     except Exception as exc:

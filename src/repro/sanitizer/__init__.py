@@ -10,9 +10,9 @@ Three independent robustness layers over the simulation core:
   a pure virtual-dispatch reference engine run in lockstep with the
   optimised engine (``repro sancheck``), localising any fast-path
   divergence to the first differing access;
-* :mod:`repro.sanitizer.snapshot` — versioned, checksummed mid-trace
-  snapshots with bit-identical resume (``--snapshot-every`` /
-  ``--resume-from``).
+* :mod:`repro.sanitizer.snapshot` — the versioned, checksummed file
+  format of mid-trace snapshots; ``simulate`` writes them and resumes
+  from them bit-identically (``--snapshot-every`` / ``--resume-from``).
 
 See ``docs/sanitizer.md`` for the invariant catalogue and workflows.
 """
@@ -22,7 +22,6 @@ from repro.sanitizer.invariants import (
     Sanitizer,
     attach_sanitizer,
     check_hierarchy,
-    sanitizer_post_build,
 )
 from repro.sanitizer.lockstep import (
     LockstepReport,
@@ -33,11 +32,10 @@ from repro.sanitizer.lockstep import (
 )
 from repro.sanitizer.reference import is_reference, to_reference
 from repro.sanitizer.snapshot import (
-    SnapshotState,
     latest_snapshot,
     load_snapshot,
+    resume_run,
     save_snapshot,
-    simulate_with_snapshots,
     snapshot_path,
     trace_digest,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "Sanitizer",
     "attach_sanitizer",
     "check_hierarchy",
-    "sanitizer_post_build",
     "LockstepReport",
     "lockstep_engines",
     "lockstep_multicore",
@@ -56,11 +53,10 @@ __all__ = [
     "quick_trace",
     "is_reference",
     "to_reference",
-    "SnapshotState",
     "latest_snapshot",
     "load_snapshot",
+    "resume_run",
     "save_snapshot",
-    "simulate_with_snapshots",
     "snapshot_path",
     "trace_digest",
 ]

@@ -718,13 +718,3 @@ def attach_sanitizer(
 ) -> Sanitizer:
     """Install a :class:`Sanitizer` on ``hierarchy``; returns it."""
     return Sanitizer(hierarchy, config, trace, start_index).install()
-
-
-def sanitizer_post_build(
-    config: Optional[SanitizerConfig] = None,
-    trace: Optional[str] = None,
-):
-    """A ``post_build`` hook attaching the sanitizer (for ``simulate``)."""
-    def hook(hierarchy: Hierarchy) -> None:
-        attach_sanitizer(hierarchy, config, trace)
-    return hook

@@ -27,17 +27,11 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.cpu.core_model import CoreModel
 from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.reference import to_reference
 from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import (
-    _collect,
-    _Snapshot,
-    build_hierarchy,
-    make_classic_runner,
-)
+from repro.simulator.engine import Run, span_cuts
 from repro.simulator.multicore import simulate_multicore
 from repro.workloads.trace import Trace
 
@@ -81,53 +75,6 @@ class LockstepReport:
                  else f"access {self.diverged_at}")
         return (f"DIVERGED {tag} at {where}: {self.field} "
                 f"{a}={self.optimized!r} {b}={self.reference!r}")
-
-
-class _Side:
-    """One engine instance being driven in lockstep."""
-
-    def __init__(
-        self,
-        trace: Trace,
-        l1d: str,
-        l2: str,
-        config: SystemConfig,
-        prewarm_tlb: bool,
-        reference: bool,
-        make=make_prefetcher,
-    ) -> None:
-        self.hierarchy = build_hierarchy(config, make(l1d), make(l2))
-        if reference:
-            to_reference(self.hierarchy)
-        self.core = CoreModel(config.core)
-        if prewarm_tlb:
-            self.hierarchy.mmu.prewarm(trace.line_addresses())
-        self.last_latency = -1
-        inner = self.hierarchy.demand_access
-
-        def capture(ip: int, vaddr: int, now: int,
-                    is_write: bool = False) -> int:
-            latency = inner(ip, vaddr, now, is_write)
-            self.last_latency = latency
-            return latency
-
-        # Instance attribute shadowing the method: the core calls this
-        # wrapper, the hierarchy underneath is untouched.
-        self.hierarchy.demand_access = capture  # type: ignore[method-assign]
-        self.demand = capture
-        self.start = _Snapshot(0, 0.0)
-        self.carryover = {"l1d": 0, "l2": 0}
-
-    def warmup_boundary(self) -> None:
-        self.hierarchy.reset_stats()
-        self.carryover = self.hierarchy.prefetched_line_counts()
-        self.start = _Snapshot(*self.core.snapshot())
-
-    def result(self, trace: Trace) -> Dict[str, Any]:
-        res = _collect(trace, self.hierarchy, self.core, self.start)
-        res.extra["pf_carryover_l1d"] = float(self.carryover["l1d"])
-        res.extra["pf_carryover_l2"] = float(self.carryover["l2"])
-        return res.to_dict()
 
 
 def _mshr_digest(mshr) -> Dict[int, Tuple[int, int, bool, int]]:
@@ -186,30 +133,40 @@ def lockstep_run(
     fresh, deterministic instance per call.
     """
     config = config or default_config()
-    opt = _Side(trace, l1d, l2, config, prewarm_tlb, reference=False,
-                make=make)
-    ref = _Side(trace, l1d, l2, config, prewarm_tlb, reference=True,
-                make=make)
 
-    if seed_divergence is not None:
-        inner = opt.demand
+    def side(reference: bool, perturb_at: Optional[int] = None):
+        """A classic :class:`Run` whose demand path records the latest
+        access's ``(issue cycle, latency)`` in the returned one-slot
+        list; ``perturb_at`` adds one cycle to that access's latency
+        (after the hierarchy has run)."""
+        seen = [(-1, -1)]
+        accesses = [0]
 
-        def perturbed(ip: int, vaddr: int, now: int,
-                      is_write: bool = False) -> int:
-            latency = inner(ip, vaddr, now, is_write)
-            if opt_counter[0] == seed_divergence:
-                latency += 1
-                opt.last_latency = latency
-            opt_counter[0] += 1
-            return latency
+        def probe(h: Hierarchy) -> None:
+            if reference:
+                to_reference(h)
+            inner = h.demand_access
 
-        opt_counter = [0]
-        opt.hierarchy.demand_access = perturbed  # type: ignore[method-assign]
-        opt.demand = perturbed
+            def capture(ip: int, vaddr: int, now: int,
+                        is_write: bool = False) -> int:
+                latency = inner(ip, vaddr, now, is_write)
+                if accesses[0] == perturb_at:
+                    latency += 1
+                accesses[0] += 1
+                seen[0] = (now, latency)
+                return latency
 
-    ips, addrs, writes, gaps, deps = trace.columns()
+            # Instance attribute shadowing the method: the span loop
+            # calls this wrapper, the hierarchy underneath is untouched.
+            h.demand_access = capture  # type: ignore[method-assign]
+
+        run = Run.build(trace, make(l1d), make(l2), config, warmup_fraction,
+                        prewarm_tlb, probe).use_engine()
+        return run, seen
+
+    opt, opt_seen = side(reference=False, perturb_at=seed_divergence)
+    ref, ref_seen = side(reference=True)
     n = len(trace)
-    warmup_end = int(n * warmup_fraction)
 
     def report(i: int, field: str, a: Any, b: Any) -> LockstepReport:
         return LockstepReport(
@@ -218,26 +175,13 @@ def lockstep_run(
         )
 
     for i in range(n):
-        if i == warmup_end and warmup_end > 0:
-            opt.warmup_boundary()
-            ref.warmup_boundary()
-            if opt.carryover != ref.carryover:
-                return report(i, "pf_carryover",
-                              dict(opt.carryover), dict(ref.carryover))
-        ip = ips[i]
-        vaddr = addrs[i]
-        is_write = writes[i]
-        gap = gaps[i]
-        dep = deps[i]
-        if gap:
-            opt.core.advance_nonmem(gap)
-            ref.core.advance_nonmem(gap)
-        t_opt = opt.core.issue_memory(opt.demand, ip, vaddr, is_write, dep)
-        t_ref = ref.core.issue_memory(ref.demand, ip, vaddr, is_write, dep)
+        opt.span(i, i + 1)
+        ref.span(i, i + 1)
+        (t_opt, lat_opt), (t_ref, lat_ref) = opt_seen[0], ref_seen[0]
         if t_opt != t_ref:
             return report(i, "issue_cycle", t_opt, t_ref)
-        if opt.last_latency != ref.last_latency:
-            return report(i, "latency", opt.last_latency, ref.last_latency)
+        if lat_opt != lat_ref:
+            return report(i, "latency", lat_opt, lat_ref)
         if opt.core.cycles != ref.core.cycles:
             return report(i, "core_cycles", opt.core.cycles, ref.core.cycles)
         if digest_every and (i + 1) % digest_every == 0:
@@ -246,9 +190,17 @@ def lockstep_run(
             if d_opt != d_ref:
                 key, a, b = _first_diff(d_opt, d_ref)
                 return report(i, f"state:{key}", a, b)
+        if i + 1 == opt.warmup_end:
+            # After the digest, which must see the last warmup window's
+            # statistics before the reset discards them.
+            opt.end_warmup()
+            ref.end_warmup()
+            if opt.carryover != ref.carryover:
+                return report(i + 1, "pf_carryover",
+                              dict(opt.carryover), dict(ref.carryover))
 
-    res_opt = opt.result(trace)
-    res_ref = ref.result(trace)
+    res_opt = opt.result().to_dict()
+    res_ref = ref.result().to_dict()
     if res_opt != res_ref:
         key, a, b = _first_diff(res_opt, res_ref)
         return report(n, f"result:{key}", a, b)
@@ -302,24 +254,13 @@ def lockstep_engines(
     retire-frontier max cannot absorb it, and it skips writes, whose
     latency never reaches the clock.
     """
-    from repro.native.runner import make_native_runner, native_mode
+    from repro.native.runner import native_mode
 
     config = config or default_config()
-
-    def build() -> Tuple[Hierarchy, CoreModel]:
-        h = build_hierarchy(config, make(l1d), make(l2))
-        core = CoreModel(config.core)
-        if prewarm_tlb:
-            h.mmu.prewarm(trace.line_addresses())
-        return h, core
-
-    hc, cc = build()
-    hn, cn = build()
-    run_native = make_native_runner(trace, hn, cn)
     cs = chunk_size or DEFAULT_CHUNK_SIZE
 
-    if seed_divergence is not None:
-        inner_demand = hc.demand_access
+    def plant(h: Hierarchy) -> None:
+        inner_demand = h.demand_access
         counter = [0, False]  # access index, plant already fired
 
         def perturbed(ip: int, vaddr: int, now: int,
@@ -332,11 +273,16 @@ def lockstep_engines(
             counter[0] += 1
             return latency
 
-        hc.demand_access = perturbed  # type: ignore[method-assign]
-    run_classic = make_classic_runner(trace, hc, cc)
+        h.demand_access = perturbed  # type: ignore[method-assign]
 
+    def side(engine: str, post_build=None) -> Run:
+        return Run.build(trace, make(l1d), make(l2), config,
+                         warmup_fraction, prewarm_tlb,
+                         post_build).use_engine(engine)
+
+    classic = side("classic", plant if seed_divergence is not None else None)
+    native = side("native")
     n = len(trace)
-    warmup_end = int(n * warmup_fraction)
 
     def report(mark: int, field: str, a: Any, b: Any) -> LockstepReport:
         if localize and cs > 1:
@@ -356,58 +302,39 @@ def lockstep_engines(
             kind="engines",
         )
 
-    marks = set(range(cs, n, cs))
-    if warmup_end > 0:
-        marks.add(warmup_end)
-    marks.add(n)
-    start_c = start_n = _Snapshot(0, 0.0)
-    carry_c = carry_n = {"l1d": 0, "l2": 0}
-    i = 0
-    for mark in sorted(marks):
-        run_classic(i, mark)
-        run_native(i, mark)
-        i = mark
-        if mark == warmup_end and warmup_end > 0:
-            hc.reset_stats()
-            hn.reset_stats()
-            carry_c = hc.prefetched_line_counts()
-            carry_n = hn.prefetched_line_counts()
-            start_c = _Snapshot(*cc.snapshot())
-            start_n = _Snapshot(*cn.snapshot())
-            if carry_c != carry_n:
-                return report(mark, "pf_carryover",
-                              dict(carry_n), dict(carry_c))
+    cc, cn = classic.core, native.core
+    warmup_end = classic.warmup_end
+    for mark in span_cuts(n, warmup_end, multiples_of=cs):
+        classic.advance(mark)
+        native.advance(mark)
+        if mark == warmup_end and native.carryover != classic.carryover:
+            return report(mark, "pf_carryover",
+                          dict(native.carryover), dict(classic.carryover))
         if (cn.instructions, cn.cycles) != (cc.instructions, cc.cycles):
             return report(mark, "core_clock",
                           (cn.instructions, cn.cycles),
                           (cc.instructions, cc.cycles))
-        d_c = _state_digest(hc)
-        d_n = _state_digest(hn)
+        d_c = _state_digest(classic.hierarchy)
+        d_n = _state_digest(native.hierarchy)
         if d_n != d_c:
             key, a, b = _first_diff(d_n, d_c)
             return report(mark, f"state:{key}", a, b)
 
-    def final(h: Hierarchy, core: CoreModel, start, carry) -> Dict[str, Any]:
-        res = _collect(trace, h, core, start)
-        res.extra["pf_carryover_l1d"] = float(carry["l1d"])
-        res.extra["pf_carryover_l2"] = float(carry["l2"])
-        return res.to_dict()
-
-    res_n = final(hn, cn, start_n, carry_n)
-    res_c = final(hc, cc, start_c, carry_c)
+    res_n = native.result().to_dict()
+    res_c = classic.result().to_dict()
     if res_n != res_c:
         key, a, b = _first_diff(res_n, res_c)
         return report(n, f"result:{key}", a, b)
     engine_label = "native"
-    if run_native.demoted_spans:
-        if native_mode(hn, cn)[0]:
+    if native.span.demoted_spans:
+        if native_mode(native.hierarchy, cn)[0]:
             # The guards say native should have engaged, yet spans fell
             # back (e.g. no compiler): refuse to pass a classic run off
             # as a native validation.
             return LockstepReport(
                 trace=trace.name, l1d=l1d, l2=l2, accesses=n, ok=False,
                 diverged_at=n, field="native_demotion",
-                optimized=run_native.demotion_detail,
+                optimized=native.span.demotion_detail,
                 reference=None, kind="engines",
             )
         # Expected demotion (unsupported prefetcher etc.): the run is a

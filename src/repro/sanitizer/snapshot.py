@@ -1,13 +1,16 @@
-"""Crash-durable mid-trace snapshots with bit-identical resume.
+"""Crash-durable mid-trace snapshots: the file format.
 
-A snapshot captures the *entire* simulator state at a record boundary —
-hierarchy (caches, MSHRs, PQ, MMU, DRAM, prefetchers), core model,
-warmup bookkeeping — so an interrupted run can continue from the last
-checkpoint and produce a :class:`~repro.simulator.stats.SimResult`
-bit-identical to the uninterrupted run.  That works because
-:func:`simulate_with_snapshots` replays exactly the engine's record
-loop, merely split at checkpoint boundaries: every sub-span performs
-the same operations in the same order as ``simulate``'s two spans.
+A snapshot captures the *entire* state of a
+:class:`~repro.simulator.engine.Run` at a cut — hierarchy (caches,
+MSHRs, PQ, MMU, DRAM, prefetchers), core model, warmup bookkeeping — so
+an interrupted run can continue from the last checkpoint and produce a
+:class:`~repro.simulator.stats.SimResult` bit-identical to the
+uninterrupted run.  ``simulate(snapshot_every=N, snapshot_dir=D)``
+writes them and ``simulate(resume_from=P)`` continues from one; both go
+through the same span loop, merely cut at checkpoint boundaries.  This
+module holds the format: :func:`save_snapshot`, :func:`load_snapshot`
+(which verifies), and :func:`resume_run`, which checks that a snapshot
+continues the requested run and returns that run.
 
 File format (version 2)::
 
@@ -40,33 +43,21 @@ import json
 import os
 import pickle
 import zlib
-from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.cpu.core_model import CoreModel
 from repro.durability import atomic_write_bytes
-from repro.errors import (
-    ConfigError,
-    SnapshotError,
-    TraceError,
-)
-from repro.memory.hierarchy import Hierarchy
+from repro.errors import SnapshotError
 from repro.prefetchers.base import Prefetcher
-from repro.sanitizer.config import SanitizerConfig
-from repro.sanitizer.invariants import attach_sanitizer
-from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import (
-    _collect,
-    _Snapshot,
-    build_hierarchy,
-    make_classic_runner,
-    validate_engine,
-)
-from repro.simulator.stats import SimResult
+from repro.simulator.engine import Run
 from repro.workloads.trace import Trace
 
 MAGIC = "repro-snap"
 VERSION = 2
+
+#: Payload keys: the :class:`~repro.simulator.engine.Run` attributes a
+#: resume restores, in the order they are pickled.
+FIELDS = ("hierarchy", "core", "next_index", "warmup_end", "carryover",
+          "start")
 
 
 def _header_crc(header: Dict[str, Any]) -> int:
@@ -109,58 +100,34 @@ def latest_snapshot(directory: str) -> Optional[str]:
     return best
 
 
-@dataclass
-class SnapshotState:
-    """Everything needed to continue a run mid-trace."""
-
-    hierarchy: Hierarchy
-    core: CoreModel
-    next_index: int
-    warmup_end: int
-    carryover: Dict[str, int]
-    #: (instructions, cycles) at the warmup boundary; None while still
-    #: inside warmup.
-    start: Optional[Any]
-
-
-def save_snapshot(
-    path: str,
-    state: SnapshotState,
-    trace: Trace,
-) -> str:
-    """Write ``state`` to ``path`` atomically; returns the path."""
-    payload = pickle.dumps(
-        {
-            "hierarchy": state.hierarchy,
-            "core": state.core,
-            "next_index": state.next_index,
-            "warmup_end": state.warmup_end,
-            "carryover": dict(state.carryover),
-            "start": state.start,
-        },
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
+def save_snapshot(path: str, run: Run) -> str:
+    """Write ``run``'s state to ``path`` atomically; returns the path."""
+    payload = pickle.dumps({k: getattr(run, k) for k in FIELDS},
+                           protocol=pickle.HIGHEST_PROTOCOL)
+    trace = run.trace
     header = {
         "magic": MAGIC,
         "version": VERSION,
-        "index": state.next_index,
+        "index": run.next_index,
         "trace": trace.name,
         "records": len(trace),
         "trace_crc": trace_digest(trace),
-        "l1d": state.hierarchy.l1d_prefetcher.name,
-        "l2": state.hierarchy.l2_prefetcher.name,
+        "l1d": run.hierarchy.l1d_prefetcher.name,
+        "l2": run.hierarchy.l2_prefetcher.name,
         "payload_len": len(payload),
         "payload_crc": zlib.crc32(payload),
     }
     header["header_crc"] = _header_crc(header)
-    data = json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
-    atomic_write_bytes(path, data)
+    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("ascii"),
+                       b"\n", payload)
     return path
 
 
-def load_snapshot(path: str, trace: Optional[Trace] = None) -> SnapshotState:
-    """Load and verify a snapshot; raises :class:`SnapshotError` on any
-    integrity or identity failure (never returns partial state)."""
+def load_snapshot(path: str, trace: Optional[Trace] = None
+                  ) -> Dict[str, Any]:
+    """Load and verify a snapshot; returns its state dict (the
+    :data:`FIELDS`).  Raises :class:`SnapshotError` on any integrity or
+    identity failure (never returns partial state)."""
     if os.path.isdir(path):
         latest = latest_snapshot(path)
         if latest is None:
@@ -221,9 +188,7 @@ def load_snapshot(path: str, trace: Optional[Trace] = None) -> SnapshotState:
             f"{path}: snapshot payload is a {type(state).__name__}, "
             f"not the expected state dict"
         )
-    required = ("hierarchy", "core", "next_index", "warmup_end",
-                "carryover", "start")
-    missing = [k for k in required if k not in state]
+    missing = [k for k in FIELDS if k not in state]
     if missing:
         raise SnapshotError(
             f"{path}: snapshot payload is missing resume fields "
@@ -240,182 +205,34 @@ def load_snapshot(path: str, trace: Optional[Trace] = None) -> SnapshotState:
             f"{path}: snapshot carryover is a "
             f"{type(state['carryover']).__name__}, not a dict"
         )
-    return SnapshotState(
-        hierarchy=state["hierarchy"],
-        core=state["core"],
-        next_index=state["next_index"],
-        warmup_end=state["warmup_end"],
-        carryover=state["carryover"],
-        start=state["start"],
-    )
+    return state
 
 
-def simulate_with_snapshots(
+def resume_run(
+    path: str,
     trace: Trace,
     l1d_prefetcher: Optional[Prefetcher] = None,
     l2_prefetcher: Optional[Prefetcher] = None,
-    config: Optional[SystemConfig] = None,
     warmup_fraction: float = 0.2,
-    prewarm_tlb: bool = True,
-    post_build=None,
-    snapshot_every: int = 0,
-    snapshot_dir: Optional[str] = None,
-    resume_from: Optional[str] = None,
-    sanitize: Optional[SanitizerConfig] = None,
-    engine: str = "classic",
-    native: str = "auto",
-) -> SimResult:
-    """:func:`~repro.simulator.engine.simulate`, split at checkpoints.
-
-    With ``snapshot_every=0`` and no ``resume_from`` this runs the same
-    record loop as ``simulate`` (same hoisted callbacks, same span
-    structure) and returns the identical result.  ``snapshot_every=N``
-    writes ``snap-<index>.ckpt`` into ``snapshot_dir`` every N records;
-    ``resume_from`` (a checkpoint file, or a directory whose newest
-    checkpoint is used) continues an interrupted run.  ``sanitize``
-    attaches the SimSan invariant checker on top.
-
-    ``engine``/``native`` select the inner loop exactly as in
-    ``simulate``.  Snapshots are taken between spans, where the native
-    runner has imported its state back into the Python objects, so
-    checkpoint files are byte-identical across engines and a run
-    snapshotted under one engine resumes under the other.  (With
-    ``sanitize`` the native engine demotes every span to the classic
-    loop — the invariant checker wraps the dispatch the kernel bypasses.)
-    """
-    if not 0.0 <= warmup_fraction < 1.0:
-        raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}",
-            trace=trace.name,
-            field="warmup_fraction",
-        )
-    if snapshot_every < 0:
-        raise ConfigError(
-            f"snapshot_every must be >= 0, got {snapshot_every}",
-            field="snapshot_every",
-        )
-    if snapshot_every and not snapshot_dir:
-        raise ConfigError(
-            "snapshot_every requires a snapshot_dir", field="snapshot_dir"
-        )
-    if snapshot_every:
-        os.makedirs(snapshot_dir, exist_ok=True)
-    validate_engine(engine, trace.name, native)
-    if len(trace) == 0:
-        # Same typed error as the engine: an empty trace used to slip
-        # past the n > 0 warmup guard and return all-zero statistics.
-        raise TraceError(
-            f"trace {trace.name!r} has no records",
-            trace=trace.name,
-        )
-    config = config or default_config()
-    n = len(trace)
-
-    if resume_from is not None:
-        state = load_snapshot(resume_from, trace=trace)
-        hierarchy = state.hierarchy
-        core = state.core
-        next_index = state.next_index
-        warmup_end = state.warmup_end
-        carryover = state.carryover
-        start = state.start
-        if l1d_prefetcher is not None and (
-            l1d_prefetcher.name != hierarchy.l1d_prefetcher.name
-        ):
+) -> Run:
+    """The run the snapshot at ``path`` (a file, or a directory whose
+    newest checkpoint is used) continues, checked against the requested
+    trace, prefetchers and warmup boundary."""
+    warmup_end = Run.check(trace, warmup_fraction)
+    state = load_snapshot(path, trace=trace)
+    run = Run(trace, **{k: state[k] for k in FIELDS})
+    for level, requested, used in (
+        ("L1D", l1d_prefetcher, run.hierarchy.l1d_prefetcher),
+        ("L2", l2_prefetcher, run.hierarchy.l2_prefetcher),
+    ):
+        if requested is not None and requested.name != used.name:
             raise SnapshotError(
-                f"snapshot used L1D prefetcher "
-                f"{hierarchy.l1d_prefetcher.name!r}, "
-                f"run requests {l1d_prefetcher.name!r}"
+                f"snapshot used {level} prefetcher {used.name!r}, "
+                f"run requests {requested.name!r}"
             )
-        if l2_prefetcher is not None and (
-            l2_prefetcher.name != hierarchy.l2_prefetcher.name
-        ):
-            raise SnapshotError(
-                f"snapshot used L2 prefetcher "
-                f"{hierarchy.l2_prefetcher.name!r}, "
-                f"run requests {l2_prefetcher.name!r}"
-            )
-        if int(n * warmup_fraction) != warmup_end:
-            raise SnapshotError(
-                f"snapshot's warmup boundary ({warmup_end}) does not match "
-                f"warmup_fraction={warmup_fraction} ({int(n * warmup_fraction)})"
-            )
-    else:
-        hierarchy = build_hierarchy(config, l1d_prefetcher, l2_prefetcher)
-        if post_build is not None:
-            post_build(hierarchy)
-        core = CoreModel(config.core)
-        if prewarm_tlb:
-            hierarchy.mmu.prewarm(trace.line_addresses())
-        next_index = 0
-        warmup_end = int(n * warmup_fraction)
-        carryover = {"l1d": 0, "l2": 0}
-        start = None
-    if warmup_end >= n:
-        raise ConfigError(
-            "warmup_fraction leaves no measured records",
-            trace=trace.name,
-            field="warmup_fraction",
+    if run.warmup_end != warmup_end:
+        raise SnapshotError(
+            f"snapshot's warmup boundary ({run.warmup_end}) does not match "
+            f"warmup_fraction={warmup_fraction} ({warmup_end})"
         )
-
-    if sanitize is not None:
-        sanitizer = attach_sanitizer(
-            hierarchy, sanitize, trace=trace.name, start_index=next_index
-        )
-        # Keep the check cadence aligned with the uninterrupted run
-        # (cosmetic: checks are read-only either way).
-        sanitizer._countdown = (
-            sanitize.check_every - next_index % sanitize.check_every
-        )
-
-    if engine == "native":
-        # The runner revalidates its guards per span, so the sanitizer
-        # wrapper installed above demotes every span to the classic loop.
-        from repro.native.runner import make_native_runner
-
-        _run_span = make_native_runner(trace, hierarchy, core, native)
-    else:
-        _run_span = make_classic_runner(trace, hierarchy, core)
-
-    def _boundaries():
-        """Record indexes where the loop must pause, in order."""
-        marks = set()
-        if warmup_end > next_index:
-            marks.add(warmup_end)
-        if snapshot_every:
-            first = (next_index // snapshot_every + 1) * snapshot_every
-            marks.update(range(first, n, snapshot_every))
-        marks.add(n)
-        return sorted(marks)
-
-    i = next_index
-    if i == 0 and warmup_end == 0:
-        start = _Snapshot(0, 0.0)
-    for mark in _boundaries():
-        _run_span(i, mark)
-        i = mark
-        if i == warmup_end and warmup_end > 0:
-            hierarchy.reset_stats()
-            carryover = hierarchy.prefetched_line_counts()
-            snap_i, snap_c = core.snapshot()
-            start = _Snapshot(snap_i, snap_c)
-        if snapshot_every and i % snapshot_every == 0 and 0 < i < n:
-            save_snapshot(
-                snapshot_path(snapshot_dir, i),
-                SnapshotState(
-                    hierarchy=hierarchy,
-                    core=core,
-                    next_index=i,
-                    warmup_end=warmup_end,
-                    carryover=carryover,
-                    start=start,
-                ),
-                trace,
-            )
-
-    if start is None:  # defensive: every path above sets it
-        start = _Snapshot(0, 0.0)
-    res = _collect(trace, hierarchy, core, start)
-    res.extra["pf_carryover_l1d"] = float(carryover["l1d"])
-    res.extra["pf_carryover_l2"] = float(carryover["l2"])
-    return res
+    return run

@@ -1103,7 +1103,6 @@ class CampaignService:
 
     def serve_forever(self, handle_signals: bool = True) -> None:
         """Blocking entry point for ``repro serve``."""
-        self.start()
         done = threading.Event()
 
         if handle_signals:
@@ -1111,8 +1110,10 @@ class CampaignService:
                 self.drain()
                 done.set()
 
+            # Before start() publishes the endpoint (see cmd_serve).
             signal.signal(signal.SIGTERM, on_term)
             signal.signal(signal.SIGINT, on_term)
+        self.start()
         try:
             while not done.wait(timeout=0.5):
                 pass

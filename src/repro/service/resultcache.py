@@ -8,11 +8,12 @@ configuration.  Two submissions that would simulate the same bytes with
 the same knobs share one cache entry — that is what makes duplicate
 submission idempotent and large sweeps recoverable.
 
-Entries are single JSON files written atomically (temp + fsync +
-rename) carrying a CRC32 over the canonical payload encoding.  **Every
-read re-verifies the checksum**; an entry that fails is *quarantined* —
-renamed aside with a ``.quarantined-N`` suffix for post-mortem, never
-deleted, and above all never served — and the typed
+Entries are single JSON files written atomically
+(:func:`~repro.durability.atomic_write_bytes`: temp + fsync + rename +
+directory fsync) carrying a CRC32 over the canonical payload encoding.
+**Every read re-verifies the checksum**; an entry that fails is
+*quarantined* — renamed aside with a ``.quarantined-N`` suffix for
+post-mortem, never deleted, and above all never served — and the typed
 :class:`~repro.errors.CacheCorruption` tells the scheduler to recompute.
 """
 
@@ -21,12 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from repro.durability import atomic_write_bytes, canonical_json, crc32_of
 from repro.errors import CacheCorruption
-from repro.service.wal import canonical_json, crc32_of
 
 __all__ = ["ResultCache", "content_key"]
 
@@ -71,20 +71,7 @@ class ResultCache:
         body = canonical_json(
             {"key": key, "crc": crc32_of(payload), "payload": payload}
         )
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), prefix=".cache-",
-                                   suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="ascii") as fh:
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_bytes(path, body.encode("ascii"))
         return path
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:

@@ -31,24 +31,13 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.durability import canonical_json, crc32_of
 from repro.errors import ServiceError
 
 __all__ = ["ServiceWAL", "canonical_json", "crc32_of"]
-
-
-def canonical_json(payload: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, pure ASCII."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True)
-
-
-def crc32_of(payload: Any) -> int:
-    """CRC32 over the canonical JSON encoding of ``payload``."""
-    return zlib.crc32(canonical_json(payload).encode("ascii")) & 0xFFFFFFFF
 
 
 class ServiceWAL:

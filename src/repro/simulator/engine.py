@@ -4,13 +4,16 @@ Drives a :class:`~repro.workloads.trace.Trace` through the core model and
 the memory hierarchy, with a warmup region whose statistics are discarded
 (the paper warms caches for 50 M instructions and measures 200 M; we use
 a configurable fraction of the — much shorter — synthetic traces).
+:func:`simulate` is the one single-core entry point: it steps a
+:class:`Run` through the cuts :func:`span_cuts` places.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.cpu.core_model import CoreModel
 from repro.cpu.mmu import MMU
@@ -22,6 +25,9 @@ from repro.prefetchers.base import NoPrefetcher, Prefetcher
 from repro.simulator.config import SystemConfig, default_config
 from repro.simulator.stats import PrefetchSummary, SimResult
 from repro.workloads.trace import Trace
+
+if TYPE_CHECKING:
+    from repro.sanitizer.config import SanitizerConfig
 
 #: Engines selectable via ``simulate(..., engine=...)`` and ``--engine``.
 ENGINES = ("classic", "native")
@@ -219,6 +225,162 @@ def make_classic_runner(
     return _run_span
 
 
+def span_cuts(
+    n: int,
+    warmup_end: int,
+    start: int = 0,
+    every: int = 0,
+    multiples_of: int = 0,
+) -> List[int]:
+    """Record indexes where a run resumed at ``start`` pauses, in order.
+
+    The warmup boundary (when still ahead) and the end always cut.
+    ``every`` adds a cut every that many records, counted from the start
+    of each phase (warmup, measurement) — the heartbeat cadence.
+    ``multiples_of`` adds a cut at each of its multiples — snapshots and
+    lockstep compare points.
+    """
+    cuts = {n}
+    for lo, hi in ((0, warmup_end), (warmup_end, n)):
+        lo = max(lo, start)
+        if lo < hi:
+            cuts.add(hi)
+            if every:
+                cuts.update(range(lo + every, hi, every))
+    if multiples_of:
+        first = (start // multiples_of + 1) * multiples_of
+        cuts.update(range(first, n, multiples_of))
+    return sorted(cuts)
+
+
+class Run:
+    """One single-core run of ``trace``, advanced cut by cut.
+
+    Its state is exactly what a snapshot stores: the hierarchy and core,
+    ``next_index`` (records consumed), ``warmup_end``, the ``carryover``
+    counts of prefetched lines alive at the warmup boundary, and
+    ``start``, the core clock there (``None`` while still in warmup).
+    :meth:`build` starts a fresh run; a resume passes the saved state to
+    the constructor.  :meth:`use_engine` picks the span loop and
+    :meth:`advance` replays records up to a cut, applying the warmup
+    boundary (:meth:`end_warmup`) when the cut lands on it.
+    """
+
+    def __init__(
+        self,
+        trace: Trace,
+        hierarchy: Hierarchy,
+        core: CoreModel,
+        warmup_end: int,
+        next_index: int = 0,
+        carryover: Optional[Dict[str, int]] = None,
+        start: Optional[_Snapshot] = None,
+    ) -> None:
+        self.trace = trace
+        self.hierarchy = hierarchy
+        self.core = core
+        self.warmup_end = warmup_end
+        self.next_index = next_index
+        self.carryover = carryover or {"l1d": 0, "l2": 0}
+        self.start = start
+        self.span: Optional[Callable[[int, int], None]] = None
+
+    @staticmethod
+    def check(trace: Trace, warmup_fraction: float) -> int:
+        """Reject unusable inputs; returns the warmup boundary index."""
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ConfigError(
+                f"warmup_fraction must be in [0, 1), got {warmup_fraction}",
+                trace=trace.name,
+                field="warmup_fraction",
+            )
+        n = len(trace)
+        if n == 0:
+            # Before the warmup check, which would also refuse it: an
+            # empty trace is malformed input, not a warmup setting.
+            raise TraceError(
+                f"trace {trace.name!r} has no records",
+                trace=trace.name,
+            )
+        warmup_end = int(n * warmup_fraction)
+        if warmup_end >= n:
+            raise ConfigError(
+                "warmup_fraction leaves no measured records",
+                trace=trace.name,
+                field="warmup_fraction",
+            )
+        return warmup_end
+
+    @classmethod
+    def build(
+        cls,
+        trace: Trace,
+        l1d_prefetcher: Optional[Prefetcher] = None,
+        l2_prefetcher: Optional[Prefetcher] = None,
+        config: Optional[SystemConfig] = None,
+        warmup_fraction: float = 0.2,
+        prewarm_tlb: bool = True,
+        post_build: Optional[Callable[[Hierarchy], None]] = None,
+    ) -> "Run":
+        """A fresh run: checked inputs, built hierarchy, prewarmed TLB."""
+        warmup_end = cls.check(trace, warmup_fraction)
+        config = config or default_config()
+        hierarchy = build_hierarchy(config, l1d_prefetcher, l2_prefetcher)
+        if post_build is not None:
+            post_build(hierarchy)
+        core = CoreModel(config.core)
+        if prewarm_tlb:
+            hierarchy.mmu.prewarm(trace.line_addresses())
+        return cls(trace, hierarchy, core, warmup_end,
+                   start=None if warmup_end else _Snapshot(0, 0.0))
+
+    def use_engine(
+        self,
+        engine: str = "classic",
+        native: str = "auto",
+        native_demote_at: Optional[int] = None,
+    ) -> "Run":
+        """Build the span loop; attach instrumentation before this."""
+        if engine == "native":
+            from repro.native.runner import make_native_runner
+
+            self.span = make_native_runner(
+                self.trace, self.hierarchy, self.core, native,
+                native_demote_at,
+            )
+        else:
+            self.span = make_classic_runner(
+                self.trace, self.hierarchy, self.core)
+        return self
+
+    def advance(self, cut: int) -> None:
+        """Replay records up to ``cut``, then apply the warmup boundary
+        if ``cut`` is it."""
+        lo = self.next_index
+        self.span(lo, cut)
+        self.next_index = cut
+        if lo < self.warmup_end == cut:
+            self.end_warmup()
+
+    def end_warmup(self) -> None:
+        """The warmup boundary: discard the statistics so far, count the
+        prefetched lines carried over, and mark the measured start."""
+        self.hierarchy.reset_stats()
+        self.carryover = self.hierarchy.prefetched_line_counts()
+        self.start = _Snapshot(*self.core.snapshot())
+
+    def result(self) -> SimResult:
+        """The statistics measured since the warmup boundary."""
+        res = _collect(self.trace, self.hierarchy, self.core, self.start)
+        # Prefetched lines still resident (or in flight) at the end of
+        # warmup can be demanded — and credited as useful — after the
+        # stats reset.  The invariant checker needs this to bound
+        # useful <= issued + carry.
+        res.extra["pf_carryover_l1d"] = float(self.carryover["l1d"])
+        res.extra["pf_carryover_l2"] = float(self.carryover["l2"])
+        return res
+
+
 def simulate(
     trace: Trace,
     l1d_prefetcher: Optional[Prefetcher] = None,
@@ -232,6 +394,10 @@ def simulate(
     engine: str = "classic",
     native: str = "auto",
     native_demote_at: Optional[int] = None,
+    snapshot_every: int = 0,
+    snapshot_dir: Optional[str] = None,
+    resume_from: Optional[str] = None,
+    sanitize: Optional[SanitizerConfig] = None,
 ) -> SimResult:
     """Run one trace on one core and return its measured statistics.
 
@@ -243,16 +409,28 @@ def simulate(
     ``post_build`` is an extension hook invoked with the freshly built
     hierarchy before the run starts — used by the fault-injection
     harness (:mod:`repro.runner.faultinject`) and by instrumentation.
-    ``progress``, when set, is called with the number of records consumed
-    every ``progress_every`` records — the supervisor's heartbeat hook.
-    It only splits the record spans (the same split the snapshot
-    machinery relies on), so results are bit-identical and the default
-    path (``progress=None``) is untouched.
+
+    The run is replayed in spans cut by :func:`span_cuts`.  Splitting a
+    span at a record boundary performs exactly the same operations in
+    the same order, so every cut below leaves the result bit-identical:
+
+    * ``progress``, when set, is called with the number of records
+      consumed at every cut, and ``progress_every`` adds a cut every
+      that many records of each phase — the supervisor's heartbeat.
+    * ``snapshot_every=N`` writes ``snap-<index>.ckpt`` into
+      ``snapshot_dir`` at every multiple of N
+      (:mod:`repro.sanitizer.snapshot`); ``resume_from`` (a checkpoint
+      file, or a directory whose newest checkpoint is used) continues
+      an interrupted run instead of building a fresh one.
+    * ``sanitize`` attaches the SimSan invariant checker
+      (:mod:`repro.sanitizer.invariants`).
+
     ``engine`` selects the inner loop: ``"classic"`` is the per-record
     loop of :func:`make_classic_runner`, ``"native"`` the C span kernel
     of :mod:`repro.native` (bit-identical; demotes span-by-span to the
     classic loop when the kernel is unavailable or instrumentation,
-    subclassed structures or an unsupported prefetcher are present).
+    subclassed structures or an unsupported prefetcher are present —
+    the sanitizer is such instrumentation).
     ``native`` picks the native policy: ``"auto"`` falls back
     silently-but-recorded, ``"force"`` raises
     :class:`~repro.errors.ConfigError` when no kernel can be built.
@@ -261,65 +439,50 @@ def simulate(
     result's ``extra`` carries ``native_spans`` /
     ``native_demoted_spans`` markers (plus ``native_demoted`` /
     ``native_demotion_code`` after a fallback) — strip ``native_*`` keys
-    before cross-engine dict comparisons.
+    before cross-engine dict comparisons.  Snapshots are taken between
+    spans, where the native runner has written its state back into the
+    Python objects, so checkpoint files are byte-identical across
+    engines and a run snapshotted under one resumes under the other.
     """
-    if not 0.0 <= warmup_fraction < 1.0:
+    if snapshot_every < 0:
         raise ConfigError(
-            f"warmup_fraction must be in [0, 1), got {warmup_fraction}",
-            trace=trace.name,
-            field="warmup_fraction",
+            f"snapshot_every must be >= 0, got {snapshot_every}",
+            field="snapshot_every",
+        )
+    if snapshot_every and not snapshot_dir:
+        raise ConfigError(
+            "snapshot_every requires a snapshot_dir", field="snapshot_dir"
         )
     validate_engine(engine, trace.name, native)
-    if len(trace) == 0:
-        # An empty trace used to fall through the warmup validation
-        # (guarded by n > 0) and silently return all-zero statistics;
-        # surface it as the malformed-input error it is.
-        raise TraceError(
-            f"trace {trace.name!r} has no records",
-            trace=trace.name,
-        )
-    config = config or default_config()
-    hierarchy = build_hierarchy(config, l1d_prefetcher, l2_prefetcher)
-    if post_build is not None:
-        post_build(hierarchy)
-    core = CoreModel(config.core)
+    if resume_from is None:
+        run = Run.build(trace, l1d_prefetcher, l2_prefetcher, config,
+                        warmup_fraction, prewarm_tlb, post_build)
+    else:
+        from repro.sanitizer.snapshot import resume_run
 
+        run = resume_run(resume_from, trace, l1d_prefetcher, l2_prefetcher,
+                         warmup_fraction)
+    if sanitize is not None:
+        from repro.sanitizer.invariants import attach_sanitizer
+
+        sanitizer = attach_sanitizer(run.hierarchy, sanitize,
+                                     trace=trace.name,
+                                     start_index=run.next_index)
+        # Keep the check cadence aligned with the uninterrupted run
+        # (cosmetic: checks are read-only either way).
+        sanitizer._countdown = (
+            sanitize.check_every - run.next_index % sanitize.check_every
+        )
+    run.use_engine(engine, native, native_demote_at)
+    if snapshot_every:
+        from repro.sanitizer.snapshot import save_snapshot, snapshot_path
+
+        os.makedirs(snapshot_dir, exist_ok=True)
+    if progress is None or progress_every <= 0:
+        progress, progress_every = None, 0
     n = len(trace)
-    if prewarm_tlb:
-        hierarchy.mmu.prewarm(trace.line_addresses())
-    warmup_end = int(n * warmup_fraction)
-    if warmup_end >= n:
-        raise ConfigError(
-            "warmup_fraction leaves no measured records",
-            trace=trace.name,
-            field="warmup_fraction",
-        )
-    carryover = {"l1d": 0, "l2": 0}
-
-    native_runner = None
-    if engine == "native":
-        from repro.native.runner import make_native_runner
-
-        native_runner = make_native_runner(
-            trace, hierarchy, core, native, native_demote_at,
-        )
-        _run_span = native_runner
-    else:
-        _run_span = make_classic_runner(trace, hierarchy, core)
-
-    if progress is not None and progress_every > 0:
-        # Heartbeat mode: run each span in chunks, pinging between them.
-        # Splitting a span at a record boundary performs exactly the same
-        # operations in the same order, so results stay bit-identical.
-        def _run(lo: int, hi: int) -> None:
-            i = lo
-            while i < hi:
-                j = min(i + progress_every, hi)
-                _run_span(i, j)
-                progress(j)
-                i = j
-    else:
-        _run = _run_span
+    cuts = span_cuts(n, run.warmup_end, run.next_index, progress_every,
+                     snapshot_every)
 
     # Suspend the cyclic garbage collector for the hot loop: the run
     # allocates steadily (cache lines, MSHR entries) and repeatedly trips
@@ -331,32 +494,21 @@ def simulate(
     if gc_was_enabled:
         gc.disable()
     try:
-        # The warmup → measurement boundary splits the run in two spans
-        # so the measured span carries no per-record boundary check.
-        _run(0, warmup_end)
-        if warmup_end > 0:
-            hierarchy.reset_stats()
-            carryover = hierarchy.prefetched_line_counts()
-            snap_i, snap_c = core.snapshot()
-            start = _Snapshot(snap_i, snap_c)
-        else:
-            start = _Snapshot(0, 0.0)
-        _run(warmup_end, n)
+        for cut in cuts:
+            run.advance(cut)
+            if snapshot_every and cut % snapshot_every == 0 and cut < n:
+                save_snapshot(snapshot_path(snapshot_dir, cut), run)
+            if progress is not None:
+                progress(cut)
     finally:
         if gc_was_enabled:
             gc.enable()
-    res = _collect(trace, hierarchy, core, start)
-    # Prefetched lines still resident (or in flight) at the end of warmup
-    # can be demanded — and credited as useful — after the stats reset.
-    # The invariant checker needs this to bound useful <= issued + carry.
-    res.extra["pf_carryover_l1d"] = float(carryover["l1d"])
-    res.extra["pf_carryover_l2"] = float(carryover["l2"])
-    if native_runner is not None:
-        res.extra["native_spans"] = float(native_runner.native_spans)
-        res.extra["native_demoted_spans"] = float(
-            native_runner.demoted_spans)
-        if native_runner.demotion_code is not None:
+    res = run.result()
+    if engine == "native":
+        runner = run.span
+        res.extra["native_spans"] = float(runner.native_spans)
+        res.extra["native_demoted_spans"] = float(runner.demoted_spans)
+        if runner.demotion_code is not None:
             res.extra["native_demoted"] = 1.0
-            res.extra["native_demotion_code"] = float(
-                native_runner.demotion_code)
+            res.extra["native_demotion_code"] = float(runner.demotion_code)
     return res

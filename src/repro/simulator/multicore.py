@@ -15,13 +15,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence
 
 from repro.cpu.core_model import CoreModel
-from repro.errors import TraceError
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.base import Prefetcher
 from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import _Snapshot, _collect, build_hierarchy
+from repro.simulator.engine import Run, _Snapshot, _collect, build_hierarchy
 from repro.simulator.stats import SimResult
 from repro.workloads.trace import Trace
 
@@ -44,16 +43,15 @@ def simulate_multicore(
     built (same contract as :func:`~repro.simulator.engine.simulate`);
     hooks touching the shared LLC/DRAM must be idempotent, since those
     objects appear in every core's hierarchy.
+    Every trace and ``warmup_fraction`` pass the same input check as
+    ``simulate`` (:meth:`~repro.simulator.engine.Run.check`).
 
     There is no engine choice here: the replay loop interleaves cores
     every ``CHUNK`` records, and each core's warmup reset and
     end-of-trace collection fire mid-interleave, so it stays a
     per-access Python loop.
     """
-    for trace in traces:
-        if len(trace) == 0:
-            raise TraceError(f"trace {trace.name!r} has no records",
-                             trace=trace.name)
+    warmup_end = [Run.check(trace, warmup_fraction) for trace in traces]
     config = config or default_config()
     num_cores = len(traces)
     config_mc = config
@@ -96,7 +94,6 @@ def simulate_multicore(
     # construction from the columnar store would be paid many times.
     records = [t.records[:] for t in traces]
     lengths = [len(r) for r in records]
-    warmup_end = [int(n * warmup_fraction) for n in lengths]
     position = [0] * num_cores
     consumed = [0] * num_cores          # records consumed incl. replay
     starts: List[Optional[_Snapshot]] = [None] * num_cores

@@ -32,6 +32,30 @@ def test_atomic_write_json_roundtrip(tmp_path):
     assert not list(tmp_path.glob("*.tmp*"))  # no temp litter
 
 
+@pytest.mark.parametrize("writer", ["resultcache_put", "trace_store"])
+def test_whole_file_writers_fsync_their_directory(tmp_path, monkeypatch,
+                                                  writer):
+    # Without the directory fsync a power loss can lose the rename that
+    # published the file.
+    from repro import durability
+
+    synced = []
+    monkeypatch.setattr(durability, "fsync_dir",
+                        lambda d: synced.append(str(d)))
+    if writer == "resultcache_put":
+        from repro.service.resultcache import ResultCache
+
+        target = tmp_path / "cache"
+        ResultCache(target).put("f" * 64, {"ipc": 1.25})
+    else:
+        from repro.memory.tracestore import write_trace_store
+        from repro.sanitizer.lockstep import quick_trace
+
+        target = tmp_path / "stores"
+        write_trace_store(quick_trace(60), target / "quick.trc")
+    assert synced == [str(target)]
+
+
 @pytest.mark.parametrize("cut_frac", [0.3, 0.5, 0.7, 0.9, 0.99])
 def test_heal_truncated_json_recovers_a_prefix(cut_frac):
     doc = {"events": [{"event": f"e{i}", "at": i, "note": 'x"y'}

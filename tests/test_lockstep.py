@@ -62,6 +62,36 @@ class TestDivergenceLocalisation:
         report = lockstep_run(quick_trace(300), seed_divergence=0)
         assert not report.ok and report.diverged_at == 0
 
+    def test_stats_drift_just_before_warmup_boundary_found(
+            self, monkeypatch):
+        # 600 records at the default warmup fraction end warmup at 120,
+        # a digest point: the digest there must run before the stats
+        # reset, which would otherwise erase a stats-only drift.
+        import repro.sanitizer.lockstep as lockstep
+
+        real_to_reference = lockstep.to_reference
+
+        def drifting_reference(h):
+            real_to_reference(h)
+            inner = h.demand_access
+            seen = [0]
+
+            def demand(ip, vaddr, now, is_write=False):
+                latency = inner(ip, vaddr, now, is_write)
+                if seen[0] == 118:
+                    h.l1d.stats.writebacks += 1
+                seen[0] += 1
+                return latency
+
+            h.demand_access = demand
+            return h
+
+        monkeypatch.setattr(lockstep, "to_reference", drifting_reference)
+        report = lockstep_run(quick_trace(600), digest_every=60)
+        assert not report.ok
+        assert report.diverged_at == 119
+        assert report.field == "state:l1d_stats"
+
 
 class TestReferenceEngine:
     def _hierarchy(self, l1d="none"):

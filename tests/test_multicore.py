@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.prefetchers.registry import make_prefetcher
 from repro.simulator.multicore import simulate_multicore, weighted_speedup
 from repro.workloads.synthetic import (
@@ -48,6 +49,16 @@ class TestBasics:
         a = simulate_multicore(traces)
         b = simulate_multicore(traces)
         assert [r.ipc for r in a] == [r.ipc for r in b]
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.5])
+    def test_warmup_fraction_outside_unit_interval_rejected(self, fraction):
+        # The same check as single-core simulate(): no fraction outside
+        # [0, 1) leaves a well-defined measured region.
+        with pytest.raises(ConfigError) as exc:
+            simulate_multicore(small_traces(2), warmup_fraction=fraction)
+        assert exc.value.context()["field"] == "warmup_fraction"
 
 
 class TestSharing:

@@ -32,7 +32,7 @@ from repro.native.runner import (
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.lockstep import _state_digest, lockstep_engines, quick_trace
 from repro.sanitizer.reference import to_reference
-from repro.sanitizer.snapshot import simulate_with_snapshots, snapshot_path
+from repro.sanitizer.snapshot import snapshot_path
 from repro.simulator.engine import build_hierarchy, simulate
 from repro.simulator.multicore import simulate_multicore
 from repro.workloads.trace import Trace
@@ -211,10 +211,12 @@ class TestValidationAndEmptyTrace:
             simulate(trace, engine=engine)
         assert exc.value.context()["field"] == "engine"
 
-    def test_unknown_engine_rejected_in_snapshots(self, trace):
+    def test_unknown_engine_rejected_in_snapshots(self, trace, tmp_path):
         with pytest.raises(ConfigError) as exc:
-            simulate_with_snapshots(trace, engine="batched")
+            simulate(trace, engine="batched", snapshot_every=100,
+                     snapshot_dir=str(tmp_path / "ckpts"))
         assert exc.value.context()["field"] == "engine"
+        assert not (tmp_path / "ckpts").exists()
 
     @pytest.mark.parametrize("engine", ["classic", "native"])
     def test_empty_trace_raises_trace_error(self, engine):
@@ -222,9 +224,10 @@ class TestValidationAndEmptyTrace:
             simulate(Trace("empty"), engine=engine)
 
     @pytest.mark.parametrize("engine", ["classic", "native"])
-    def test_empty_trace_raises_in_snapshot_runner(self, engine):
+    def test_empty_trace_raises_in_snapshot_runner(self, engine, tmp_path):
         with pytest.raises(TraceError):
-            simulate_with_snapshots(Trace("empty"), engine=engine)
+            simulate(Trace("empty"), engine=engine, snapshot_every=100,
+                     snapshot_dir=str(tmp_path))
 
     def test_empty_trace_raises_in_multicore(self, trace):
         with pytest.raises(TraceError):
@@ -240,7 +243,7 @@ class TestSnapshots:
         for engine in ("classic", "native"):
             d = tmp_path / engine
             d.mkdir()
-            simulate_with_snapshots(
+            simulate(
                 trace, l1d_prefetcher=make_prefetcher("berti"),
                 snapshot_every=every, snapshot_dir=str(d), engine=engine,
             )
@@ -269,11 +272,11 @@ class TestSnapshots:
         from the snapshot at `index` under `resumer`."""
         d = tmp_path / "ckpts"
         d.mkdir()
-        simulate_with_snapshots(
+        simulate(
             trace, l1d_prefetcher=make_prefetcher("berti"),
             snapshot_every=index, snapshot_dir=str(d), engine=writer,
         )
-        return simulate_with_snapshots(
+        return simulate(
             trace, l1d_prefetcher=make_prefetcher("berti"),
             resume_from=snapshot_path(str(d), index), engine=resumer,
         ).to_dict()
@@ -435,11 +438,13 @@ class TestDemotionGuards:
         plain = simulate(
             trace, l1d_prefetcher=make_prefetcher("berti")
         ).to_dict()
-        sanitized = simulate_with_snapshots(
+        sanitized = simulate(
             trace, l1d_prefetcher=make_prefetcher("berti"),
             sanitize=SanitizerConfig(check_every=64), engine="native",
-        ).to_dict()
-        assert sanitized == plain
+        )
+        # The sanitizer wraps the demand path, so every span demotes.
+        assert sanitized.extra["native_spans"] == 0
+        assert strip_native(sanitized.to_dict()) == plain
 
     def test_demoted_run_still_matches_classic(self, ):
         # A config the kernel refuses must still produce classic-identical

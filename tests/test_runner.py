@@ -178,6 +178,27 @@ class TestPool:
                 == clean.result(jobs[0].key).to_dict())
 
 
+class TestHeartbeatCoverage:
+    """Sanitize and snapshot jobs report progress like plain jobs."""
+
+    @pytest.mark.parametrize("knob", ["sanitize", "snapshot_every"])
+    def test_last_ping_reports_trace_length(self, tmp_path, knob):
+        from repro.runner.resources import read_heartbeat
+        from repro.runner.worker import run_job
+
+        extra = ({"sanitize": True} if knob == "sanitize" else
+                 {"snapshot_every": 200,
+                  "snapshot_dir": str(tmp_path / "ckpts")})
+        beat = tmp_path / "hb.json"
+        result = run_job(JobSpec(
+            trace=TRACE2, l1d="berti", scale=SCALE,
+            heartbeat_path=str(beat), heartbeat_every=100, **extra,
+        ))
+        records = int(result.extra["trace_records"])
+        ping = read_heartbeat(beat)
+        assert ping["accesses"] == ping["total"] == records > 0
+
+
 class TestJournal:
     def test_resume_runs_exactly_the_missing_jobs(self, tmp_path):
         journal = tmp_path / "suite.jsonl"

@@ -15,7 +15,6 @@ from repro.sanitizer import (
     SanitizerConfig,
     attach_sanitizer,
     check_hierarchy,
-    sanitizer_post_build,
 )
 from repro.sanitizer.invariants import (
     check_berti,
@@ -65,7 +64,7 @@ class TestNeutrality:
         san = simulate(
             trace,
             l1d_prefetcher=make_prefetcher("berti"),
-            post_build=sanitizer_post_build(SanitizerConfig(check_every=16)),
+            sanitize=SanitizerConfig(check_every=16),
         )
         assert base.to_dict() == san.to_dict()
 

@@ -919,3 +919,38 @@ class TestHTTPRoundTrip:
             response.read()
         finally:
             conn.close()
+
+
+class TestServeCommand:
+    def test_sigterm_as_soon_as_endpoint_is_published_drains(
+            self, tmp_path):
+        # A client may stop the daemon the moment endpoint.json appears.
+        # The child sends itself SIGTERM right after start(); `repro
+        # serve` must drain and exit 0, not die of the signal (-15).
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import os, signal, sys\n"
+            "from repro.cli import main\n"
+            "from repro.service import CampaignService\n"
+            "start = CampaignService.start\n"
+            "def start_then_term(self):\n"
+            "    start(self)\n"
+            "    os.kill(os.getpid(), signal.SIGTERM)\n"
+            "CampaignService.start = start_then_term\n"
+            "sys.exit(main(['serve', '--state-dir', sys.argv[1],\n"
+            "               '--workers', '1']))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "state")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "draining" in proc.stderr

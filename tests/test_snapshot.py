@@ -1,10 +1,10 @@
 """Crash-durable snapshot / bit-identical resume tests.
 
-``simulate_with_snapshots`` must equal ``simulate`` exactly — with
-checkpointing enabled, resumed from any checkpoint (including one
-inside the warmup window), or resumed from a directory.  Corrupt,
-truncated, foreign, or mismatched snapshots are rejected with a typed
-:class:`SnapshotError` before any simulation state is touched.
+``simulate`` must return the same result with checkpointing enabled,
+resumed from any checkpoint (including one inside the warmup window),
+or resumed from a directory.  Corrupt, truncated, foreign, or
+mismatched snapshots are rejected with a typed :class:`SnapshotError`
+before any simulation state is touched.
 """
 
 import json
@@ -19,7 +19,6 @@ from repro.sanitizer.lockstep import quick_trace
 from repro.sanitizer.snapshot import (
     latest_snapshot,
     load_snapshot,
-    simulate_with_snapshots,
     snapshot_path,
     trace_digest,
 )
@@ -46,7 +45,7 @@ def ckpt_dir(tmp_path, trace):
     """A directory of checkpoints every 200 records (one mid-warmup)."""
     d = tmp_path / "ckpts"
     d.mkdir()
-    simulate_with_snapshots(
+    simulate(
         trace, l1d_prefetcher=make_prefetcher("berti"),
         snapshot_every=200, snapshot_dir=str(d),
     )
@@ -55,8 +54,10 @@ def ckpt_dir(tmp_path, trace):
 
 class TestBitIdenticalResume:
     def test_plain_call_matches_simulate(self, trace, baseline):
-        res = simulate_with_snapshots(
-            trace, l1d_prefetcher=make_prefetcher("berti")
+        res = simulate(
+            trace, l1d_prefetcher=make_prefetcher("berti"),
+            snapshot_every=0, snapshot_dir=None, resume_from=None,
+            sanitize=None,
         )
         assert res.to_dict() == baseline
 
@@ -68,7 +69,7 @@ class TestBitIdenticalResume:
                          if p.suffix == ".ckpt")
         assert written == [f"snap-{i:08d}.ckpt"
                            for i in range(200, RECORDS, 200)]
-        res = simulate_with_snapshots(
+        res = simulate(
             trace, l1d_prefetcher=make_prefetcher("berti"),
             snapshot_every=200, snapshot_dir=str(ckpt_dir),
         )
@@ -79,7 +80,7 @@ class TestBitIdenticalResume:
                                          index):
         # index=200 resumes from *inside* the warmup window (end = 240):
         # the warmup-boundary reset must replay on the resumed side too.
-        res = simulate_with_snapshots(
+        res = simulate(
             trace, resume_from=snapshot_path(str(ckpt_dir), index)
         )
         assert res.to_dict() == baseline
@@ -87,12 +88,12 @@ class TestBitIdenticalResume:
     def test_resume_from_directory_uses_latest(self, trace, baseline,
                                                ckpt_dir):
         assert latest_snapshot(str(ckpt_dir)).endswith("snap-00001000.ckpt")
-        res = simulate_with_snapshots(trace, resume_from=str(ckpt_dir))
+        res = simulate(trace, resume_from=str(ckpt_dir))
         assert res.to_dict() == baseline
 
     def test_resumed_run_with_sanitizer_matches(self, trace, baseline,
                                                 ckpt_dir):
-        res = simulate_with_snapshots(
+        res = simulate(
             trace, resume_from=str(ckpt_dir),
             sanitize=SanitizerConfig(check_every=32),
         )
@@ -101,12 +102,32 @@ class TestBitIdenticalResume:
     def test_snapshot_dir_created_if_missing(self, trace, baseline,
                                              tmp_path):
         d = tmp_path / "not" / "yet" / "there"
-        res = simulate_with_snapshots(
+        res = simulate(
             trace, l1d_prefetcher=make_prefetcher("berti"),
             snapshot_every=500, snapshot_dir=str(d),
         )
         assert res.to_dict() == baseline
         assert latest_snapshot(str(d)) is not None
+
+    def test_heartbeat_with_snapshots(self, trace, baseline, ckpt_dir,
+                                      tmp_path):
+        # Heartbeat cuts (every 150 records of each phase) interleave
+        # with the snapshot cuts (multiples of 200) without moving them.
+        d = tmp_path / "with-pings"
+        pings = []
+        res = simulate(
+            trace, l1d_prefetcher=make_prefetcher("berti"),
+            progress=pings.append, progress_every=150,
+            snapshot_every=200, snapshot_dir=str(d),
+        )
+        assert res.to_dict() == baseline
+        names = sorted(p.name for p in ckpt_dir.iterdir())
+        assert sorted(p.name for p in d.iterdir()) == names
+        for name in names:
+            assert (d / name).read_bytes() == (ckpt_dir / name).read_bytes()
+        assert all(a < b for a, b in zip(pings, pings[1:]))
+        assert pings[-1] == len(trace)
+        assert {150, 200, 240, 390} <= set(pings)
 
     def test_no_temp_files_left_behind(self, ckpt_dir):
         leftovers = [p for p in ckpt_dir.iterdir() if p.suffix == ".tmp"]
@@ -168,22 +189,22 @@ class TestRejection:
 
     def test_wrong_prefetcher_rejected(self, trace, ckpt_dir):
         with pytest.raises(SnapshotError, match="prefetcher"):
-            simulate_with_snapshots(
+            simulate(
                 trace, l1d_prefetcher=make_prefetcher("bop"),
                 resume_from=self._one(ckpt_dir),
             )
 
     def test_empty_directory_rejected(self, trace, tmp_path):
         with pytest.raises(SnapshotError, match="no snapshots"):
-            simulate_with_snapshots(trace, resume_from=str(tmp_path))
+            simulate(trace, resume_from=str(tmp_path))
 
     def test_snapshot_every_requires_dir(self, trace):
         with pytest.raises(ConfigError, match="snapshot_dir"):
-            simulate_with_snapshots(trace, snapshot_every=100)
+            simulate(trace, snapshot_every=100)
 
     def test_negative_interval_rejected(self, trace):
         with pytest.raises(ConfigError, match="snapshot_every"):
-            simulate_with_snapshots(trace, snapshot_every=-1)
+            simulate(trace, snapshot_every=-1)
 
 
 class TestTraceDigest:
