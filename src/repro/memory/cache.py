@@ -1,30 +1,46 @@
 """Set-associative cache model with prefetch metadata.
 
-Each cache line carries, besides tag/valid/dirty, the metadata Berti's
-hardware extension needs (paper Figure 5, gray parts):
+The cache state is a fixed set of per-way columns (``array('q')``, one
+entry per *slot* ``set * ways + way``), allocated at build time — the
+layout of the hardware's tag and metadata arrays, and the very buffers
+the native kernel (:mod:`repro.native`) reads and writes by pointer.
+Besides ``tags``/``valid``/``dirty`` each way carries the metadata
+Berti's hardware extension needs (paper Figure 5, gray parts):
 
-* ``arrival_cycle`` — cycle at which the fill data actually arrives.  A
+* ``arrival`` — cycle at which the fill data actually arrives.  A
   demand that touches the line earlier observes a *late* prefetch and
   stalls for the residual latency.
-* ``prefetched`` — line was brought in by a prefetch and has not yet been
+* ``pref`` — line was brought in by a prefetch and has not yet been
   demanded.  Cleared on the first demand hit (which is the moment Berti
   trains, because that hit is a miss that *would have occurred* in the
   baseline).
-* ``pf_latency`` — the 12-bit fetch-latency field per L1D line.  Zero
+* ``pf_lat`` — the 12-bit fetch-latency field per L1D line.  Zero
   means "overflowed or already consumed"; Berti skips training then.
+* ``ips``/``vlines`` — the filling access's IP and virtual line, and
+  ``origin`` — which prefetcher issued the fill (:data:`ORIGIN_NONE`,
+  :data:`ORIGIN_L1D`, :data:`ORIGIN_L2`).
+
+``_where`` (line → slot) and ``_valid_count`` (valid ways per set) are
+derived from the columns: the cache maintains them incrementally, and
+:meth:`Cache.reindex` rebuilds both (after unpickling, and after a
+native span wrote the columns).
 
 The cache is timing-agnostic: the hierarchy decides latencies, the cache
 just tracks contents and replacement state.
 
-This module is on the simulation hot path: line/stats objects use
-``__slots__``, set indexing is a mask (set counts are enforced powers of
-two), and lookup/fill bind their per-call state to locals.
+This module is on the simulation hot path: set indexing is a mask (set
+counts are enforced powers of two), and lookup/fill bind their per-call
+state to locals.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigError
 from repro.memory.replacement import (
@@ -35,10 +51,17 @@ from repro.memory.replacement import (
     make_policy,
 )
 
+#: ``origin`` column codes: which prefetcher issued a prefetch fill.
+ORIGIN_NONE = 0
+ORIGIN_L1D = 1
+ORIGIN_L2 = 2
+#: Code → ``Hierarchy.pf_stats`` key (``""`` for no prefetcher).
+ORIGIN_NAMES = ("", "l1d", "l2")
+
 
 @dataclass(slots=True)
 class CacheLine:
-    """State of one cache way."""
+    """A copy of one way's columns (what :meth:`Cache.peek` returns)."""
 
     tag: int = -1
     valid: bool = False
@@ -48,7 +71,7 @@ class CacheLine:
     pf_latency: int = 0
     ip: int = 0          # IP of the access that triggered the fill
     vline: int = -1      # virtual line address (for L1D prefetcher training)
-    pf_origin: str = ""  # "l1d" or "l2": which prefetcher issued the fill
+    pf_origin: int = ORIGIN_NONE
 
 
 @dataclass(slots=True)
@@ -117,15 +140,18 @@ class Cache:
         self.line_size = line_size
         self.num_sets = num_sets
         self._set_mask = num_sets - 1
-        # Way lists are materialised lazily on first fill: a large LLC
-        # allocates tens of thousands of line objects, most never touched
-        # by short runs.  Untouched sets stay empty lists, which nested
-        # iteration (prefetched_line_counts, tests) handles naturally.
-        self.sets: List[List[CacheLine]] = [[] for _ in range(num_sets)]
-        # Presence index for O(1) probes: line -> way (set is line-derived).
-        self._where: dict = {}
-        # Valid lines per set, to skip the invalid-way scan when full.
-        self._valid_count: List[int] = [0] * num_sets
+        # Per-way columns, every slot holding a fresh (invalid) line.
+        n = num_sets * ways
+        zeros = bytes(8 * n)
+        self.tags = array("q", [-1]) * n
+        self.valid = array("q", zeros)
+        self.dirty = array("q", zeros)
+        self.pref = array("q", zeros)
+        self.arrival = array("q", zeros)
+        self.pf_lat = array("q", zeros)
+        self.ips = array("q", zeros)
+        self.vlines = array("q", [-1]) * n
+        self.origin = array("q", zeros)
         self.policy: ReplacementPolicy = make_policy(
             replacement, num_sets, ways
         )
@@ -151,10 +177,20 @@ class Cache:
         )
         self._srrip_insert = SRRIPPolicy.MAX_RRPV - 1
         self.stats = CacheStats()
-        # Optional observer invoked with the victim line on eviction.  The
-        # line object is reused for the incoming fill after the hook
-        # returns — hooks must copy any fields they want to retain.
-        self.eviction_hook: Optional[Callable[[CacheLine], None]] = None
+        # Optional observer invoked as hook(tag, prefetched, origin) for
+        # every valid victim, before its slot is reused.
+        self.eviction_hook: Optional[Callable[[int, int, int], None]] = None
+        self.reindex()
+
+    def reindex(self) -> None:
+        """Rebuild ``_where`` and ``_valid_count`` from the columns."""
+        valid = self.valid
+        self._where = dict(zip(compress(self.tags, valid),
+                               compress(range(len(valid)), valid)))
+        self._valid_count = (
+            np.frombuffer(valid, dtype=np.int64)
+            .reshape(self.num_sets, self.ways).sum(axis=1).tolist()
+        )
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -163,46 +199,47 @@ class Cache:
     def __getstate__(self):
         # The eviction hook is a closure over the owning hierarchy and
         # cannot be pickled; Hierarchy.__setstate__ rewires it on load.
+        # The derived indexes are rebuilt, not pickled.
         state = self.__dict__.copy()
         state["eviction_hook"] = None
-        # _where is a pure presence index (line -> way); its insertion
-        # order is never read, but it differs between the classic loop
-        # (access order) and the native importer (set/way scan order).
-        # Canonicalise so snapshot bytes are backend-independent.
-        state["_where"] = dict(sorted(self._where.items()))
+        del state["_where"], state["_valid_count"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.reindex()
 
     # ------------------------------------------------------------------
     # Lookup / fill
     # ------------------------------------------------------------------
-
-    def set_index(self, line: int) -> int:
-        return line & self._set_mask
-
-    def _find(self, line: int) -> Tuple[int, Optional[int]]:
-        return line & self._set_mask, self._where.get(line)
 
     def probe(self, line: int) -> bool:
         """Presence check with no side effects (no replacement update)."""
         return line in self._where
 
     def peek(self, line: int) -> Optional[CacheLine]:
-        """Return the line's metadata without touching replacement state."""
-        way = self._where.get(line)
-        if way is None:
+        """A copy of the line's metadata; no replacement update."""
+        slot = self._where.get(line)
+        if slot is None:
             return None
-        return self.sets[line & self._set_mask][way]
+        return CacheLine(
+            tag=self.tags[slot], valid=bool(self.valid[slot]),
+            dirty=bool(self.dirty[slot]), prefetched=bool(self.pref[slot]),
+            arrival_cycle=self.arrival[slot], pf_latency=self.pf_lat[slot],
+            ip=self.ips[slot], vline=self.vlines[slot],
+            pf_origin=self.origin[slot],
+        )
 
-    def lookup(self, line: int, is_demand: bool = True) -> Optional[CacheLine]:
+    def lookup(self, line: int, is_demand: bool = True) -> Optional[int]:
         """Access the cache; updates replacement state and hit/miss stats.
 
-        Returns the :class:`CacheLine` on a hit, ``None`` on a miss.  The
-        caller is responsible for interpreting the prefetch metadata (late
-        vs. timely) and clearing ``prefetched`` via :meth:`demand_touch`.
+        Returns the line's slot on a hit, ``None`` on a miss.  The caller
+        is responsible for interpreting the prefetch metadata (late vs.
+        timely) and clearing the prefetch bit via :meth:`demand_touch`.
         """
-        way = self._where.get(line)
+        slot = self._where.get(line)
         stats = self.stats
-        if way is None:
+        if slot is None:
             if is_demand:
                 stats.demand_accesses += 1
                 stats.demand_misses += 1
@@ -217,31 +254,31 @@ class Cache:
         if lru is not None:
             clock = lru._clock[sidx] + 1
             lru._clock[sidx] = clock
-            lru._age[sidx][way] = clock
+            lru._age[slot] = clock
         elif self._srrip_hit is not None:
-            self._srrip_hit[sidx][way] = 0
+            self._srrip_hit[slot] = 0
         else:
-            self.policy.on_hit(sidx, way)
-        return self.sets[sidx][way]
+            self.policy.on_hit(sidx, slot - sidx * self.ways)
+        return slot
 
-    def demand_touch(self, cl: CacheLine, now: int) -> Tuple[bool, bool, int]:
-        """Consume a demand hit on ``cl``.
+    def demand_touch(self, slot: int, now: int) -> Tuple[bool, bool, int]:
+        """Consume a demand hit on ``slot``.
 
         Returns ``(was_prefetched, was_late, residual_wait)``: whether this
         was the first demand to a prefetched line, whether that prefetch
         was late, and the extra cycles the demand must wait for the data.
         """
-        residual = cl.arrival_cycle - now
+        residual = self.arrival[slot] - now
         if residual < 0:
             residual = 0
-        was_prefetched = cl.prefetched
+        was_prefetched = self.pref[slot] != 0
         was_late = was_prefetched and residual > 0
         if was_prefetched:
             stats = self.stats
             stats.useful_prefetches += 1
             if was_late:
                 stats.late_prefetches += 1
-            cl.prefetched = False
+            self.pref[slot] = 0
         return was_prefetched, was_late, residual
 
     def fill(
@@ -253,78 +290,67 @@ class Cache:
         ip: int = 0,
         vline: int = -1,
         pf_latency: int = 0,
-        pf_origin: str = "",
-    ) -> Optional[CacheLine]:
-        """Install ``line``; returns the evicted line if it needs writeback.
+        pf_origin: int = ORIGIN_NONE,
+    ) -> int:
+        """Install ``line``; returns the evicted line's tag if it needs
+        writeback, else -1.
 
         If the line is already present (e.g. a prefetch raced a demand),
         the existing entry is refreshed instead of allocating a new way.
-        A displaced dirty victim is returned as a copy; clean victims are
-        reported only through :attr:`eviction_hook` (which receives the
-        line object *before* it is reused for the incoming fill).
+        Clean victims are reported only through :attr:`eviction_hook`.
         """
         where = self._where
-        way = where.get(line)
+        slot = where.get(line)
         stats = self.stats
-        victim: Optional[CacheLine] = None
-        if way is None:
+        victim = -1
+        if slot is None:
             sidx = line & self._set_mask
-            ways_list = self.sets[sidx]
-            if not ways_list:
-                ways_list += [CacheLine() for _ in range(self.ways)]
+            valid = self.valid
+            tags = self.tags
+            pref = self.pref
             # _pick_victim inlined: fills dominate the miss path.
+            base = sidx * self.ways
             if self._valid_count[sidx] >= self.ways:
-                way = self.policy.victim(sidx)
+                slot = base + self.policy.victim(sidx)
             else:
-                way = 0
-                for candidate in ways_list:
-                    if not candidate.valid:
-                        break
-                    way += 1
-                if way >= self.ways:
-                    way = self.policy.victim(sidx)  # defensive; count says full
-            cl = ways_list[way]
-            if cl.valid:
-                if cl.prefetched:
+                slot = valid.index(0, base, base + self.ways)
+            if valid[slot]:
+                old = tags[slot]
+                if pref[slot]:
                     stats.useless_prefetches += 1
-                if cl.dirty:
+                if self.dirty[slot]:
                     stats.writebacks += 1
-                    victim = CacheLine(
-                        tag=cl.tag, valid=True, dirty=True,
-                        prefetched=cl.prefetched, ip=cl.ip,
-                        vline=cl.vline, pf_origin=cl.pf_origin,
-                    )
+                    victim = old
                 if self.eviction_hook is not None:
-                    self.eviction_hook(cl)
-                del where[cl.tag]
+                    self.eviction_hook(old, pref[slot], self.origin[slot])
+                del where[old]
             else:
                 self._valid_count[sidx] += 1
-            where[line] = way
-            cl.tag = line
-            cl.valid = True
-            cl.dirty = False
-            cl.prefetched = is_prefetch
-            cl.arrival_cycle = arrival_cycle
-            cl.pf_latency = pf_latency
-            cl.ip = ip
-            cl.vline = vline
-            cl.pf_origin = pf_origin if is_prefetch else ""
+                valid[slot] = 1
+            where[line] = slot
+            tags[slot] = line
+            self.dirty[slot] = 0
+            pref[slot] = is_prefetch
+            self.arrival[slot] = arrival_cycle
+            self.pf_lat[slot] = pf_latency
+            self.ips[slot] = ip
+            self.vlines[slot] = vline
+            self.origin[slot] = pf_origin if is_prefetch else ORIGIN_NONE
             lru = self._lru
             if lru is not None:
                 clock = lru._clock[sidx] + 1
                 lru._clock[sidx] = clock
-                lru._age[sidx][way] = clock
+                lru._age[slot] = clock
             elif self._srrip_fill is not None:
-                self._srrip_fill[sidx][way] = self._srrip_insert
+                self._srrip_fill[slot] = self._srrip_insert
             else:
-                self.policy.on_fill(sidx, way)
+                self.policy.on_fill(sidx, slot - base)
         else:
-            cl = self.sets[line & self._set_mask][way]
             # Refresh arrival if the new copy arrives earlier.
-            if arrival_cycle < cl.arrival_cycle:
-                cl.arrival_cycle = arrival_cycle
+            if arrival_cycle < self.arrival[slot]:
+                self.arrival[slot] = arrival_cycle
             if not is_prefetch:
-                cl.prefetched = False
+                self.pref[slot] = 0
         if is_prefetch:
             stats.prefetch_fills += 1
         else:
@@ -333,19 +359,22 @@ class Cache:
 
     def mark_dirty(self, line: int) -> None:
         """Flag ``line`` dirty (stores); no-op if absent."""
-        way = self._where.get(line)
-        if way is not None:
-            self.sets[line & self._set_mask][way].dirty = True
+        slot = self._where.get(line)
+        if slot is not None:
+            self.dirty[slot] = 1
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns True when it was present."""
-        way = self._where.get(line)
-        if way is None:
+        slot = self._where.pop(line, None)
+        if slot is None:
             return False
-        sidx = line & self._set_mask
-        self.sets[sidx][way] = CacheLine()
-        del self._where[line]
-        self._valid_count[sidx] -= 1
+        for column, fresh in ((self.tags, -1), (self.valid, 0),
+                              (self.dirty, 0), (self.pref, 0),
+                              (self.arrival, 0), (self.pf_lat, 0),
+                              (self.ips, 0), (self.vlines, -1),
+                              (self.origin, 0)):
+            column[slot] = fresh
+        self._valid_count[line & self._set_mask] -= 1
         return True
 
     # ------------------------------------------------------------------
@@ -358,7 +387,7 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of valid lines (mostly for tests)."""
-        return sum(cl.valid for s in self.sets for cl in s)
+        return self.valid.count(1)
 
     def reset_stats(self) -> None:
         self.stats.reset()

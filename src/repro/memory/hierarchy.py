@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Deque, Dict, List, Optional
 
 from repro.core.delta_table import L1D_PREF
@@ -26,7 +27,12 @@ from repro.cpu.mmu import (
     _PAGE_OFFSET_MASK as PAGE_OFFSET_MASK,
 )
 from repro.memory.address import same_page
-from repro.memory.cache import Cache, CacheLine
+from repro.memory.cache import (
+    ORIGIN_L1D,
+    ORIGIN_L2,
+    ORIGIN_NAMES,
+    Cache,
+)
 from repro.memory.dram import DRAM
 from repro.memory.mshr import MSHR
 from repro.prefetchers.base import (
@@ -235,14 +241,14 @@ class Hierarchy:
             self._l1d_kern_cross_page = True
 
     def _wire_eviction_hooks(self) -> None:
-        def account_useless(victim: CacheLine) -> None:
-            if victim.prefetched and victim.pf_origin in self.pf_stats:
-                self.pf_stats[victim.pf_origin].useless += 1
-                if victim.pf_origin == "l2":
+        def account_useless(tag: int, prefetched: int, origin: int) -> None:
+            if prefetched and origin:
+                self.pf_stats[ORIGIN_NAMES[origin]].useless += 1
+                if origin == ORIGIN_L2:
                     # Feedback for filtering prefetchers (PPF).
-                    self.l2_prefetcher.on_evict(victim.tag, was_useful=False)
-                elif victim.pf_origin == "l1d":
-                    self.l1d_prefetcher.on_evict(victim.tag, was_useful=False)
+                    self.l2_prefetcher.on_evict(tag, was_useful=False)
+                else:
+                    self.l1d_prefetcher.on_evict(tag, was_useful=False)
 
         self.l1d.eviction_hook = account_useless
         self.l2.eviction_hook = account_useless
@@ -299,12 +305,11 @@ class Hierarchy:
         if type(l1d) is Cache:
             l1d_stats = l1d.stats
             l1d_stats.demand_accesses += 1
-            way = l1d._where.get(pline)
-            if way is None:
+            slot = l1d._where.get(pline)
+            if slot is None:
                 l1d_stats.demand_misses += 1
                 if l1d._drrip is not None:
                     l1d._drrip.record_miss(pline & l1d._set_mask)
-                cl = None
             else:
                 l1d_stats.demand_hits += 1
                 sidx = pline & l1d._set_mask
@@ -312,26 +317,29 @@ class Hierarchy:
                 if lru is not None:
                     clock = lru._clock[sidx] + 1
                     lru._clock[sidx] = clock
-                    lru._age[sidx][way] = clock
+                    lru._age[slot] = clock
                 elif l1d._srrip_hit is not None:
-                    l1d._srrip_hit[sidx][way] = 0
+                    l1d._srrip_hit[slot] = 0
                 else:
-                    l1d.policy.on_hit(sidx, way)
-                cl = l1d.sets[sidx][way]
+                    l1d.policy.on_hit(sidx, slot - sidx * l1d.ways)
         else:
-            cl = l1d.lookup(pline, is_demand=True)
-        if cl is not None:
+            slot = l1d.lookup(pline, is_demand=True)
+        if slot is not None:
             latency = trans_latency + l1d_latency
-            was_pf, was_late, residual = l1d.demand_touch(cl, t + l1d_latency)
+            was_pf, was_late, residual = l1d.demand_touch(
+                slot, t + l1d_latency
+            )
             latency += residual
             if was_pf:
-                self._credit_useful("l1d" if cl.pf_origin != "l2" else "l2", was_late)
-                pf_latency = cl.pf_latency
-                cl.pf_latency = 0  # reset after consumption (paper §III-C)
+                self._credit_useful(
+                    "l2" if l1d.origin[slot] == ORIGIN_L2 else "l1d", was_late
+                )
+                pf_latency = l1d.pf_lat[slot]
+                l1d.pf_lat[slot] = 0  # reset after consumption (paper §III-C)
                 if pf_active:
                     self._notify_l1d_prefetch_hit(ip, vline, t, pf_latency)
             if is_write:
-                cl.dirty = True
+                l1d.dirty[slot] = 1
             if pf_active:
                 self._run_l1d_prefetcher_on_access(
                     ip, vline, hit=True, prefetch_hit=was_pf, now=t,
@@ -385,8 +393,7 @@ class Hierarchy:
             ip=ip,
             vline=vline,
         )
-        if victim is not None:
-            self._handle_writeback(l1d, victim, ready)
+        self._handle_writeback(l1d, victim, ready)
         if is_write:
             l1d.mark_dirty(pline)
 
@@ -411,15 +418,14 @@ class Hierarchy:
         l2 = self.l2
         # Cache.lookup inlined (identical bookkeeping), as in demand_access.
         if type(l2) is Cache:
-            way = l2._where.get(pline)
-            if way is None:
+            slot = l2._where.get(pline)
+            if slot is None:
                 if not is_prefetch:
                     stats2 = l2.stats
                     stats2.demand_accesses += 1
                     stats2.demand_misses += 1
                     if l2._drrip is not None:
                         l2._drrip.record_miss(pline & l2._set_mask)
-                cl = None
             else:
                 if not is_prefetch:
                     stats2 = l2.stats
@@ -430,28 +436,28 @@ class Hierarchy:
                 if lru is not None:
                     clock = lru._clock[sidx] + 1
                     lru._clock[sidx] = clock
-                    lru._age[sidx][way] = clock
+                    lru._age[slot] = clock
                 elif l2._srrip_hit is not None:
-                    l2._srrip_hit[sidx][way] = 0
+                    l2._srrip_hit[slot] = 0
                 else:
-                    l2.policy.on_hit(sidx, way)
-                cl = l2.sets[sidx][way]
+                    l2.policy.on_hit(sidx, slot - sidx * l2.ways)
         else:
-            cl = l2.lookup(pline, is_demand=not is_prefetch)
-        if cl is not None:
-            ready = max(now + self.l2.latency, cl.arrival_cycle)
+            slot = l2.lookup(pline, is_demand=not is_prefetch)
+        if slot is not None:
+            ready = max(now + l2.latency, l2.arrival[slot])
             if not is_prefetch:
-                was_pf, was_late, _ = self.l2.demand_touch(cl, ready)
-                if was_pf and cl.pf_origin in self.pf_stats:
-                    self._credit_useful(cl.pf_origin, was_late)
-                    if cl.pf_origin == "l2":
+                was_pf, was_late, _ = l2.demand_touch(slot, ready)
+                origin = l2.origin[slot]
+                if was_pf and origin:
+                    self._credit_useful(ORIGIN_NAMES[origin], was_late)
+                    if origin == ORIGIN_L2:
                         # Positive feedback for filtering prefetchers.
                         self.l2_prefetcher.on_prefetch_hit(
                             AccessInfo(
                                 ip=ip, line=pline, hit=True,
                                 prefetch_hit=True, now=now,
                             ),
-                            cl.pf_latency,
+                            l2.pf_lat[slot],
                         )
                 self._run_l2_prefetcher(ip, pline, hit=True, now=now)
             return ready
@@ -489,15 +495,14 @@ class Hierarchy:
         llc = self.llc
         # Cache.lookup inlined (identical bookkeeping), as in demand_access.
         if type(llc) is Cache:
-            way = llc._where.get(pline)
-            if way is None:
+            slot = llc._where.get(pline)
+            if slot is None:
                 if not is_prefetch:
                     stats3 = llc.stats
                     stats3.demand_accesses += 1
                     stats3.demand_misses += 1
                     if llc._drrip is not None:
                         llc._drrip.record_miss(pline & llc._set_mask)
-                cl = None
             else:
                 if not is_prefetch:
                     stats3 = llc.stats
@@ -508,20 +513,20 @@ class Hierarchy:
                 if lru is not None:
                     clock = lru._clock[sidx] + 1
                     lru._clock[sidx] = clock
-                    lru._age[sidx][way] = clock
+                    lru._age[slot] = clock
                 elif llc._srrip_hit is not None:
-                    llc._srrip_hit[sidx][way] = 0
+                    llc._srrip_hit[slot] = 0
                 else:
-                    llc.policy.on_hit(sidx, way)
-                cl = llc.sets[sidx][way]
+                    llc.policy.on_hit(sidx, slot - sidx * llc.ways)
         else:
-            cl = llc.lookup(pline, is_demand=not is_prefetch)
-        if cl is not None:
-            ready = max(now + self.llc.latency, cl.arrival_cycle)
+            slot = llc.lookup(pline, is_demand=not is_prefetch)
+        if slot is not None:
+            ready = max(now + llc.latency, llc.arrival[slot])
             if not is_prefetch:
-                was_pf, was_late, _ = self.llc.demand_touch(cl, ready)
-                if was_pf and cl.pf_origin in self.pf_stats:
-                    self._credit_useful(cl.pf_origin, was_late)
+                was_pf, was_late, _ = llc.demand_touch(slot, ready)
+                origin = llc.origin[slot]
+                if was_pf and origin:
+                    self._credit_useful(ORIGIN_NAMES[origin], was_late)
             return ready
 
         miss_time = now + self.llc.latency
@@ -537,24 +542,23 @@ class Hierarchy:
         self._handle_writeback(self.llc, victim, ready)
         return ready
 
-    def _handle_writeback(
-        self, cache: Cache, victim: Optional[CacheLine], now: int
-    ) -> None:
-        if victim is None or not victim.dirty:
+    def _handle_writeback(self, cache: Cache, tag: int, now: int) -> None:
+        """Write back the dirty victim ``tag`` (``-1``: none) of ``cache``."""
+        if tag < 0:
             return
         if cache is self.l1d:
             self.traffic_l1d_l2.writeback += 1
-            wv = self.l2.fill(victim.tag, now, now, is_prefetch=False)
-            self.l2.mark_dirty(victim.tag)
+            wv = self.l2.fill(tag, now, now, is_prefetch=False)
+            self.l2.mark_dirty(tag)
             self._handle_writeback(self.l2, wv, now)
         elif cache is self.l2:
             self.traffic_l2_llc.writeback += 1
-            wv = self.llc.fill(victim.tag, now, now, is_prefetch=False)
-            self.llc.mark_dirty(victim.tag)
+            wv = self.llc.fill(tag, now, now, is_prefetch=False)
+            self.llc.mark_dirty(tag)
             self._handle_writeback(self.llc, wv, now)
         else:
             self.traffic_llc_dram.writeback += 1
-            self.dram.write(victim.tag, now)
+            self.dram.write(tag, now)
 
     # ------------------------------------------------------------------
     # Prefetch issue
@@ -844,7 +848,7 @@ class Hierarchy:
                     pf_latency=(
                         latency if 0 < latency < latency_cap else 0
                     ),
-                    pf_origin="l1d",
+                    pf_origin=ORIGIN_L1D,
                 )
                 tr_l1d_l2 += 1
                 fills += 1
@@ -900,7 +904,7 @@ class Hierarchy:
                     pf_latency=(
                         latency if 0 < latency < latency_cap else 0
                     ),
-                    pf_origin="l1d",
+                    pf_origin=ORIGIN_L1D,
                 )
                 tr_l1d_l2 += 1
                 tr_l2_llc += 1
@@ -1084,7 +1088,7 @@ class Hierarchy:
                 ip=ip,
                 vline=vline,
                 pf_latency=self._clamp_latency(latency),
-                pf_origin="l1d",
+                pf_origin=ORIGIN_L1D,
             )
             self.traffic_l1d_l2.prefetch += 1
             stats.fills += 1
@@ -1117,7 +1121,8 @@ class Hierarchy:
             self.l2.fill(
                 pline, now=issue_time, arrival_cycle=ready, is_prefetch=True,
                 ip=ip, vline=vline,
-                pf_latency=self._clamp_latency(ready - now), pf_origin="l1d",
+                pf_latency=self._clamp_latency(ready - now),
+                pf_origin=ORIGIN_L1D,
             )
             self.traffic_l1d_l2.prefetch += 1
             self.traffic_l2_llc.prefetch += 1
@@ -1133,7 +1138,7 @@ class Hierarchy:
             self.llc_mshr.allocate(pline, issue_time, ready, True, ip=ip)
             self.llc.fill(
                 pline, now=issue_time, arrival_cycle=ready, is_prefetch=True,
-                pf_origin="l1d",
+                pf_origin=ORIGIN_L1D,
             )
             self.traffic_llc_dram.prefetch += 1
             stats.fills += 1
@@ -1180,7 +1185,7 @@ class Hierarchy:
             self.llc_mshr.allocate(pline, now, ready, True, ip=ip)
             self.llc.fill(
                 pline, now=now, arrival_cycle=ready, is_prefetch=True,
-                pf_origin="l2",
+                pf_origin=ORIGIN_L2,
             )
             self.traffic_llc_dram.prefetch += 1
         else:
@@ -1191,7 +1196,7 @@ class Hierarchy:
             self.l2_mshr.allocate(pline, now, ready, True, ip=ip)
             self.l2.fill(
                 pline, now=now, arrival_cycle=ready, is_prefetch=True, ip=ip,
-                pf_origin="l2",
+                pf_origin=ORIGIN_L2,
             )
             self.traffic_l2_llc.prefetch += 1
         stats.fills += 1
@@ -1224,10 +1229,10 @@ class Hierarchy:
         """
         counts = {"l1d": 0, "l2": 0}
         for cache in (self.l1d, self.l2, self.llc):
-            for cset in cache.sets:
-                for cl in cset:
-                    if cl.valid and cl.prefetched and cl.pf_origin in counts:
-                        counts[cl.pf_origin] += 1
+            # A set prefetch bit implies a valid line (check_cache).
+            origins = list(compress(cache.origin, cache.pref))
+            counts["l1d"] += origins.count(ORIGIN_L1D)
+            counts["l2"] += origins.count(ORIGIN_L2)
         # In-flight prefetch misses promoted by a later demand are
         # credited to the MSHR's level ("l1d"/"l2" respectively).
         for origin, mshr in (("l1d", self.l1d_mshr), ("l2", self.l2_mshr)):

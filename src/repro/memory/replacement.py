@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from abc import ABC, abstractmethod
-from typing import List
+from array import array
 
 
 class ReplacementPolicy(ABC):
@@ -41,53 +41,42 @@ class ReplacementPolicy(ABC):
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Classic least-recently-used, tracked with a per-set stack position."""
+    """Classic least-recently-used, tracked with per-set clock stamps.
+
+    ``_age`` is a flat column indexed by slot ``set * ways + way``
+    (higher means more recently used); ``_clock`` holds one stamp
+    counter per set.
+    """
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
         super().__init__(num_sets, num_ways)
-        # _age[s][w]: higher means more recently used.
-        self._age: List[List[int]] = [[0] * num_ways for _ in range(num_sets)]
-        self._clock: List[int] = [0] * num_sets
+        self._age = array("q", bytes(8 * num_sets * num_ways))
+        self._clock = array("q", bytes(8 * num_sets))
 
     def on_fill(self, set_index: int, way: int) -> None:
         clock = self._clock[set_index] + 1
         self._clock[set_index] = clock
-        self._age[set_index][way] = clock
+        self._age[set_index * self.num_ways + way] = clock
 
-    def on_hit(self, set_index: int, way: int) -> None:
-        clock = self._clock[set_index] + 1
-        self._clock[set_index] = clock
-        self._age[set_index][way] = clock
+    on_hit = on_fill
 
     def victim(self, set_index: int) -> int:
         # index(min(...)) runs both steps at C speed and picks the same
         # (first) minimal way as a keyed min over way indices.
-        ages = self._age[set_index]
+        base = set_index * self.num_ways
+        ages = self._age[base:base + self.num_ways]
         return ages.index(min(ages))
 
 
-class FIFOPolicy(ReplacementPolicy):
+class FIFOPolicy(LRUPolicy):
     """First-in-first-out: evict the oldest *fill*, ignore hits.
 
     This is the policy the Berti hardware tables use.
     """
 
-    def __init__(self, num_sets: int, num_ways: int) -> None:
-        super().__init__(num_sets, num_ways)
-        self._order: List[List[int]] = [[0] * num_ways for _ in range(num_sets)]
-        self._clock: List[int] = [0] * num_sets
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        self._clock[set_index] += 1
-        self._order[set_index][way] = self._clock[set_index]
-
     def on_hit(self, set_index: int, way: int) -> None:
         # FIFO ignores reuse.
         pass
-
-    def victim(self, set_index: int) -> int:
-        order = self._order[set_index]
-        return order.index(min(order))
 
 
 class RandomPolicy(ReplacementPolicy):
@@ -119,31 +108,33 @@ class SRRIPPolicy(ReplacementPolicy):
 
     def __init__(self, num_sets: int, num_ways: int) -> None:
         super().__init__(num_sets, num_ways)
-        self._rrpv: List[List[int]] = [
-            [self.MAX_RRPV] * num_ways for _ in range(num_sets)
-        ]
+        # Flat per-slot column (``set * ways + way``), like LRU's ages.
+        self._rrpv = array("q", [self.MAX_RRPV]) * (num_sets * num_ways)
 
     def insertion_rrpv(self, set_index: int) -> int:
         return self.MAX_RRPV - 1
 
     def on_fill(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = self.insertion_rrpv(set_index)
+        self._rrpv[set_index * self.num_ways + way] = (
+            self.insertion_rrpv(set_index)
+        )
 
     def on_hit(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = 0
+        self._rrpv[set_index * self.num_ways + way] = 0
 
     def victim(self, set_index: int) -> int:
-        rrpvs = self._rrpv[set_index]
-        max_rrpv = self.MAX_RRPV
+        rrpvs = self._rrpv
+        base = set_index * self.num_ways
+        end = base + self.num_ways
         while True:
-            # list.index finds the same first way at RRPV max as the
+            # array.index finds the same first way at RRPV max as the
             # way-order scan, at C speed; misses dominate eviction, so
             # the aging pass (no candidate yet) is the rare branch.
             try:
-                return rrpvs.index(max_rrpv)
+                return rrpvs.index(self.MAX_RRPV, base, end) - base
             except ValueError:
-                for way in range(self.num_ways):
-                    rrpvs[way] += 1
+                for slot in range(base, end):
+                    rrpvs[slot] += 1
 
 
 class DRRIPPolicy(SRRIPPolicy):
@@ -177,9 +168,6 @@ class DRRIPPolicy(SRRIPPolicy):
                 return self.MAX_RRPV - 1
             return self.MAX_RRPV
         return self.MAX_RRPV - 1
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        self._rrpv[set_index][way] = self.insertion_rrpv(set_index)
 
     def record_miss(self, set_index: int) -> None:
         """Update the duelling counter on a miss to a leader set."""

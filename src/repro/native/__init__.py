@@ -2,8 +2,9 @@
 
 ``engine="native"`` runs each simulation span through a small C shared
 object compiled at first use (:mod:`repro.native.build`) over flat
-buffers (:mod:`repro.native.marshal`, zero-copy for the trace columns
-and Berti history rings).  Its guards
+buffers (:mod:`repro.native.marshal`, zero-copy for the trace columns,
+the caches' per-way and replacement columns, and the Berti history
+rings).  Its guards
 (:func:`repro.native.runner.native_mode`) demote any span the kernel
 cannot run — no compiler, non-stock or instrumented parts, any
 prefetcher but the stock Berti — to the classic per-record loop, with

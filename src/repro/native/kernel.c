@@ -15,6 +15,11 @@
  * Python's % and //, and all float work is IEEE double in source order
  * (compiled -O2 WITHOUT -ffast-math).
  *
+ * The cache buffers are the Python Cache's own per-way columns and its
+ * replacement policy's columns (slot = set * ways + way), bound by
+ * pointer and updated in place; every set is allocated, so no set is
+ * ever initialised or copied here.
+ *
  * Contract: repro_run_span(R, F, B) runs records [R[LO], R[HI]) and
  * returns 0 on success or R[ERR] after an error longjmp.  On both
  * paths every struct-cached scalar and span-delta counter is written
@@ -139,7 +144,7 @@ typedef struct {
     i64 psel;
     i64 pf_fills, dem_fills, useless, wb;
     i64 *tag, *valid, *dirty, *pref, *arr, *pflat, *ip, *vline, *org;
-    i64 *mat, *polc, *pola, *mtbuf;
+    i64 *polc, *pola, *mtbuf;
 } CCache;
 
 static CCache CL1, CL2, CLL;
@@ -160,7 +165,6 @@ static CCache CL1, CL2, CLL;
     (c)->ip = (i64 *)B[B_##P##_IP];                                    \
     (c)->vline = (i64 *)B[B_##P##_VLINE];                              \
     (c)->org = (i64 *)B[B_##P##_ORG];                                  \
-    (c)->mat = (i64 *)B[B_##P##_MAT];                                  \
     (c)->polc = (i64 *)B[B_##P##_POLC];                                \
     (c)->pola = (i64 *)B[B_##P##_POLA];                                \
     (c)->mtbuf = (i64 *)B[B_##P##_MT];                                 \
@@ -174,8 +178,6 @@ static CCache CL1, CL2, CLL;
 } while (0)
 
 static i64 cache_way(CCache *c, i64 s, i64 line) {
-    if (!c->mat[s])
-        return -1;
     i64 base = s * c->ways;
     i64 w;
     for (w = 0; w < c->ways; w++) {
@@ -188,7 +190,6 @@ static i64 cache_way(CCache *c, i64 s, i64 line) {
 
 static void cache_touch(CCache *c, i64 s, i64 w) {
     i64 i = s * c->ways + w;
-    c->mat[s] = 2;  /* touched: the span import must re-read this set */
     if (c->pol == POL_LRU) {
         i64 clock = c->polc[s] + 1;
         c->polc[s] = clock;
@@ -259,30 +260,8 @@ static i64 cache_fill(CCache *c, i64 line, i64 now, i64 arrival,
     i64 base = s * ways;
     i64 w = cache_way(c, s, line);
     i64 victim_tag = -1;
-    if (c->mat[s])
-        c->mat[s] = 2;
     if (w < 0) {
         i64 k, i;
-        if (!c->mat[s]) {
-            /* Lazy set materialisation: fresh CacheLine rows + the
-             * policy row's virgin values (ages 0 / RRPVs MAX). */
-            c->mat[s] = 2;
-            i64 fill_pola = (c->pol == POL_LRU) ? 0 : MAX_RRPV;
-            for (k = 0; k < ways; k++) {
-                i = base + k;
-                c->tag[i] = -1;
-                c->valid[i] = 0;
-                c->dirty[i] = 0;
-                c->pref[i] = 0;
-                c->arr[i] = 0;
-                c->pflat[i] = 0;
-                c->ip[i] = 0;
-                c->vline[i] = -1;
-                c->org[i] = 0;
-                c->pola[i] = fill_pola;
-            }
-            c->polc[s] = 0;
-        }
         i64 nvalid = 0;
         for (k = 0; k < ways; k++)
             if (c->valid[base + k])
@@ -349,10 +328,8 @@ static i64 cache_fill(CCache *c, i64 line, i64 now, i64 arrival,
 static void cache_mark_dirty(CCache *c, i64 line) {
     i64 s = line & c->set_mask;
     i64 w = cache_way(c, s, line);
-    if (w >= 0) {
+    if (w >= 0)
         c->dirty[s * c->ways + w] = 1;
-        c->mat[s] = 2;
-    }
 }
 
 /* ------------------------------------------------------------------ */

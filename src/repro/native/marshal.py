@@ -1,13 +1,13 @@
 """State marshalling between the Python simulator objects and the C kernel.
 
 The native backend runs one *span* at a time: :class:`NativeState`
-exports the full mutable simulation state into flat ``int64``/``double``
-buffers, the C kernel executes the span over those buffers, and the
-state is imported back into the very same Python objects before the
-span runner returns.  Python therefore remains the source of truth at
-every span boundary — snapshots, warmup resets, lockstep digests and
-engine switches (demotion) all operate on ordinary hierarchy objects
-and never need to know a C kernel ran the span.
+binds or exports the mutable simulation state as flat ``int64``/
+``double`` buffers, the C kernel executes the span over those buffers,
+and whatever was copied is imported back into the very same Python
+objects before the span runner returns.  The hierarchy objects are
+therefore current at every span boundary — snapshots, warmup resets,
+lockstep digests and engine switches (demotion) all operate on ordinary
+hierarchy objects and never need to know a C kernel ran the span.
 
 Layout contract
 ---------------
@@ -21,8 +21,12 @@ hash and forces a rebuild.
 
 Three marshalling classes of state:
 
-* **zero-copy** — the trace columns and the Berti history-table rings
-  (``array('q')`` columns) are passed by pointer and mutated in place;
+* **zero-copy** — the trace columns, the caches' per-way columns and
+  replacement columns (:class:`~repro.memory.cache.Cache` and its
+  policy keep their state in exactly the kernel's layout) and the
+  Berti history-table rings (``array('q')`` columns) are passed by
+  pointer and mutated in place; after each span every cache rebuilds
+  its derived presence index (:meth:`~repro.memory.cache.Cache.reindex`);
 * **span-delta counters** — the pure counters the classic
   :class:`~repro.memory.hierarchy.Hierarchy` methods bump accumulate in
   registers zeroed at span start and added back on success only (a
@@ -33,11 +37,12 @@ Three marshalling classes of state:
   end (even on error: like the classic loop, the kernel mutates
   structures in place before it fails).
 
-Dict-shaped indexes (``Cache._where``, ``MSHR._entries``, TLB ``_map``,
-history ``_chains``, delta-table ``_by_delta``/``_by_tag``) are rebuilt
-from the flat columns at import time; their *insertion order* differs
-from the classic engine's, which is why those classes canonicalise dict
-order in ``__getstate__`` — snapshot bytes stay backend-independent.
+Dict-shaped indexes (``MSHR._entries``, TLB ``_map``, history
+``_chains``, delta-table ``_by_delta``/``_by_tag``) are rebuilt from the
+flat columns at import time; their *insertion order* differs from the
+classic engine's, which is why those classes canonicalise dict order in
+``__getstate__`` — snapshot bytes stay backend-independent.  (A cache's
+``_where`` is never pickled at all.)
 """
 
 from __future__ import annotations
@@ -47,10 +52,10 @@ from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from repro.cpu.core_model import CoreModel
-from repro.memory.cache import Cache, CacheLine
+from repro.errors import SimulationError
 from repro.memory.hierarchy import LATENCY_FIELD_BITS, Hierarchy
 from repro.memory.mshr import MSHREntry
-from repro.memory.replacement import DRRIPPolicy, LRUPolicy, SRRIPPolicy
+from repro.memory.replacement import DRRIPPolicy, LRUPolicy
 
 try:  # numpy is a declared dependency, but the fallback keeps us honest
     import numpy as _np
@@ -63,10 +68,6 @@ __all__ = ["REGISTERS", "FREGS", "BUFS", "NativeState", "layout_digest"]
 POL_LRU = 0
 POL_SRRIP = 1
 POL_DRRIP = 2
-
-# CacheLine.pf_origin encoding.
-ORIGINS = ("", "l1d", "l2")
-_ORIGIN_CODE = {"": 0, "l1d": 1, "l2": 2}
 
 _CACHE_PREFIXES = ("L1", "L2", "LL")
 _MSHR_PREFIXES = ("M1", "M2")
@@ -164,9 +165,14 @@ FREGS: Tuple[str, ...] = (
     "F_HIGH", "F_MEDIUM", "F_REPL", "F_WARM_WM",
 )
 
+#: Kernel buffer suffix -> the Cache column bound to it by pointer.
+_CACHE_COLUMNS = (
+    ("TAG", "tags"), ("VALID", "valid"), ("DIRTY", "dirty"),
+    ("PREF", "pref"), ("ARR", "arrival"), ("PFLAT", "pf_lat"),
+    ("IP", "ips"), ("VLINE", "vlines"), ("ORG", "origin"),
+)
 _CACHE_BUF_FIELDS = (
-    "TAG", "VALID", "DIRTY", "PREF", "ARR", "PFLAT", "IP", "VLINE",
-    "ORG", "MAT", "POLC", "POLA", "MT",
+    *(f for f, _ in _CACHE_COLUMNS), "POLC", "POLA", "MT",
 )
 _MSHR_BUF_FIELDS = ("LINE", "ALLOC", "READY", "ISPF", "IP", "VLINE", "MERGED")
 _TLB_BUF_FIELDS = ("VP", "PP", "LEN")
@@ -219,6 +225,16 @@ def _ptr_of(buf: Any) -> int:
     return buf.buffer_info()[0] if len(buf) else 0
 
 
+def _column(buf: Any, n: int, what: str) -> Any:
+    """``buf``, checked to be an int64 column of ``n`` entries: the
+    kernel indexes bound cache columns without bounds checks."""
+    if not isinstance(buf, array) or buf.typecode != "q" or len(buf) != n:
+        raise SimulationError(
+            f"{what} is not an array('q') of {n} entries", field="engine"
+        )
+    return buf
+
+
 class NativeState:
     """Owns the flat buffers for one (trace, hierarchy, core) binding."""
 
@@ -233,12 +249,6 @@ class NativeState:
         self.bufs: Dict[str, Any] = {name: None for name in BUFS}
         self._kern = None
         self._win_cap = 0
-        # Cache-array sync protocol: Python-side cache objects and the
-        # flat set arrays stay pointwise equal between spans, so export
-        # only rewrites them after mark_stale() (first span, or a
-        # demoted span mutated the Python objects behind our back), and
-        # import only reads sets the kernel flagged touched (mat == 2).
-        self._cache_stale = True
 
         ips, addrs, writes, gaps, deps = trace.columns()
         vlines, vpages = decoded_columns(trace)
@@ -258,12 +268,6 @@ class NativeState:
     def _alloc_static(self) -> None:
         h, b = self.h, self.bufs
         for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
-            n = cache.num_sets * cache.ways
-            for f in ("TAG", "VALID", "DIRTY", "PREF", "ARR", "PFLAT",
-                      "IP", "VLINE", "ORG", "POLA"):
-                b[f"{p}_{f}"] = array("q", bytes(8 * n))
-            b[f"{p}_MAT"] = array("q", bytes(8 * cache.num_sets))
-            b[f"{p}_POLC"] = array("q", bytes(8 * cache.num_sets))
             if type(cache.policy) is DRRIPPolicy:
                 b[f"{p}_MT"] = array("q", bytes(8 * 625))
         for p, mshr in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
@@ -333,82 +337,36 @@ class NativeState:
         R[RIX["T2L_WB"]] = h.traffic_l2_llc.writeback
         R[RIX["TLD_WB"]] = h.traffic_llc_dram.writeback
 
-    def mark_stale(self) -> None:
-        """Python-side cache objects were mutated outside the kernel
-        (a demoted span ran); the next span must re-export every set."""
-        self._cache_stale = True
-
     def _export_caches(self) -> None:
-        R, F, b = self.R, self.F, self.bufs
-        h = self.h
-        stale = self._cache_stale
+        R, b, h = self.R, self.bufs, self.h
         for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
-            ways = cache.ways
-            R[RIX[f"{p}_SETS"]] = cache.num_sets
-            R[RIX[f"{p}_WAYS"]] = ways
+            sets, n = cache.num_sets, cache.num_lines
+            R[RIX[f"{p}_SETS"]] = sets
+            R[RIX[f"{p}_WAYS"]] = cache.ways
             R[RIX[f"{p}_LAT"]] = cache.latency
+            for f, column in _CACHE_COLUMNS:
+                b[f"{p}_{f}"] = _column(getattr(cache, column), n,
+                                        f"{cache.name}.{column}")
             pol = cache.policy
             if type(pol) is LRUPolicy:
                 R[RIX[f"{p}_POL"]] = POL_LRU
-                pol_clock, pol_rows = pol._clock, pol._age
+                b[f"{p}_POLC"] = _column(pol._clock, sets,
+                                         f"{cache.name} LRU clocks")
+                b[f"{p}_POLA"] = _column(pol._age, n, f"{cache.name} LRU ages")
             else:
                 R[RIX[f"{p}_POL"]] = (
                     POL_DRRIP if type(pol) is DRRIPPolicy else POL_SRRIP
                 )
-                pol_clock, pol_rows = None, pol._rrpv
+                b[f"{p}_POLC"] = None
+                b[f"{p}_POLA"] = _column(pol._rrpv, n, f"{cache.name} RRPVs")
             if type(pol) is DRRIPPolicy:
                 R[RIX[f"{p}_PSEL"]] = pol._psel
-                if stale:
-                    mt = b[f"{p}_MT"]
-                    state = pol._rng.getstate()[1]
-                    for i in range(625):
-                        mt[i] = state[i]
+                b[f"{p}_MT"][:] = array("q", pol._rng.getstate()[1])
             st = cache.stats
             R[RIX[f"{p}_PF_FILLS"]] = st.prefetch_fills
             R[RIX[f"{p}_DEM_FILLS"]] = st.demand_fills
             R[RIX[f"{p}_USELESS"]] = st.useless_prefetches
             R[RIX[f"{p}_WB"]] = st.writebacks
-            if not stale:
-                # Set arrays are pointwise equal to the Python objects
-                # (kept in sync by the touched-set import), skip them.
-                continue
-            tags = b[f"{p}_TAG"]
-            valid = b[f"{p}_VALID"]
-            dirty = b[f"{p}_DIRTY"]
-            pref = b[f"{p}_PREF"]
-            arr = b[f"{p}_ARR"]
-            pflat = b[f"{p}_PFLAT"]
-            ipc = b[f"{p}_IP"]
-            vlc = b[f"{p}_VLINE"]
-            org = b[f"{p}_ORG"]
-            mat = b[f"{p}_MAT"]
-            polc = b[f"{p}_POLC"]
-            pola = b[f"{p}_POLA"]
-            ocode = _ORIGIN_CODE
-            for s, row in enumerate(cache.sets):
-                if not row:
-                    mat[s] = 0
-                    continue
-                mat[s] = 1
-                base = s * ways
-                for w, cl in enumerate(row):
-                    i = base + w
-                    tags[i] = cl.tag
-                    valid[i] = 1 if cl.valid else 0
-                    dirty[i] = 1 if cl.dirty else 0
-                    pref[i] = 1 if cl.prefetched else 0
-                    arr[i] = cl.arrival_cycle
-                    pflat[i] = cl.pf_latency
-                    ipc[i] = cl.ip
-                    vlc[i] = cl.vline
-                    org[i] = ocode[cl.pf_origin]
-                prow = pol_rows[s]
-                for w in range(ways):
-                    pola[base + w] = prow[w]
-                if pol_clock is not None:
-                    polc[s] = pol_clock[s]
-        if stale:
-            self._cache_stale = False
 
     def _export_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h
@@ -682,77 +640,16 @@ class NativeState:
     def _import_caches(self) -> None:
         R, b, h = self.R, self.bufs, self.h
         for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
-            ways = cache.ways
-            tags = b[f"{p}_TAG"]
-            valid = b[f"{p}_VALID"]
-            dirty = b[f"{p}_DIRTY"]
-            pref = b[f"{p}_PREF"]
-            arr = b[f"{p}_ARR"]
-            pflat = b[f"{p}_PFLAT"]
-            ipc = b[f"{p}_IP"]
-            vlc = b[f"{p}_VLINE"]
-            org = b[f"{p}_ORG"]
-            mat = b[f"{p}_MAT"]
-            polc = b[f"{p}_POLC"]
-            pola = b[f"{p}_POLA"]
             pol = cache.policy
-            if type(pol) is LRUPolicy:
-                pol_clock, pol_rows = pol._clock, pol._age
-            else:
-                pol_clock, pol_rows = None, pol._rrpv
             if type(pol) is DRRIPPolicy:
                 pol._psel = R[RIX[f"{p}_PSEL"]]
-                mt = b[f"{p}_MT"]
-                pol._rng.setstate(
-                    (3, tuple(mt[i] for i in range(625)), None)
-                )
-            where = cache._where
-            vcount = cache._valid_count
-            sets = cache.sets
-            for s in range(cache.num_sets):
-                if mat[s] != 2:  # untouched since export: already in sync
-                    continue
-                mat[s] = 1
-                row = sets[s]
-                if not row:
-                    row += [CacheLine() for _ in range(ways)]
-                else:
-                    # Tags are full line numbers (they encode the set),
-                    # so evicting this set's old keys cannot collide
-                    # with entries belonging to other sets.
-                    for cl in row:
-                        if cl.valid:
-                            where.pop(cl.tag, None)
-                base = s * ways
-                nvalid = 0
-                for w in range(ways):
-                    i = base + w
-                    cl = row[w]
-                    t = tags[i]
-                    cl.tag = t
-                    v = valid[i] != 0
-                    cl.valid = v
-                    cl.dirty = dirty[i] != 0
-                    cl.prefetched = pref[i] != 0
-                    cl.arrival_cycle = arr[i]
-                    cl.pf_latency = pflat[i]
-                    cl.ip = ipc[i]
-                    cl.vline = vlc[i]
-                    cl.pf_origin = ORIGINS[org[i]]
-                    if v:
-                        nvalid += 1
-                        where[t] = w
-                vcount[s] = nvalid
-                prow = pol_rows[s]
-                for w in range(ways):
-                    prow[w] = pola[base + w]
-                if pol_clock is not None:
-                    pol_clock[s] = polc[s]
+                pol._rng.setstate((3, tuple(b[f"{p}_MT"]), None))
             st = cache.stats
             st.prefetch_fills = R[RIX[f"{p}_PF_FILLS"]]
             st.demand_fills = R[RIX[f"{p}_DEM_FILLS"]]
             st.useless_prefetches = R[RIX[f"{p}_USELESS"]]
             st.writebacks = R[RIX[f"{p}_WB"]]
+            cache.reindex()
 
     def _import_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h

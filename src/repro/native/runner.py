@@ -187,10 +187,6 @@ class NativeRunner:
             self.demotion_code = code
             self.demotion_detail = detail
         self.demoted_spans += 1
-        if self._state is not None:
-            # The Python span mutates the cache objects behind the flat
-            # buffers; a later native span must re-export everything.
-            self._state.mark_stale()
         # Built per span: the guard that demoted this span may be a
         # wrapper attached since the last one, and the classic loop reads
         # ``demand_access`` when it is built.

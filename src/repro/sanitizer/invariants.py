@@ -7,9 +7,9 @@ instead of trusting post-hoc statistics checks.  Attach it with
 ``Hierarchy.demand_access`` and, every ``check_every`` accesses, walks
 the hierarchy's structures:
 
-* **cache** — presence-index (``_where``) ↔ way-array consistency,
-  ``_valid_count`` bookkeeping, duplicate-tag/duplicate-way detection,
-  prefetch metadata ranges;
+* **cache** — the per-way columns against their derived indexes
+  (``_where`` ↔ tag/valid columns, ``_valid_count``), duplicate tags,
+  prefetch metadata ranges, no prefetch bit on an invalid slot;
 * **replacement** — LRU clock uniqueness and bounds, SRRIP/DRRIP RRPV
   range, DRRIP PSEL range;
 * **mshr** — occupancy bound, per-entry timestamp monotonicity
@@ -32,12 +32,15 @@ after which it was detected and a dump of the offending structure.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.delta_table import L2_PREF_REPL, NO_PREF, DeltaTable
 from repro.core.history_table import HistoryTable
 from repro.errors import SanitizerError
-from repro.memory.cache import Cache
+from repro.memory.cache import ORIGIN_L1D, ORIGIN_L2, ORIGIN_NONE, Cache
 from repro.memory.hierarchy import Hierarchy, _FIFOQueue
 from repro.memory.mshr import MSHR
 from repro.memory.replacement import (
@@ -56,87 +59,63 @@ Violation = Tuple[str, str, Dict[str, Any]]
 # ----------------------------------------------------------------------
 
 def check_cache(cache: Cache) -> List[Violation]:
-    """Structural consistency of one cache's presence index and ways."""
+    """Consistency of one cache's columns and its derived indexes."""
     out: List[Violation] = []
     name = cache.name
-    sets = cache.sets
     ways = cache.ways
-    num_sets = cache.num_sets
     mask = cache._set_mask
+    tags, valid, where = cache.tags, cache.valid, cache._where
 
-    claimed: Dict[Tuple[int, int], int] = {}
-    for line, way in cache._where.items():
+    for line, slot in where.items():
         sidx = line & mask
-        dump = {"cache": name, "line": line, "set": sidx, "way": way}
-        if not 0 <= way < ways:
-            out.append((name, f"_where[{line:#x}] = way {way} out of "
-                        f"[0, {ways})", dump))
-            continue
-        ways_list = sets[sidx]
-        if not ways_list:
-            out.append((name, f"_where[{line:#x}] points into an "
-                        f"unmaterialised set {sidx}", dump))
-            continue
-        cl = ways_list[way]
-        if not cl.valid:
+        dump = {"cache": name, "line": line, "set": sidx, "slot": slot}
+        if slot // ways != sidx:
+            out.append((name, f"_where[{line:#x}] = slot {slot} is outside "
+                        f"set {sidx}", dump))
+        elif not valid[slot]:
             out.append((name, f"_where[{line:#x}] points at invalid "
-                        f"way {way} of set {sidx}", dump))
-        elif cl.tag != line:
-            out.append((name, f"_where[{line:#x}] points at way {way} "
-                        f"holding tag {cl.tag:#x}",
-                        {**dump, "found_tag": cl.tag}))
-        prev = claimed.setdefault((sidx, way), line)
-        if prev != line:
-            out.append((name, f"ways aliased: lines {prev:#x} and "
-                        f"{line:#x} both map to set {sidx} way {way}",
-                        {**dump, "other_line": prev}))
+                        f"slot {slot}", dump))
+        elif tags[slot] != line:
+            out.append((name, f"_where[{line:#x}] points at slot {slot} "
+                        f"holding tag {tags[slot]:#x}",
+                        {**dump, "found_tag": tags[slot]}))
 
-    valid_total = 0
-    for sidx in range(num_sets):
-        ways_list = sets[sidx]
-        if not ways_list:
-            if cache._valid_count[sidx]:
-                out.append((name, f"set {sidx} unmaterialised but "
-                            f"_valid_count = {cache._valid_count[sidx]}",
-                            {"cache": name, "set": sidx}))
-            continue
-        valid = 0
-        seen_tags: Dict[int, int] = {}
-        for way, cl in enumerate(ways_list):
-            if not cl.valid:
-                continue
-            valid += 1
-            other = seen_tags.setdefault(cl.tag, way)
-            if other != way:
-                out.append((name, f"duplicate tag {cl.tag:#x} in set "
-                            f"{sidx} (ways {other} and {way})",
-                            {"cache": name, "set": sidx, "tag": cl.tag}))
-            if cache._where.get(cl.tag) != way:
-                out.append((name, f"valid line {cl.tag:#x} (set {sidx} "
-                            f"way {way}) missing from _where",
-                            {"cache": name, "set": sidx, "way": way,
-                             "tag": cl.tag}))
-            if cl.pf_origin not in ("", "l1d", "l2"):
-                out.append((name, f"line {cl.tag:#x} has unknown "
-                            f"pf_origin {cl.pf_origin!r}",
-                            {"cache": name, "tag": cl.tag,
-                             "pf_origin": cl.pf_origin}))
-            if cl.pf_latency < 0:
-                out.append((name, f"line {cl.tag:#x} has negative "
-                            f"pf_latency {cl.pf_latency}",
-                            {"cache": name, "tag": cl.tag,
-                             "pf_latency": cl.pf_latency}))
-        if valid != cache._valid_count[sidx]:
-            out.append((name, f"set {sidx}: {valid} valid ways but "
-                        f"_valid_count = {cache._valid_count[sidx]}",
-                        {"cache": name, "set": sidx, "valid": valid,
-                         "valid_count": cache._valid_count[sidx]}))
-        valid_total += valid
-    if valid_total != len(cache._where):
-        out.append((name, f"{valid_total} valid lines but _where has "
-                    f"{len(cache._where)} entries",
-                    {"cache": name, "valid": valid_total,
-                     "where": len(cache._where)}))
+    seen_tags: Dict[int, int] = {}
+    counts = [0] * cache.num_sets
+    for slot in compress(range(len(valid)), valid):
+        counts[slot // ways] += 1
+        tag = tags[slot]
+        other = seen_tags.setdefault(tag, slot)
+        if other != slot:
+            out.append((name, f"duplicate tag {tag:#x} in slots {other} "
+                        f"and {slot}", {"cache": name, "tag": tag}))
+        elif where.get(tag) != slot:
+            out.append((name, f"valid line {tag:#x} (slot {slot}) missing "
+                        f"from _where",
+                        {"cache": name, "slot": slot, "tag": tag}))
+        origin = cache.origin[slot]
+        if origin not in (ORIGIN_NONE, ORIGIN_L1D, ORIGIN_L2):
+            out.append((name, f"line {tag:#x} has unknown origin code "
+                        f"{origin}", {"cache": name, "tag": tag,
+                                      "origin": origin}))
+        if cache.pf_lat[slot] < 0:
+            out.append((name, f"line {tag:#x} has negative pf_latency "
+                        f"{cache.pf_lat[slot]}",
+                        {"cache": name, "tag": tag,
+                         "pf_latency": cache.pf_lat[slot]}))
+    # Hierarchy.prefetched_line_counts reads the prefetch bit alone.
+    for slot in compress(range(len(valid)), cache.pref):
+        if not valid[slot]:
+            out.append((name, f"slot {slot} has its prefetch bit set but "
+                        f"holds no valid line",
+                        {"cache": name, "set": slot // ways, "slot": slot}))
+
+    for sidx, (count, claimed) in enumerate(zip(counts, cache._valid_count)):
+        if count != claimed:
+            out.append((name, f"set {sidx}: {count} valid ways but "
+                        f"_valid_count = {claimed}",
+                        {"cache": name, "set": sidx, "valid": count,
+                         "valid_count": claimed}))
     return out
 
 
@@ -145,39 +124,32 @@ def check_replacement(cache: Cache) -> List[Violation]:
     out: List[Violation] = []
     name = f"{cache.name}.policy"
     policy = cache.policy
+    ways = cache.ways
     if isinstance(policy, LRUPolicy):
-        for sidx in range(cache.num_sets):
-            ways_list = cache.sets[sidx]
-            if not ways_list:
-                continue
-            clock = policy._clock[sidx]
-            ages = policy._age[sidx]
-            seen: Dict[int, int] = {}
-            for way, cl in enumerate(ways_list):
-                if not cl.valid:
-                    continue
-                age = ages[way]
-                dump = {"cache": cache.name, "set": sidx, "way": way,
-                        "age": age, "clock": clock}
-                if age > clock:
-                    out.append((name, f"set {sidx} way {way}: LRU age "
-                                f"{age} ahead of set clock {clock}", dump))
-                other = seen.setdefault(age, way)
-                if other != way:
-                    out.append((name, f"set {sidx}: LRU age {age} shared "
-                                f"by ways {other} and {way} (clock "
-                                f"uniqueness broken)", dump))
+        seen: Dict[Tuple[int, int], int] = {}
+        for slot in compress(range(len(cache.valid)), cache.valid):
+            sidx, way = divmod(slot, ways)
+            age, clock = policy._age[slot], policy._clock[sidx]
+            dump = {"cache": cache.name, "set": sidx, "way": way,
+                    "age": age, "clock": clock}
+            if age > clock:
+                out.append((name, f"set {sidx} way {way}: LRU age "
+                            f"{age} ahead of set clock {clock}", dump))
+            other = seen.setdefault((sidx, age), way)
+            if other != way:
+                out.append((name, f"set {sidx}: LRU age {age} shared "
+                            f"by ways {other} and {way} (clock "
+                            f"uniqueness broken)", dump))
     if isinstance(policy, SRRIPPolicy):
         max_rrpv = SRRIPPolicy.MAX_RRPV
-        for sidx in range(cache.num_sets):
-            if not cache.sets[sidx]:
-                continue
-            for way, rrpv in enumerate(policy._rrpv[sidx]):
-                if not 0 <= rrpv <= max_rrpv:
-                    out.append((name, f"set {sidx} way {way}: RRPV {rrpv} "
-                                f"out of [0, {max_rrpv}]",
-                                {"cache": cache.name, "set": sidx,
-                                 "way": way, "rrpv": rrpv}))
+        rrpvs = np.frombuffer(policy._rrpv, dtype=np.int64)
+        for slot in np.flatnonzero((rrpvs < 0) | (rrpvs > max_rrpv)).tolist():
+            sidx, way = divmod(slot, ways)
+            rrpv = policy._rrpv[slot]
+            out.append((name, f"set {sidx} way {way}: RRPV {rrpv} "
+                        f"out of [0, {max_rrpv}]",
+                        {"cache": cache.name, "set": sidx,
+                         "way": way, "rrpv": rrpv}))
     if isinstance(policy, DRRIPPolicy):
         if not 0 <= policy._psel <= policy._psel_max:
             out.append((name, f"DRRIP PSEL {policy._psel} out of "

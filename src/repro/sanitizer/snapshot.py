@@ -12,7 +12,7 @@ module holds the format: :func:`save_snapshot`, :func:`load_snapshot`
 (which verifies), and :func:`resume_run`, which checks that a snapshot
 continues the requested run and returns that run.
 
-File format (version 2)::
+File format (version 3)::
 
     <JSON header line>\\n<pickle payload>
 
@@ -20,10 +20,13 @@ The header is human-readable metadata plus integrity/identity fields:
 ``magic``, ``version``, ``index`` (records consumed), trace ``name`` /
 ``records`` / ``trace_crc`` (CRC-32 of the columnar arrays), prefetcher
 names, ``payload_len`` and ``payload_crc`` (CRC-32 of the pickle
-bytes), and — new in version 2 — ``header_crc``, a CRC-32 of the
-canonical JSON of every *other* header field, so a flipped bit in the
-identity fields themselves (trace name, record count, prefetcher names)
-is caught instead of silently redirecting a resume.  Checks run in a
+bytes), and ``header_crc``, :func:`repro.durability.crc32_of` (the
+CRC-32 of the canonical JSON) of every *other* header field, so a
+flipped bit in the identity fields themselves (trace name, record
+count, prefetcher names) is caught instead of silently redirecting a
+resume.  Version 3 pickles each cache as its per-way columns (earlier
+versions held per-line objects) and computes ``header_crc`` with the
+shared helper; older files are refused.  Checks run in a
 fixed order: magic, version, header integrity, payload length, payload
 checksum, trace identity, then payload structure (the unpickled state
 must be a dict carrying every resume field, and its ``next_index`` must
@@ -45,14 +48,14 @@ import pickle
 import zlib
 from typing import Any, Dict, Optional
 
-from repro.durability import atomic_write_bytes
+from repro.durability import atomic_write_bytes, crc32_of
 from repro.errors import SnapshotError
 from repro.prefetchers.base import Prefetcher
 from repro.simulator.engine import Run
 from repro.workloads.trace import Trace
 
 MAGIC = "repro-snap"
-VERSION = 2
+VERSION = 3
 
 #: Payload keys: the :class:`~repro.simulator.engine.Run` attributes a
 #: resume restores, in the order they are pickled.
@@ -62,8 +65,7 @@ FIELDS = ("hierarchy", "core", "next_index", "warmup_end", "carryover",
 
 def _header_crc(header: Dict[str, Any]) -> int:
     """CRC-32 of the canonical JSON of every field except the CRC itself."""
-    core = {k: v for k, v in header.items() if k != "header_crc"}
-    return zlib.crc32(json.dumps(core, sort_keys=True).encode("ascii"))
+    return crc32_of({k: v for k, v in header.items() if k != "header_crc"})
 
 
 def trace_digest(trace: Trace) -> int:

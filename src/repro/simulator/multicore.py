@@ -103,10 +103,6 @@ def simulate_multicore(
     CHUNK = 8
     while not all(finished):
         for cid in range(num_cores):
-            if finished[cid] and all(
-                f or starts[c] is not None for c, f in enumerate(finished)
-            ):
-                pass  # finished cores keep replaying for contention
             core = cores[cid]
             h = hierarchies[cid]
             recs = records[cid]

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.memory.cache import Cache
+from repro.memory.cache import ORIGIN_L1D, Cache
 
 
 def make_cache(**kw):
@@ -55,14 +55,14 @@ class TestLookupFill:
         c.fill(0, 0, 0, False)
         c.mark_dirty(0)
         victim = c.fill(1, 0, 0, False)  # any line maps to set 0
-        assert victim is not None and victim.dirty and victim.tag == 0
+        assert victim == 0  # the dirty victim's tag
         assert c.stats.writebacks == 1
 
     def test_refill_existing_line_no_eviction(self):
         c = make_cache()
         c.fill(5, 0, 100, False)
         victim = c.fill(5, 0, 50, False)
-        assert victim is None
+        assert victim == -1
         assert c.peek(5).arrival_cycle == 50  # earlier arrival wins
 
     def test_occupancy(self):
@@ -75,9 +75,11 @@ class TestLookupFill:
 class TestPrefetchMetadata:
     def test_prefetch_fill_marks_line(self):
         c = make_cache()
-        c.fill(9, 0, 50, is_prefetch=True, pf_latency=40, pf_origin="l1d")
+        c.fill(9, 0, 50, is_prefetch=True, pf_latency=40,
+               pf_origin=ORIGIN_L1D)
         cl = c.peek(9)
-        assert cl.prefetched and cl.pf_latency == 40 and cl.pf_origin == "l1d"
+        assert cl.prefetched and cl.pf_latency == 40
+        assert cl.pf_origin == ORIGIN_L1D
         assert c.stats.prefetch_fills == 1
 
     def test_demand_touch_timely(self):
@@ -121,14 +123,16 @@ class TestPrefetchMetadata:
 
 class TestEvictionHook:
     def test_hook_called_with_victim(self):
-        # The hook sees the live line before it is reused for the incoming
-        # fill, so it must copy any fields it wants to retain.
+        # The hook sees the victim's tag, prefetch bit and origin code
+        # before its slot is reused for the incoming fill.
         seen = []
         c = make_cache(ways=1, size_bytes=64)
-        c.eviction_hook = lambda cl: seen.append((cl.tag, cl.prefetched))
-        c.fill(0, 0, 0, is_prefetch=True, pf_origin="l1d")
+        c.eviction_hook = lambda tag, pf, origin: seen.append(
+            (tag, pf, origin)
+        )
+        c.fill(0, 0, 0, is_prefetch=True, pf_origin=ORIGIN_L1D)
         c.fill(1, 0, 0, False)
-        assert seen == [(0, True)]
+        assert seen == [(0, True, ORIGIN_L1D)]
 
 
 class TestInvalidate:
@@ -160,7 +164,7 @@ class TestPresenceIndexInvariant:
         for ln in lines:
             c.fill(ln, 0, 0, False)
         in_arrays = {
-            cl.tag for s in c.sets for cl in s if cl.valid
+            c.tags[slot] for slot in range(c.num_lines) if c.valid[slot]
         }
         assert set(c._where) == in_arrays
         for ln in in_arrays:

@@ -176,10 +176,8 @@ class TestPrefetchIssue:
             ) if False else None
         # Direct path: force eviction accounting through the hook.
         h.pf_stats["l1d"].useless = 0
-        from repro.memory.cache import CacheLine
-        victim = CacheLine(tag=pline, valid=True, prefetched=True,
-                           pf_origin="l1d")
-        h.l1d.eviction_hook(victim)
+        from repro.memory.cache import ORIGIN_L1D
+        h.l1d.eviction_hook(pline, True, ORIGIN_L1D)
         assert h.pf_stats["l1d"].useless == 1
 
     def test_pq_overflow_drops(self):

@@ -186,6 +186,33 @@ class TestSpanEdges:
 
 
 @needs_kernel
+@needs_kernel
+class TestOneCacheRepresentation:
+    """The kernel runs on the caches' own columns: after every span the
+    derived indexes agree with them and no second copy exists."""
+
+    def test_indexes_consistent_at_every_heartbeat_cut(self, trace):
+        from repro.sanitizer.invariants import check_cache, check_replacement
+        from repro.simulator.engine import Run, span_cuts
+
+        run = Run.build(trace, make_prefetcher("berti"))
+        run.use_engine("native", native="force")
+        h = run.hierarchy
+        cuts = span_cuts(len(trace), run.warmup_end, every=150)
+        assert len(cuts) > 4
+        for cut in cuts:
+            run.advance(cut)
+            bufs = run.span._state.bufs
+            assert bufs["L1_TAG"] is h.l1d.tags
+            for prefix, cache in (("L1", h.l1d), ("L2", h.l2),
+                                  ("LL", h.llc)):
+                assert bufs[f"{prefix}_ORG"] is cache.origin
+                assert check_cache(cache) == []
+                assert check_replacement(cache) == []
+        assert run.span.native_spans == len(cuts)
+        assert run.span.demoted_spans == 0
+
+
 class TestLockstepEngines:
     def test_all_quick_prefetchers_agree(self, trace):
         labels = {}
@@ -464,9 +491,9 @@ class TestDemotionGuards:
 
     def test_guard_clearing_resumes_native_with_full_reexport(self):
         # native span -> demoted span (guard trips) -> native span again.
-        # The demoted span mutates the Python cache objects directly, so
-        # the third span must re-export the full state (mark_stale path)
-        # and still land bit-identical with a pure classic run.
+        # The demoted span mutates the cache columns the kernel binds,
+        # and the third span must see those writes and still land
+        # bit-identical with a pure classic run.
         from repro.cpu.core_model import CoreModel
         from repro.simulator.config import default_config
 
@@ -609,6 +636,18 @@ class TestErrorMapping:
             self._run_with_rc(monkeypatch, rc=9)
         assert exc.value.context()["field"] == "engine"
         assert "internal error 9" in str(exc.value)
+
+    def test_missized_cache_column_refused_before_the_kernel(self):
+        # The kernel indexes bound columns up to sets * ways unchecked.
+        from array import array
+
+        runner = self.make_runner(quick_trace(200, "err_map"))
+        llc = runner.hierarchy.llc
+        llc.dirty = array("q", bytes(8 * (llc.num_lines - 1)))
+        with pytest.raises(SimulationError, match="llc.dirty") as exc:
+            runner(0, 200)
+        assert exc.value.context()["field"] == "engine"
+        assert runner.native_spans == 0
 
 
 @needs_kernel

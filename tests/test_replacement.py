@@ -67,13 +67,13 @@ class TestSRRIP:
     def test_fill_inserts_long_rereference(self):
         p = SRRIPPolicy(1, 2)
         p.on_fill(0, 0)
-        assert p._rrpv[0][0] == SRRIPPolicy.MAX_RRPV - 1
+        assert p._rrpv[0] == SRRIPPolicy.MAX_RRPV - 1  # slot 0: set 0 way 0
 
     def test_hit_promotes_to_zero(self):
         p = SRRIPPolicy(1, 2)
         p.on_fill(0, 0)
         p.on_hit(0, 0)
-        assert p._rrpv[0][0] == 0
+        assert p._rrpv[0] == 0
 
     def test_victim_prefers_distant(self):
         p = SRRIPPolicy(1, 2)
@@ -90,7 +90,7 @@ class TestSRRIP:
         p.on_hit(0, 1)
         way = p.victim(0)
         assert way in (0, 1)
-        assert p._rrpv[0][way] == SRRIPPolicy.MAX_RRPV
+        assert p._rrpv[way] == SRRIPPolicy.MAX_RRPV  # set 0: slot == way
 
 
 class TestDRRIP:

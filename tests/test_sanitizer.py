@@ -94,9 +94,11 @@ class TestDetection:
             s for s in range(h.l1d.num_sets)
             if h.l1d._valid_count[s] >= 2
         )
-        ages = h.l1d.policy._age[sidx]
-        valid_ways = [w for w, cl in enumerate(h.l1d.sets[sidx]) if cl.valid]
-        ages[valid_ways[1]] = ages[valid_ways[0]]
+        ages = h.l1d.policy._age
+        base = sidx * h.l1d.ways
+        valid_slots = [slot for slot in range(base, base + h.l1d.ways)
+                       if h.l1d.valid[slot]]
+        ages[valid_slots[1]] = ages[valid_slots[0]]
         msgs = [v[1] for v in check_replacement(h.l1d)]
         assert any("uniqueness" in m for m in msgs)
 
@@ -105,9 +107,18 @@ class TestDetection:
         sidx = next(
             s for s in range(h.l2.num_sets) if h.l2._valid_count[s]
         )
-        h.l2.policy._rrpv[sidx][0] = 7
+        h.l2.policy._rrpv[sidx * h.l2.ways] = 7  # way 0 of the set
         msgs = [v[1] for v in check_replacement(h.l2)]
         assert any("RRPV" in m for m in msgs)
+
+    def test_prefetch_bit_on_invalid_slot(self, trace):
+        # prefetched_line_counts reads the prefetch bit without the
+        # valid bit, so a stray bit on an empty way must be caught.
+        h = warmed_hierarchy(trace)
+        slot = h.llc.valid.index(0)
+        h.llc.pref[slot] = 1
+        msgs = [v[1] for v in check_cache(h.llc)]
+        assert any("prefetch bit" in m for m in msgs)
 
     def test_drrip_psel_out_of_range(self, trace):
         h = warmed_hierarchy(trace)

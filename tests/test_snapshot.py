@@ -173,15 +173,18 @@ class TestRejection:
             load_snapshot(path, trace=trace)
 
     def test_future_version_rejected(self, trace, ckpt_dir):
+        # 2 is the previous format (per-line cache objects), no longer
+        # readable; it is refused, not resumed into a crash.
         path = self._one(ckpt_dir)
         header, payload = open(path, "rb").read().split(b"\n", 1)
         meta = json.loads(header)
-        meta["version"] = 99
-        open(path, "wb").write(
-            json.dumps(meta).encode() + b"\n" + payload
-        )
-        with pytest.raises(SnapshotError, match="version"):
-            load_snapshot(path, trace=trace)
+        for version in (99, 2):
+            meta["version"] = version
+            open(path, "wb").write(
+                json.dumps(meta).encode() + b"\n" + payload
+            )
+            with pytest.raises(SnapshotError, match="version"):
+                load_snapshot(path, trace=trace)
 
     def test_wrong_trace_rejected(self, ckpt_dir):
         with pytest.raises(SnapshotError, match="trace"):
