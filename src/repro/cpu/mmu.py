@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.memory.address import PAGE_BITS, LINE_BITS
 from repro.cpu.tlb import TLB
 
@@ -159,14 +161,12 @@ class MMU:
         warmup: for workloads whose footprint fits the STLB reach
         (2048 × 4 KB = 8 MB), every page is already mapped long before
         measurement starts.  Larger footprints still overflow the STLB
-        via its normal LRU replacement.
+        via its normal LRU replacement.  Pages are installed once each,
+        in first-touch order.
         """
-        seen = set()
-        for vline in vlines:
-            vpage = vline >> _LINES_PER_PAGE_BITS
-            if vpage in seen:
-                continue
-            seen.add(vpage)
+        pages = np.asarray(vlines, dtype=np.int64) >> _LINES_PER_PAGE_BITS
+        _, first = np.unique(pages, return_index=True)
+        for vpage in pages[np.sort(first)].tolist():
             self.stlb.insert(vpage, self._physical_page(vpage))
 
     def reset_stats(self) -> None:

@@ -22,8 +22,14 @@ Berti's hardware extension needs (paper Figure 5, gray parts):
 
 ``_where`` (line → slot) and ``_valid_count`` (valid ways per set) are
 derived from the columns: the cache maintains them incrementally, and
-:meth:`Cache.reindex` rebuilds both (after unpickling, and after a
-native span wrote the columns).
+:meth:`Cache.reindex` rebuilds both after unpickling.  A native span
+writes the columns behind the cache's back, so afterwards the marshal
+drops both (:meth:`Cache.drop_index`, O(1)) rather than rebuilding
+them, and whichever reader comes next rebuilds them: every method of
+this class that reads the index, and :meth:`Cache.index` for readers
+outside it.  The hierarchy's inlined probes read ``_where`` directly;
+the native runner restores the index before it hands a span to them.
+A dropped index is ``None``, so a stale read fails loudly.
 
 The cache is timing-agnostic: the hierarchy decides latencies, the cache
 just tracks contents and replacement state.
@@ -38,7 +44,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -182,15 +188,33 @@ class Cache:
         self.eviction_hook: Optional[Callable[[int, int, int], None]] = None
         self.reindex()
 
-    def reindex(self) -> None:
-        """Rebuild ``_where`` and ``_valid_count`` from the columns."""
+    def reindex(self) -> Dict[int, int]:
+        """Rebuild ``_where`` and ``_valid_count`` from the columns;
+        returns the new ``_where``."""
         valid = self.valid
-        self._where = dict(zip(compress(self.tags, valid),
-                               compress(range(len(valid)), valid)))
+        where = dict(zip(compress(self.tags, valid),
+                         compress(range(len(valid)), valid)))
+        self._where = where
         self._valid_count = (
             np.frombuffer(valid, dtype=np.int64)
             .reshape(self.num_sets, self.ways).sum(axis=1).tolist()
         )
+        return where
+
+    def drop_index(self) -> None:
+        """Mark ``_where``/``_valid_count`` stale after the columns were
+        written in place; the next reader rebuilds them."""
+        self._where = None
+        self._valid_count = None
+
+    def index(self) -> Dict[int, int]:
+        """The live presence index (line → slot), rebuilt first if it
+        was dropped; ``_valid_count`` is live afterwards too.  The
+        per-access methods inline this test."""
+        where = self._where
+        if where is None:
+            where = self.reindex()
+        return where
 
     # ------------------------------------------------------------------
     # Snapshot support
@@ -215,11 +239,14 @@ class Cache:
 
     def probe(self, line: int) -> bool:
         """Presence check with no side effects (no replacement update)."""
-        return line in self._where
+        where = self._where
+        if where is None:
+            where = self.reindex()
+        return line in where
 
     def peek(self, line: int) -> Optional[CacheLine]:
         """A copy of the line's metadata; no replacement update."""
-        slot = self._where.get(line)
+        slot = self.index().get(line)
         if slot is None:
             return None
         return CacheLine(
@@ -237,7 +264,10 @@ class Cache:
         is responsible for interpreting the prefetch metadata (late vs.
         timely) and clearing the prefetch bit via :meth:`demand_touch`.
         """
-        slot = self._where.get(line)
+        where = self._where
+        if where is None:
+            where = self.reindex()
+        slot = where.get(line)
         stats = self.stats
         if slot is None:
             if is_demand:
@@ -300,6 +330,8 @@ class Cache:
         Clean victims are reported only through :attr:`eviction_hook`.
         """
         where = self._where
+        if where is None:
+            where = self.reindex()
         slot = where.get(line)
         stats = self.stats
         victim = -1
@@ -359,13 +391,16 @@ class Cache:
 
     def mark_dirty(self, line: int) -> None:
         """Flag ``line`` dirty (stores); no-op if absent."""
-        slot = self._where.get(line)
+        where = self._where
+        if where is None:
+            where = self.reindex()
+        slot = where.get(line)
         if slot is not None:
             self.dirty[slot] = 1
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if present; returns True when it was present."""
-        slot = self._where.pop(line, None)
+        slot = self.index().pop(line, None)
         if slot is None:
             return False
         for column, fresh in ((self.tags, -1), (self.valid, 0),

@@ -4,10 +4,13 @@ The native backend runs one *span* at a time: :class:`NativeState`
 binds or exports the mutable simulation state as flat ``int64``/
 ``double`` buffers, the C kernel executes the span over those buffers,
 and whatever was copied is imported back into the very same Python
-objects before the span runner returns.  The hierarchy objects are
+objects before the span runner returns.  The hierarchy's state is
 therefore current at every span boundary — snapshots, warmup resets,
 lockstep digests and engine switches (demotion) all operate on ordinary
-hierarchy objects and never need to know a C kernel ran the span.
+hierarchy objects and never need to know a C kernel ran the span.  Two
+derived indexes are the exception, both kept O(what changed) per span:
+a cache's presence index is dropped and rebuilt by its next reader, and
+the kernel's page-table hash persists from span to span.
 
 Layout contract
 ---------------
@@ -19,14 +22,20 @@ index (``R_<NAME>``, ``FR_<NAME>``, ``B_<NAME>``), so Python and C can
 never disagree on an offset — adding a field here re-keys the kernel
 hash and forces a rebuild.
 
-Three marshalling classes of state:
+Four marshalling classes of state:
 
 * **zero-copy** — the trace columns, the caches' per-way columns and
   replacement columns (:class:`~repro.memory.cache.Cache` and its
   policy keep their state in exactly the kernel's layout) and the
   Berti history-table rings (``array('q')`` columns) are passed by
-  pointer and mutated in place; after each span every cache rebuilds
-  its derived presence index (:meth:`~repro.memory.cache.Cache.reindex`);
+  pointer and mutated in place; after each span every cache drops its
+  derived presence index (:meth:`~repro.memory.cache.Cache.drop_index`)
+  and the cache's next reader rebuilds it;
+* **persistent** — the page-table hash (``HASH_K``/``HASH_V``) lives
+  in buffers owned here.  The kernel inserts every page it walks and
+  logs the walk; the import replays the log into ``MMU._page_table``.
+  The hash is rebuilt from the table only when the table grew outside
+  the kernel (a demoted span) or the span could fill it past half;
 * **span-delta counters** — the pure counters the classic
   :class:`~repro.memory.hierarchy.Hierarchy` methods bump accumulate in
   registers zeroed at span start and added back on success only (a
@@ -42,7 +51,7 @@ Dict-shaped indexes (``MSHR._entries``, TLB ``_map``, history
 flat columns at import time; their *insertion order* differs from the
 classic engine's, which is why those classes canonicalise dict order in
 ``__getstate__`` — snapshot bytes stay backend-independent.  (A cache's
-``_where`` is never pickled at all.)
+``_where`` and the page-table hash are never pickled at all.)
 """
 
 from __future__ import annotations
@@ -248,7 +257,8 @@ class NativeState:
         # history arrays are rebound by HistoryTable.reset()).
         self.bufs: Dict[str, Any] = {name: None for name in BUFS}
         self._kern = None
-        self._win_cap = 0
+        # Page-table mappings the kernel's HASH_K/HASH_V hold.
+        self._hashed = 0
 
         ips, addrs, writes, gaps, deps = trace.columns()
         vlines, vpages = decoded_columns(trace)
@@ -419,27 +429,26 @@ class NativeState:
         R, b, h = self.R, self.bufs, self.h
         mmu = h.mmu
         table = mmu._page_table
+        # The hash persists across native spans (module docstring):
+        # rebuild it only if the table grew outside the kernel or this
+        # span could push its load factor past 1/2.
         need = 2 * (len(table) + span_len + 16)
-        cap = 64
-        while cap < need:
-            cap <<= 1
-        hk = b.get("HASH_K")
-        if hk is None or len(hk) < cap:
-            b["HASH_K"] = hk = array("q", bytes(8 * cap))
-            b["HASH_V"] = array("q", bytes(8 * cap))
-        else:
-            cap = len(hk)
-        hv = b["HASH_V"]
-        for i in range(cap):
-            hk[i] = -1
-        mask = cap - 1
-        for vp, ppage in table.items():
-            i = (vp * 0x9E3779B97F4A7C15 >> 32) & mask
-            while hk[i] != -1:
-                i = (i + 1) & mask
-            hk[i] = vp
-            hv[i] = ppage
-        R[RIX["HASH_CAP"]] = cap
+        hk = b["HASH_K"]
+        if hk is None or len(hk) < need or self._hashed != len(table):
+            cap = 64 if hk is None else len(hk)
+            while cap < need:
+                cap <<= 1
+            b["HASH_K"] = hk = array("q", [-1]) * cap
+            b["HASH_V"] = hv = array("q", bytes(8 * cap))
+            mask = cap - 1
+            for vp, ppage in table.items():
+                i = (vp * 0x9E3779B97F4A7C15 >> 32) & mask
+                while hk[i] != -1:
+                    i = (i + 1) & mask
+                hk[i] = vp
+                hv[i] = ppage
+            self._hashed = len(table)
+        R[RIX["HASH_CAP"]] = len(hk)
         wl = b.get("WALK_VP")
         if wl is None or len(wl) < span_len + 1:
             b["WALK_VP"] = array("q", bytes(8 * (span_len + 1)))
@@ -649,7 +658,7 @@ class NativeState:
             st.demand_fills = R[RIX[f"{p}_DEM_FILLS"]]
             st.useless_prefetches = R[RIX[f"{p}_USELESS"]]
             st.writebacks = R[RIX[f"{p}_WB"]]
-            cache.reindex()
+            cache.drop_index()
 
     def _import_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h
@@ -705,6 +714,7 @@ class NativeState:
         for i in range(n):
             # Walk order == the classic engine's dict insertion order.
             table[wvp[i]] = wpp[i]
+        self._hashed += n
         mmu._next_ppage = R[RIX["MMU_NEXT_PPAGE"]]
         mmu.stats.walks = R[RIX["MMU_WALKS"]]
         mmu.stats.dropped_prefetch_translations = R[RIX["MMU_DROPPED"]]

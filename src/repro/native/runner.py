@@ -187,10 +187,16 @@ class NativeRunner:
             self.demotion_code = code
             self.demotion_detail = detail
         self.demoted_spans += 1
+        h = self.hierarchy
+        if self._state is not None:
+            # Native spans drop the caches' presence indexes; the classic
+            # loop's inlined probes read them directly.
+            for cache in (h.l1d, h.l2, h.llc):
+                cache.index()
         # Built per span: the guard that demoted this span may be a
         # wrapper attached since the last one, and the classic loop reads
         # ``demand_access`` when it is built.
-        make_classic_runner(self.trace, self.hierarchy, self.core)(lo, hi)
+        make_classic_runner(self.trace, h, self.core)(lo, hi)
 
     def __call__(self, lo: int, hi: int) -> None:
         if self.force_demote_at is not None and hi > self.force_demote_at:

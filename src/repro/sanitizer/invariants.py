@@ -59,12 +59,17 @@ Violation = Tuple[str, str, Dict[str, Any]]
 # ----------------------------------------------------------------------
 
 def check_cache(cache: Cache) -> List[Violation]:
-    """Consistency of one cache's columns and its derived indexes."""
+    """Consistency of one cache's columns and its derived indexes.
+
+    An index a native span dropped is rebuilt from the columns first
+    (:meth:`~repro.memory.cache.Cache.index`), so only the column
+    checks apply to it.
+    """
     out: List[Violation] = []
     name = cache.name
     ways = cache.ways
     mask = cache._set_mask
-    tags, valid, where = cache.tags, cache.valid, cache._where
+    tags, valid, where = cache.tags, cache.valid, cache.index()
 
     for line, slot in where.items():
         sidx = line & mask

@@ -11,7 +11,8 @@ after every access:
 * the core's cycle clock (exact float equality — both engines perform
   the same arithmetic in the same order, so any drift is a real bug),
 
-plus a structural digest (cache presence indexes, MSHR entry sets, PQ
+plus a structural digest (cache presence indexes, TLB contents in LRU
+order, the page table and its allocation counter, MSHR entry sets, PQ
 service times, per-cache counters) every ``digest_every`` accesses, and
 a full :class:`~repro.simulator.stats.SimResult` comparison at the end.
 The first mismatch is reported with its access index, so a fast-path
@@ -84,12 +85,23 @@ def _mshr_digest(mshr) -> Dict[int, Tuple[int, int, bool, int]]:
     }
 
 
+def _tlb_digest(tlb) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Each set's ``(vpage, ppage)`` entries, LRU first."""
+    return tuple(tuple(entries) for entries in tlb._sets)
+
+
 def _state_digest(h: Hierarchy) -> Dict[str, Any]:
-    """Comparable structural summary; strictly read-only."""
+    """Comparable structural summary; read-only but for rebuilding a
+    cache index a native span dropped."""
+    mmu = h.mmu
     return {
-        "l1d_where": dict(h.l1d._where),
-        "l2_where": dict(h.l2._where),
-        "llc_where": dict(h.llc._where),
+        "l1d_where": dict(h.l1d.index()),
+        "l2_where": dict(h.l2.index()),
+        "llc_where": dict(h.llc.index()),
+        "dtlb": _tlb_digest(mmu.dtlb),
+        "stlb": _tlb_digest(mmu.stlb),
+        "page_table": tuple(mmu._page_table.items()),
+        "next_ppage": mmu._next_ppage,
         "l1d_mshr": _mshr_digest(h.l1d_mshr),
         "l2_mshr": _mshr_digest(h.l2_mshr),
         "llc_mshr": _mshr_digest(h.llc_mshr),

@@ -168,17 +168,15 @@ class TestPrefetchIssue:
         h.demand_access(0x2, 0x900 << 6, 5000)
         h.l1d_prefetcher = NoPrefetcher()
         pline = h.mmu.translate_prefetch(0x905)
-        # Evict the prefetched line from every level without touching it.
-        for cache in (h.l1d, h.l2, h.llc):
-            cache.invalidate(pline)
-            cache.eviction_hook(
-                type(cache.peek(0) or object, (), {})
-            ) if False else None
-        # Direct path: force eviction accounting through the hook.
-        h.pf_stats["l1d"].useless = 0
-        from repro.memory.cache import ORIGIN_L1D
-        h.l1d.eviction_hook(pline, True, ORIGIN_L1D)
+        l1d = h.l1d
+        assert l1d.peek(pline).prefetched
+        # `ways` conflicting fills into its set evict the prefetched line
+        # unused, as the LRU victim of one of them.
+        for k in range(1, l1d.ways + 1):
+            l1d.fill(pline + k * l1d.num_sets, 6000 + k, 6000 + k, False)
+        assert not l1d.probe(pline)
         assert h.pf_stats["l1d"].useless == 1
+        assert l1d.stats.useless_prefetches == 1
 
     def test_pq_overflow_drops(self):
         h = fresh()

@@ -10,6 +10,8 @@ import pytest
 from repro.prefetchers.base import NoPrefetcher
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.lockstep import (
+    _first_diff,
+    _state_digest,
     lockstep_multicore,
     lockstep_run,
     quick_trace,
@@ -21,6 +23,7 @@ from repro.sanitizer.reference import (
     is_reference,
     to_reference,
 )
+from repro.simulator.config import default_config
 from repro.simulator.engine import build_hierarchy, simulate
 
 
@@ -91,6 +94,33 @@ class TestDivergenceLocalisation:
         assert not report.ok
         assert report.diverged_at == 119
         assert report.field == "state:l1d_stats"
+
+
+class TestStateDigest:
+    def _pair(self):
+        sides = []
+        for _ in range(2):
+            h = build_hierarchy(default_config(),
+                                l1d_prefetcher=make_prefetcher("berti"))
+            h.mmu.prewarm(quick_trace(600).line_addresses())
+            for i in range(64):
+                h.demand_access(0x40, (0x10000 + 4096 * i) << 6, 10 * i)
+            sides.append(h)
+        return sides
+
+    def test_identical_hierarchies_agree(self):
+        a, b = self._pair()
+        da = _state_digest(a)
+        assert da == _state_digest(b)
+        assert da["page_table"] and da["next_ppage"] > 1
+        assert any(da["dtlb"]) and any(da["stlb"])
+
+    def test_stlb_lru_order_is_compared(self):
+        a, b = self._pair()
+        entries = next(e for e in b.mmu.stlb._sets if len(e) >= 2)
+        entries[0], entries[-1] = entries[-1], entries[0]
+        key, _, _ = _first_diff(_state_digest(a), _state_digest(b))
+        assert key == "stlb"
 
 
 class TestReferenceEngine:

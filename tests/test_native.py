@@ -74,6 +74,12 @@ class BareSubclass(BertiPrefetcher):
     name = "berti"
 
 
+def hashed_pages(state):
+    """The mappings the kernel's page-table hash holds."""
+    hk, hv = state.bufs["HASH_K"], state.bufs["HASH_V"]
+    return {k: v for k, v in zip(hk, hv) if k != -1}
+
+
 def strip_native(result_dict):
     """Drop the reporting-only ``native_*`` extra markers."""
     d = dict(result_dict)
@@ -186,7 +192,6 @@ class TestSpanEdges:
 
 
 @needs_kernel
-@needs_kernel
 class TestOneCacheRepresentation:
     """The kernel runs on the caches' own columns: after every span the
     derived indexes agree with them and no second copy exists."""
@@ -211,6 +216,48 @@ class TestOneCacheRepresentation:
                 assert check_replacement(cache) == []
         assert run.span.native_spans == len(cuts)
         assert run.span.demoted_spans == 0
+
+    def test_native_spans_drop_the_index_and_readers_rebuild_it(
+            self, trace, monkeypatch):
+        # A span boundary costs O(1) per cache: the index is dropped,
+        # not rebuilt, and the first reader after the run rebuilds it.
+        from itertools import compress
+
+        from repro.memory.cache import Cache
+        from repro.simulator.engine import Run, span_cuts
+
+        run = Run.build(trace, make_prefetcher("berti"))
+        run.use_engine("native", native="force")
+        h = run.hierarchy
+        rebuilt = []
+        real_reindex = Cache.reindex
+
+        def spy(cache):
+            rebuilt.append(cache.name)
+            return real_reindex(cache)
+
+        monkeypatch.setattr(Cache, "reindex", spy)
+        cuts = span_cuts(len(trace), run.warmup_end, every=150)
+        for cut in cuts:
+            run.advance(cut)
+            # The page-table hash persists and mirrors the table.
+            assert hashed_pages(run.span._state) == h.mmu._page_table
+        assert run.span.native_spans == len(cuts) > 4
+        assert rebuilt == []
+        caches = (h.l1d, h.l2, h.llc)
+        for cache in caches:
+            slots = list(compress(range(cache.num_lines), cache.valid))
+            assert slots
+            for slot in slots:
+                line = cache.peek(cache.tags[slot])
+                assert (line.tag, line.valid, line.dirty, line.prefetched,
+                        line.arrival_cycle, line.pf_latency, line.ip,
+                        line.vline, line.pf_origin) == (
+                    cache.tags[slot], True, bool(cache.dirty[slot]),
+                    bool(cache.pref[slot]), cache.arrival[slot],
+                    cache.pf_lat[slot], cache.ips[slot],
+                    cache.vlines[slot], cache.origin[slot])
+        assert rebuilt == [cache.name for cache in caches]
 
 
 class TestLockstepEngines:
@@ -513,13 +560,18 @@ class TestDemotionGuards:
             return inner(ip, vaddr, now, is_write)
 
         hn.demand_access = wrapped
+        pages = len(hn.mmu._page_table)
         runner(400, 800)
         # The demoted span runs through the wrapper that demoted it.
         assert len(calls) == 400
+        # Its page walks grew the table behind the kernel's page-table
+        # hash, so the next native span must rebuild the hash.
+        assert len(hn.mmu._page_table) > pages
         del hn.demand_access  # restore the class method: guard clears
         runner(800, 1200)
         assert runner.native_spans == 2
         assert runner.demoted_spans == 1
+        assert hashed_pages(runner._state) == hn.mmu._page_table
 
         hc = build_hierarchy(default_config(), make_prefetcher("berti"), None)
         cc = CoreModel(default_config().core)
