@@ -296,6 +296,7 @@ def cmd_sancheck(args) -> int:
         lockstep_multicore,
         lockstep_run,
         quick_trace,
+        small_tlb_config,
     )
 
     modes = list({
@@ -316,16 +317,16 @@ def cmd_sancheck(args) -> int:
                 return 0
     reports = []
 
-    def check(trace, l1d="none", l2="none", seed_divergence=None):
+    def check(trace, l1d="none", l2="none", seed_divergence=None, **kw):
         if "reference" in modes:
             reports.append(lockstep_run(
-                trace, l1d=l1d, l2=l2, seed_divergence=seed_divergence,
+                trace, l1d=l1d, l2=l2, seed_divergence=seed_divergence, **kw,
             ))
             print(reports[-1].describe())
         if "native" in modes:
             reports.append(lockstep_engines(
                 trace, l1d=l1d, l2=l2, chunk_size=args.chunk_size,
-                seed_divergence=seed_divergence,
+                seed_divergence=seed_divergence, **kw,
             ))
             print(reports[-1].describe())
 
@@ -337,6 +338,9 @@ def cmd_sancheck(args) -> int:
             if pf == "none":
                 continue  # covered by the L1D sweep's l2="none"
             check(trace, l2=pf)
+        # Cold, small TLBs: the only leg whose STLB evicts.
+        check(quick_trace(args.records, "sancheck_small_tlb"), l1d="berti",
+              config=small_tlb_config(), prewarm_tlb=False)
         if "reference" in modes:
             # Multicore has no native path, so there is no engines
             # variant to diff.
@@ -843,8 +847,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential check vs. the pure-reference engine",
     )
     san.add_argument("--quick", action="store_true",
-                     help="sweep every registry prefetcher plus one "
-                          "multicore mix on a small synthetic trace")
+                     help="sweep every registry prefetcher, one Berti "
+                          "run on cold small TLBs and one multicore mix "
+                          "on a small synthetic trace")
     san.add_argument("--records", type=int, default=1200,
                      help="records in the --quick synthetic trace")
     san.add_argument("--trace", default="mcf_s-1554B",

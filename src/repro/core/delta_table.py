@@ -53,7 +53,7 @@ differential lockstep oracle; both produce bit-identical results.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.config import BertiConfig
 
@@ -76,38 +76,9 @@ class DeltaTable:
     def __init__(self, config: BertiConfig | None = None) -> None:
         self.config = config or BertiConfig()
         cfg = self.config
-        entries = cfg.delta_table_entries
-        per_entry = cfg.deltas_per_entry
-        # Entry-level columns.
-        self._valid = [False] * entries
-        self._tags = [0] * entries
-        self._counters = [0] * entries
-        self._orders = [0] * entries
-        self._warmed = [False] * entries
-        # Slot-level columns: per-entry parallel lists, preallocated.
-        # Valid slots are the dense prefix [0, _slot_count).
-        self._slot_count = [0] * entries
-        self._slot_delta = [[0] * per_entry for _ in range(entries)]
-        self._slot_cov = [[0] * per_entry for _ in range(entries)]
-        self._slot_status = [[NO_PREF] * per_entry for _ in range(entries)]
-        # Per-entry indices and caches.
-        self._by_delta: List[dict] = [{} for _ in range(entries)]
-        self._pf_cache: List[Optional[List[Tuple[int, int]]]] = [None] * entries
-        self._warm_cache: List[Optional[List[Tuple[int, int]]]] = [None] * entries
-        # Lazy victim heaps: (coverage, slot) pairs for every slot whose
-        # status allows replacement.  May hold stale pairs; pops validate
-        # against the live columns.  Invariant: the *current* pair of
-        # every replacement-candidate slot is present.
-        self._evict_heap: List[List[Tuple[int, int]]] = [
-            [] for _ in range(entries)
-        ]
-        self._by_tag: dict = {}  # tag -> entry index, for O(1) lookup
-        self._fifo_clock = 0
-        self._fifo_ptr = 0
         self._tag_mask = (1 << cfg.delta_tag_bits) - 1
         self._coverage_cap = (1 << cfg.coverage_bits) - 1
-        self.phase_completions = 0
-        self.discarded_deltas = 0
+        self.reset()
 
     # ------------------------------------------------------------------
 
@@ -334,34 +305,53 @@ class DeltaTable:
         cfg = self.config
         entries = cfg.delta_table_entries
         per_entry = cfg.deltas_per_entry
+        # Entry-level columns.
         self._valid = [False] * entries
         self._tags = [0] * entries
         self._counters = [0] * entries
         self._orders = [0] * entries
         self._warmed = [False] * entries
+        # Slot-level columns: per-entry parallel lists, preallocated.
+        # Valid slots are the dense prefix [0, _slot_count).
         self._slot_count = [0] * entries
         self._slot_delta = [[0] * per_entry for _ in range(entries)]
         self._slot_cov = [[0] * per_entry for _ in range(entries)]
         self._slot_status = [[NO_PREF] * per_entry for _ in range(entries)]
-        self._by_delta = [{} for _ in range(entries)]
-        self._pf_cache = [None] * entries
-        self._warm_cache = [None] * entries
+        # Lazy victim heaps: (coverage, slot) pairs for every slot whose
+        # status allows replacement.  May hold stale pairs; pops validate
+        # against the live columns.  Invariant: the *current* pair of
+        # every replacement-candidate slot is present.
         self._evict_heap = [[] for _ in range(entries)]
-        self._by_tag = {}
         self._fifo_clock = 0
         self._fifo_ptr = 0
         self.phase_completions = 0
         self.discarded_deltas = 0
+        self.reindex()
+
+    def reindex(self) -> None:
+        """Rebuild the derived per-entry state from the columns: the
+        ``_by_tag`` (tag -> entry) and ``_by_delta`` (delta -> slot)
+        indexes, and the empty prediction memos ``_pf_cache`` and
+        ``_warm_cache`` (recomputed on demand)."""
+        self._by_tag = {
+            tag: e for e, (valid, tag) in enumerate(zip(self._valid, self._tags))
+            if valid
+        }
+        self._by_delta = [
+            {deltas[i]: i for i in range(count)}
+            for deltas, count in zip(self._slot_delta, self._slot_count)
+        ]
+        self._pf_cache = [None] * len(self._valid)
+        self._warm_cache = [None] * len(self._valid)
 
     def __getstate__(self):
-        # Canonicalise for backend-independent snapshot bytes: the two
-        # lookup indexes are keyed-access only (their dict order is never
-        # iterated), and the two memo caches are recomputed on demand —
-        # the native importer rebuilds the former in slot-scan order and
-        # drops the latter, so a classic-engine snapshot must match.
+        # The lookup indexes and the memos are derived from the columns:
+        # rebuilt, not pickled.
         state = self.__dict__.copy()
-        state["_by_tag"] = dict(sorted(self._by_tag.items()))
-        state["_by_delta"] = [dict(sorted(d.items())) for d in self._by_delta]
-        state["_pf_cache"] = [None] * len(self._pf_cache)
-        state["_warm_cache"] = [None] * len(self._warm_cache)
+        for derived in ("_by_tag", "_by_delta", "_pf_cache", "_warm_cache"):
+            del state[derived]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.reindex()

@@ -48,27 +48,10 @@ class HistoryTable:
     def __init__(self, config: BertiConfig | None = None) -> None:
         self.config = config or BertiConfig()
         cfg = self.config
-        sets, ways = cfg.history_sets, cfg.history_ways
-        # Flat columnar rings: index = set * ways + way.  tag == -1 marks
-        # an empty way (real tags fit history_ip_tag_bits >= 0).
-        self._tags = array("q", [-1]) * (sets * ways)
-        self._lines = array("q", [0]) * (sets * ways)
-        self._tss = array("q", [0]) * (sets * ways)
-        self._orders = array("q", [0]) * (sets * ways)
-        self._fifo_clock = array("q", [0]) * sets
-        self._fifo_ptr = array("q", [0]) * sets  # next way to replace
-        # Per-set skip chains: tag -> deque of (line, ts) in insertion
-        # order.  Maintained on insert (the evicted way is the set's
-        # globally oldest entry, hence its tag's oldest chain element),
-        # so a search iterates only matching entries, youngest-first.
-        self._chains: List[Dict[int, Deque[Tuple[int, int]]]] = [
-            {} for _ in range(sets)
-        ]
         self._ts_mask = (1 << cfg.timestamp_bits) - 1
         self._line_mask = (1 << cfg.history_line_bits) - 1
         self._tag_mask = (1 << cfg.history_ip_tag_bits) - 1
-        self.inserts = 0
-        self.searches = 0
+        self.reset()
 
     # ------------------------------------------------------------------
 
@@ -202,23 +185,50 @@ class HistoryTable:
 
     def reset(self) -> None:
         cfg = self.config
-        n = cfg.history_sets * cfg.history_ways
+        sets = cfg.history_sets
+        n = sets * cfg.history_ways
+        # Flat columnar rings: index = set * ways + way.  tag == -1 marks
+        # an empty way (real tags fit history_ip_tag_bits >= 0).
         self._tags = array("q", [-1]) * n
         self._lines = array("q", [0]) * n
         self._tss = array("q", [0]) * n
         self._orders = array("q", [0]) * n
-        self._fifo_clock = array("q", [0]) * cfg.history_sets
-        self._fifo_ptr = array("q", [0]) * cfg.history_sets
-        self._chains = [{} for _ in range(cfg.history_sets)]
+        self._fifo_clock = array("q", [0]) * sets
+        self._fifo_ptr = array("q", [0]) * sets  # next way to replace
         self.inserts = 0
         self.searches = 0
+        self.reindex()
+
+    def reindex(self) -> None:
+        """Rebuild the per-set skip chains (tag -> deque of its ways'
+        ``(line, ts)``, oldest first) by walking each ring forward from
+        its FIFO pointer.  :meth:`insert` keeps them current: the way it
+        replaces is the set's oldest, hence its tag's oldest element."""
+        ways = self.config.history_ways
+        tags, lines, tss = self._tags, self._lines, self._tss
+        chains: List[Dict[int, Deque[Tuple[int, int]]]] = []
+        for sidx, ptr in enumerate(self._fifo_ptr):
+            chain: Dict[int, Deque[Tuple[int, int]]] = {}
+            base = sidx * ways
+            for j in range(ways):
+                w = base + (ptr + j) % ways
+                t = tags[w]
+                if t < 0:
+                    continue
+                dq = chain.get(t)
+                if dq is None:
+                    chain[t] = dq = deque()
+                dq.append((lines[w], tss[w]))
+            chains.append(chain)
+        self._chains = chains
 
     def __getstate__(self):
-        # Per-set chain dicts are keyed-access indexes over the flat ring
-        # arrays; each deque's internal order is semantic (ring order)
-        # but the dicts' key order is not, and the native importer
-        # rebuilds them oldest-first.  Canonicalise for byte-identical
-        # snapshots across backends.
+        # The skip chains are derived from the rings: rebuilt, not
+        # pickled.
         state = self.__dict__.copy()
-        state["_chains"] = [dict(sorted(d.items())) for d in self._chains]
+        del state["_chains"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.reindex()

@@ -92,19 +92,24 @@ class MMU:
         offset = vline & _PAGE_OFFSET_MASK
 
         # dTLB hit path inlined (runs once per demand access): identical
-        # bookkeeping to TLB.lookup — access/hit counters and MRU bump.
+        # bookkeeping to TLB.lookup — access/hit counters and the LRU
+        # stamp, written out as Cache.lookup writes out its LRU's.
         dtlb = self.dtlb
         dtlb_stats = dtlb.stats
         dtlb_stats.accesses += 1
-        ppage = dtlb._map.get(vpage)
-        if ppage is not None:
-            entries = dtlb._sets[vpage % dtlb.num_sets]
-            for i, (vp, _pp) in enumerate(entries):
-                if vp == vpage:
-                    entries.append(entries.pop(i))  # move to MRU
-                    break
+        tmap = dtlb._map
+        if tmap is None:
+            tmap = dtlb.reindex()
+        slot = tmap.get(vpage)
+        if slot is not None:
+            lru = dtlb.policy
+            sidx = vpage % dtlb.num_sets
+            clock = lru._clock[sidx] + 1
+            lru._clock[sidx] = clock
+            lru._age[slot] = clock
             dtlb_stats.hits += 1
-            return (ppage << _LINES_PER_PAGE_BITS) | offset, dtlb.latency
+            return ((dtlb.ppages[slot] << _LINES_PER_PAGE_BITS) | offset,
+                    dtlb.latency)
 
         latency = self.dtlb.latency + self.stlb.latency
         ppage = self.stlb.lookup(vpage)
@@ -129,13 +134,17 @@ class MMU:
         # back to _translate_prefetch_cold below, so the counter
         # bookkeeping must stay split exactly this way.
         vpage = vline >> _LINES_PER_PAGE_BITS
-        stlb_stats = self.stlb.stats
-        stlb_stats.prefetch_probes += 1
-        ppage = self.stlb._map.get(vpage)
-        if ppage is None:
+        stlb = self.stlb
+        stlb.stats.prefetch_probes += 1
+        tmap = stlb._map
+        if tmap is None:
+            tmap = stlb.reindex()
+        slot = tmap.get(vpage)
+        if slot is None:
             return self._translate_prefetch_cold(vline, vpage)
-        stlb_stats.prefetch_probe_hits += 1
-        return (ppage << _LINES_PER_PAGE_BITS) | (vline & _PAGE_OFFSET_MASK)
+        stlb.stats.prefetch_probe_hits += 1
+        return ((stlb.ppages[slot] << _LINES_PER_PAGE_BITS)
+                | (vline & _PAGE_OFFSET_MASK))
 
     def _translate_prefetch_cold(
         self, vline: int, vpage: int
@@ -145,13 +154,10 @@ class MMU:
         Also allow a dTLB hit to serve the translation; ChampSim's L1D
         prefetches consult the full TLB path available at L1.
         """
-        dtlb_stats = self.dtlb.stats
-        dtlb_stats.prefetch_probes += 1
-        ppage = self.dtlb._map.get(vpage)
+        ppage = self.dtlb.probe(vpage)
         if ppage is None:
             self.stats.dropped_prefetch_translations += 1
             return None
-        dtlb_stats.prefetch_probe_hits += 1
         return (ppage << _LINES_PER_PAGE_BITS) | (vline & _PAGE_OFFSET_MASK)
 
     def prewarm(self, vlines) -> None:

@@ -5,12 +5,29 @@ Table II: L1 dTLB — 64 entries, 4-way, 1 cycle; STLB — 2048 entries,
 virtual prefetch addresses; a prefetch whose page misses the STLB is
 dropped (paper §III-B), which is the mechanism that bounds the cost of
 cross-page prefetching.
+
+A TLB is per-way ``array('q')`` columns ``vpages``/``ppages``, indexed
+by slot ``set * ways + way`` with set ``vpage % num_sets``, plus an
+:class:`~repro.memory.replacement.LRUPolicy` whose ``_age`` column is
+stamped from the set's ``_clock`` on every hit and insert, as in the
+L1D.  Age 0 marks an empty way, so the set's first way of minimal age
+(the insert victim) is an empty way while one is left.  The native
+kernel (:mod:`repro.native`) binds these columns by pointer.
+
+``_map`` (vpage → slot) follows the contract of the cache's ``_where``:
+kept current here, dropped after a native span (:meth:`TLB.drop_index`),
+rebuilt by the next reader (these methods, the MMU's inlined probes,
+:meth:`TLB.index`), never pickled.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import compress
+from typing import Dict, Optional
+
+from repro.memory.replacement import LRUPolicy
 
 
 @dataclass(slots=True)
@@ -42,27 +59,36 @@ class TLB:
         self.ways = ways
         self.latency = latency
         self.num_sets = entries // ways
-        # Per set: list of (vpage, ppage) most-recent-last (LRU order).
-        self._sets: List[List[tuple]] = [[] for _ in range(self.num_sets)]
-        # Flat index for O(1) probes; mirrors the per-set contents.
-        self._map: dict = {}
         self.stats = TLBStats()
+        self.reset()
 
-    def _set_of(self, vpage: int) -> int:
-        return vpage % self.num_sets
+    def reindex(self) -> Dict[int, int]:
+        """Rebuild ``_map`` from the columns; returns it."""
+        age = self.policy._age
+        self._map = tmap = dict(zip(compress(self.vpages, age),
+                                    compress(range(len(age)), age)))
+        return tmap
+
+    def drop_index(self) -> None:
+        """Mark ``_map`` stale after the columns were written in place."""
+        self._map = None
+
+    def index(self) -> Dict[int, int]:
+        """The live index (vpage → slot), rebuilt first if dropped."""
+        tmap = self._map
+        if tmap is None:
+            tmap = self.reindex()
+        return tmap
 
     def lookup(self, vpage: int) -> Optional[int]:
         """Translate ``vpage``; returns the physical page or None on miss."""
         self.stats.accesses += 1
-        if vpage not in self._map:
+        slot = self.index().get(vpage)
+        if slot is None:
             return None
-        entries = self._sets[self._set_of(vpage)]
-        for i, (vp, pp) in enumerate(entries):
-            if vp == vpage:
-                entries.append(entries.pop(i))  # move to MRU
-                self.stats.hits += 1
-                return pp
-        return None  # unreachable if _map is consistent
+        self.policy.on_hit(vpage % self.num_sets, slot % self.ways)
+        self.stats.hits += 1
+        return self.ppages[slot]
 
     def probe(self, vpage: int) -> Optional[int]:
         """Translation check without LRU update or hit/miss accounting.
@@ -72,34 +98,41 @@ class TLB:
         demand-driven TLB statistics.
         """
         self.stats.prefetch_probes += 1
-        pp = self._map.get(vpage)
-        if pp is not None:
-            self.stats.prefetch_probe_hits += 1
-        return pp
+        slot = self.index().get(vpage)
+        if slot is None:
+            return None
+        self.stats.prefetch_probe_hits += 1
+        return self.ppages[slot]
 
     def insert(self, vpage: int, ppage: int) -> None:
-        """Install a translation, evicting LRU if the set is full."""
-        entries = self._sets[self._set_of(vpage)]
-        for i, (vp, _) in enumerate(entries):
-            if vp == vpage:
-                entries.pop(i)
-                break
-        entries.append((vpage, ppage))
-        self._map[vpage] = ppage
-        if len(entries) > self.ways:
-            evicted_vp, __ = entries.pop(0)
-            del self._map[evicted_vp]
+        """Install a translation as the set's MRU, evicting its LRU way
+        when the set is full."""
+        tmap = self.index()
+        policy = self.policy
+        sidx = vpage % self.num_sets
+        slot = tmap.get(vpage)
+        if slot is None:
+            slot = sidx * self.ways + policy.victim(sidx)
+            if policy._age[slot]:
+                del tmap[self.vpages[slot]]
+            self.vpages[slot] = vpage
+            tmap[vpage] = slot
+        self.ppages[slot] = ppage
+        policy.on_fill(sidx, slot % self.ways)
 
     def reset(self) -> None:
-        self._sets = [[] for _ in range(self.num_sets)]
-        self._map.clear()
+        n = self.entries
+        self.vpages = array("q", [-1]) * n
+        self.ppages = array("q", bytes(8 * n))
+        self.policy = LRUPolicy(self.num_sets, self.ways)
+        self._map: Optional[Dict[int, int]] = {}
         self.stats.reset()
 
     def __getstate__(self):
-        # _map mirrors _sets for O(1) probes; LRU order lives in _sets.
-        # Canonicalise the index's dict order so snapshots taken under
-        # the native backend (which rebuilds it in scan order) are
-        # byte-identical to classic ones.
         state = self.__dict__.copy()
-        state["_map"] = dict(sorted(self._map.items()))
+        del state["_map"]
         return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.reindex()

@@ -15,6 +15,7 @@ fast enough for pure Python.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
@@ -241,14 +242,20 @@ class Hierarchy:
             self._l1d_kern_cross_page = True
 
     def _wire_eviction_hooks(self) -> None:
+        # The caches hold the hook, so it refers to this hierarchy weakly:
+        # a strong reference would make every hierarchy a reference
+        # cycle that outlives its run until a full garbage collection.
+        hierarchy = weakref.ref(self)
+
         def account_useless(tag: int, prefetched: int, origin: int) -> None:
             if prefetched and origin:
-                self.pf_stats[ORIGIN_NAMES[origin]].useless += 1
+                h = hierarchy()
+                h.pf_stats[ORIGIN_NAMES[origin]].useless += 1
                 if origin == ORIGIN_L2:
                     # Feedback for filtering prefetchers (PPF).
-                    self.l2_prefetcher.on_evict(tag, was_useful=False)
+                    h.l2_prefetcher.on_evict(tag, was_useful=False)
                 else:
-                    self.l1d_prefetcher.on_evict(tag, was_useful=False)
+                    h.l1d_prefetcher.on_evict(tag, was_useful=False)
 
         self.l1d.eviction_hook = account_useless
         self.l2.eviction_hook = account_useless
@@ -730,7 +737,7 @@ class Hierarchy:
         """
         mmu = self.mmu
         stlb_stats = mmu.stlb.stats
-        stlb_map = mmu.stlb._map
+        stlb_map, stlb_ppages = mmu.stlb._map, mmu.stlb.ppages
         translate_cold = mmu._translate_prefetch_cold
         l1d = self.l1d
         l2 = self.l2
@@ -781,15 +788,15 @@ class Hierarchy:
             # translate_prefetch, STLB-hit path inlined.
             vpage = target >> LINES_PER_PAGE_BITS
             stlb_probes += 1
-            ppage = stlb_map.get(vpage)
-            if ppage is None:
+            slot = stlb_map.get(vpage)
+            if slot is None:
                 pline = translate_cold(target, vpage)
                 if pline is None:
                     dropped_translation += 1
                     continue
             else:
                 stlb_hits += 1
-                pline = (ppage << LINES_PER_PAGE_BITS) | (
+                pline = (stlb_ppages[slot] << LINES_PER_PAGE_BITS) | (
                     target & PAGE_OFFSET_MASK
                 )
             if fill_l1:

@@ -15,10 +15,10 @@
  * Python's % and //, and all float work is IEEE double in source order
  * (compiled -O2 WITHOUT -ffast-math).
  *
- * The cache buffers are the Python Cache's own per-way columns and its
- * replacement policy's columns (slot = set * ways + way), bound by
- * pointer and updated in place; every set is allocated, so no set is
- * ever initialised or copied here.
+ * The cache and TLB buffers are the Python Cache's and TLB's own
+ * per-way columns and their replacement policies' columns (slot = set *
+ * ways + way), bound by pointer and updated in place; every set is
+ * allocated, so no set is ever initialised or copied here.
  *
  * Contract: repro_run_span(R, F, B) runs records [R[LO], R[HI]) and
  * returns 0 on success or R[ERR] after an error longjmp.  On both
@@ -136,6 +136,30 @@ static f64 mt_random(i64 *mt) {
 }
 
 /* ------------------------------------------------------------------ */
+/* LRU stamps (LRUPolicy's columns, shared by the caches and TLBs)     */
+/* ------------------------------------------------------------------ */
+
+/* LRUPolicy.on_hit / on_fill: stamp slot i of set s from its clock. */
+static inline void lru_stamp(i64 *clk, i64 *age, i64 s, i64 i) {
+    i64 clock = clk[s] + 1;
+    clk[s] = clock;
+    age[i] = clock;
+}
+
+/* LRUPolicy.victim: the set's first way of minimal age. */
+static inline i64 lru_victim(const i64 *age, i64 base, i64 ways) {
+    i64 best = 0, bestv = age[base];
+    i64 w;
+    for (w = 1; w < ways; w++) {
+        if (age[base + w] < bestv) {
+            bestv = age[base + w];
+            best = w;
+        }
+    }
+    return best;
+}
+
+/* ------------------------------------------------------------------ */
 /* Caches                                                              */
 /* ------------------------------------------------------------------ */
 
@@ -190,28 +214,17 @@ static i64 cache_way(CCache *c, i64 s, i64 line) {
 
 static void cache_touch(CCache *c, i64 s, i64 w) {
     i64 i = s * c->ways + w;
-    if (c->pol == POL_LRU) {
-        i64 clock = c->polc[s] + 1;
-        c->polc[s] = clock;
-        c->pola[i] = clock;
-    } else {
+    if (c->pol == POL_LRU)
+        lru_stamp(c->polc, c->pola, s, i);
+    else
         c->pola[i] = 0;
-    }
 }
 
 static i64 cache_victim(CCache *c, i64 s) {
     i64 base = s * c->ways;
     i64 w;
-    if (c->pol == POL_LRU) {
-        i64 best = 0, bestv = c->pola[base];
-        for (w = 1; w < c->ways; w++) {
-            if (c->pola[base + w] < bestv) {
-                bestv = c->pola[base + w];
-                best = w;
-            }
-        }
-        return best;
-    }
+    if (c->pol == POL_LRU)
+        return lru_victim(c->pola, base, c->ways);
     for (;;) {
         for (w = 0; w < c->ways; w++)
             if (c->pola[base + w] == MAX_RRPV)
@@ -261,25 +274,12 @@ static i64 cache_fill(CCache *c, i64 line, i64 now, i64 arrival,
     i64 w = cache_way(c, s, line);
     i64 victim_tag = -1;
     if (w < 0) {
-        i64 k, i;
-        i64 nvalid = 0;
-        for (k = 0; k < ways; k++)
-            if (c->valid[base + k])
-                nvalid++;
-        if (nvalid >= ways) {
+        /* The first invalid way; the policy's victim in a full set. */
+        for (w = 0; w < ways && c->valid[base + w]; w++)
+            ;
+        if (w == ways)
             w = cache_victim(c, s);
-        } else {
-            w = -1;
-            for (k = 0; k < ways; k++) {
-                if (!c->valid[base + k]) {
-                    w = k;
-                    break;
-                }
-            }
-            if (w < 0)
-                w = cache_victim(c, s);
-        }
-        i = base + w;
+        i64 i = base + w;
         if (c->valid[i]) {
             if (c->pref[i]) {
                 c->useless++;
@@ -303,9 +303,7 @@ static i64 cache_fill(CCache *c, i64 line, i64 now, i64 arrival,
         c->vline[i] = vline;
         c->org[i] = is_prefetch ? origin : 0;
         if (c->pol == POL_LRU) {
-            i64 clock = c->polc[s] + 1;
-            c->polc[s] = clock;
-            c->pola[i] = clock;
+            lru_stamp(c->polc, c->pola, s, i);
         } else if (c->pol == POL_SRRIP) {
             c->pola[i] = MAX_RRPV - 1;
         } else {
@@ -498,87 +496,60 @@ static void mshr_allocate(CMshr *m, i64 line, i64 now, i64 ready,
 /* TLBs + page table                                                   */
 /* ------------------------------------------------------------------ */
 
+/* The TLB buffers are the Python TLB's own columns (vpages, ppages and
+ * its LRUPolicy's clock/age, slot = set * ways + way), bound by pointer;
+ * age 0 marks an empty way. */
 typedef struct {
-    i64 nsets, ways, row;
-    i64 *vp, *pp, *len;
+    i64 nsets, ways;
+    i64 *vp, *pp, *clk, *age;
 } CTlb;
 
 static CTlb TDT, TST;
 
 #define LOAD_TLB(t, P) do {                                            \
     (t)->nsets = R[R_##P##_NSETS]; (t)->ways = R[R_##P##_WAYS];        \
-    (t)->row = (t)->ways + 1;                                          \
     (t)->vp = (i64 *)B[B_##P##_VP];                                    \
     (t)->pp = (i64 *)B[B_##P##_PP];                                    \
-    (t)->len = (i64 *)B[B_##P##_LEN];                                  \
+    (t)->clk = (i64 *)B[B_##P##_CLK];                                  \
+    (t)->age = (i64 *)B[B_##P##_AGE];                                  \
 } while (0)
 
-static i64 tlb_get(CTlb *t, i64 vpage) {
-    i64 s = imod(vpage, t->nsets);
-    i64 base = s * t->row;
-    i64 n = t->len[s];
+/* TLB._map.get: the slot holding vpage, or -1. */
+static i64 tlb_slot(CTlb *t, i64 vpage) {
+    i64 base = imod(vpage, t->nsets) * t->ways;
     i64 i;
-    for (i = 0; i < n; i++)
-        if (t->vp[base + i] == vpage)
-            return t->pp[base + i];
+    for (i = base; i < base + t->ways; i++)
+        if (t->age[i] && t->vp[i] == vpage)
+            return i;
     return -1;
 }
 
-static void tlb_mru(CTlb *t, i64 vpage) {
-    i64 s = imod(vpage, t->nsets);
-    i64 base = s * t->row;
-    i64 n = t->len[s];
-    i64 i, j;
-    for (i = 0; i < n; i++) {
-        if (t->vp[base + i] == vpage) {
-            i64 pp = t->pp[base + i];
-            for (j = i; j < n - 1; j++) {
-                t->vp[base + j] = t->vp[base + j + 1];
-                t->pp[base + j] = t->pp[base + j + 1];
-            }
-            t->vp[base + n - 1] = vpage;
-            t->pp[base + n - 1] = pp;
-            return;
-        }
-    }
+/* TLB.lookup's LRU update of a hit slot. */
+static void tlb_touch(CTlb *t, i64 i) {
+    lru_stamp(t->clk, t->age, i / t->ways, i);
 }
 
+/* TLB.insert: refresh vpage's slot, else take the set's first way of
+ * minimal age (an empty way while one is left, else the LRU way). */
 static void tlb_insert(CTlb *t, i64 vpage, i64 ppage) {
-    i64 s = imod(vpage, t->nsets);
-    i64 base = s * t->row;
-    i64 n = t->len[s];
-    i64 i, j;
-    for (i = 0; i < n; i++) {
-        if (t->vp[base + i] == vpage) {
-            for (j = i; j < n - 1; j++) {
-                t->vp[base + j] = t->vp[base + j + 1];
-                t->pp[base + j] = t->pp[base + j + 1];
-            }
-            n--;
-            break;
-        }
+    i64 i = tlb_slot(t, vpage);
+    if (i < 0) {
+        i64 base = imod(vpage, t->nsets) * t->ways;
+        i = base + lru_victim(t->age, base, t->ways);
+        t->vp[i] = vpage;
     }
-    t->vp[base + n] = vpage;
-    t->pp[base + n] = ppage;
-    n++;
-    if (n > t->ways) {
-        for (j = 0; j < n - 1; j++) {
-            t->vp[base + j] = t->vp[base + j + 1];
-            t->pp[base + j] = t->pp[base + j + 1];
-        }
-        n--;
-    }
-    t->len[s] = n;
+    t->pp[i] = ppage;
+    tlb_touch(t, i);
 }
 
 static i64 stlb_lookup(i64 vpage) {
     R[R_ST_ACC]++;
-    i64 pp = tlb_get(&TST, vpage);
-    if (pp < 0)
+    i64 i = tlb_slot(&TST, vpage);
+    if (i < 0)
         return -1;
-    tlb_mru(&TST, vpage);
+    tlb_touch(&TST, i);
     R[R_ST_HITS]++;
-    return pp;
+    return TST.pp[i];
 }
 
 /* Open-addressed page-table hash (marshal exports the same probe
@@ -624,13 +595,13 @@ static i64 physical_page(i64 vpage) {
 /* MMU._translate_prefetch_cold: dTLB probe, no MRU, no demand stats. */
 static i64 translate_cold(i64 target, i64 vpage) {
     R[R_DT_PPROBES]++;
-    i64 pp = tlb_get(&TDT, vpage);
-    if (pp < 0) {
+    i64 i = tlb_slot(&TDT, vpage);
+    if (i < 0) {
         R[R_MMU_DROPPED]++;
         return -1;
     }
     R[R_DT_PPROBE_HITS]++;
-    return (pp << LPB) | (target & POM);
+    return (TDT.pp[i] << LPB) | (target & POM);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1036,6 +1007,25 @@ static void berti_learn(i64 ip, i64 vline, i64 demand_time, i64 latency) {
 
 static i64 m1_reserve;
 
+/* _access_llc for a prefetch reaching the LLC at cycle t: the LLC hit,
+ * or the DRAM read and LLC fill.  Returns when the line is ready. */
+static i64 llc_prefetch(i64 pline, i64 t) {
+    i64 s3 = pline & CLL.set_mask;
+    i64 w3 = cache_way(&CLL, s3, pline);
+    i64 mt3 = t + CLL.lat;
+    if (w3 >= 0) {
+        cache_touch(&CLL, s3, w3);
+        i64 a3 = CLL.arr[s3 * CLL.ways + w3];
+        return a3 > mt3 ? a3 : mt3;
+    }
+    d_D_TLD_PF++;
+    i64 ready = dram_read(pline, mt3);
+    i64 v3 = cache_fill(&CLL, pline, mt3, ready, 1, 0, -1, 0, 0);
+    if (v3 >= 0)
+        handle_wb(2, v3, ready);
+    return ready;
+}
+
 static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
                        int mshr_below) {
     i64 pq_full = 0;
@@ -1054,8 +1044,8 @@ static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
         i64 vpage = target >> LPB;
         d_D_STLB_PROBES++;
         i64 pline;
-        i64 pp = tlb_get(&TST, vpage);
-        if (pp < 0) {
+        i64 si = tlb_slot(&TST, vpage);
+        if (si < 0) {
             pline = translate_cold(target, vpage);
             if (pline < 0) {
                 d_D_PF_DTRANS++;
@@ -1063,7 +1053,7 @@ static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
             }
         } else {
             d_D_STLB_HITS++;
-            pline = (pp << LPB) | (target & POM);
+            pline = (TST.pp[si] << LPB) | (target & POM);
         }
         if (fill_l1) {
             i64 s1 = pline & CL1.set_mask;
@@ -1119,23 +1109,7 @@ static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
                 } else {
                     i64 mt2 = issue_time + CL2.lat;
                     d_D_T2L_PF++;
-                    i64 s3 = pline & CLL.set_mask;
-                    i64 w3 = cache_way(&CLL, s3, pline);
-                    if (w3 >= 0) {
-                        cache_touch(&CLL, s3, w3);
-                        ready = mt2 + CLL.lat;
-                        i64 a3 = CLL.arr[s3 * CLL.ways + w3];
-                        if (a3 > ready)
-                            ready = a3;
-                    } else {
-                        i64 mt3 = mt2 + CLL.lat;
-                        d_D_TLD_PF++;
-                        ready = dram_read(pline, mt3);
-                        i64 v3 = cache_fill(&CLL, pline, mt3, ready, 1,
-                                            0, -1, 0, 0);
-                        if (v3 >= 0)
-                            handle_wb(2, v3, ready);
-                    }
+                    ready = llc_prefetch(pline, mt2);
                     mshr_expire(&M2, mt2);
                     if (M2.count < M2.size)
                         mshr_allocate(&M2, pline, mt2, ready, 1, ip, 0);
@@ -1187,25 +1161,7 @@ static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
                 d_D_PF_DM++;
                 continue;
             }
-            i64 ready;
-            i64 now3 = issue_time + CL2.lat;
-            i64 s3 = pline & CLL.set_mask;
-            i64 w3 = cache_way(&CLL, s3, pline);
-            if (w3 >= 0) {
-                cache_touch(&CLL, s3, w3);
-                ready = now3 + CLL.lat;
-                i64 a3 = CLL.arr[s3 * CLL.ways + w3];
-                if (a3 > ready)
-                    ready = a3;
-            } else {
-                i64 mt3 = now3 + CLL.lat;
-                d_D_TLD_PF++;
-                ready = dram_read(pline, mt3);
-                i64 v3 = cache_fill(&CLL, pline, mt3, ready, 1,
-                                    0, -1, 0, 0);
-                if (v3 >= 0)
-                    handle_wb(2, v3, ready);
-            }
+            i64 ready = llc_prefetch(pline, issue_time + CL2.lat);
             mshr_allocate(&M2, pline, issue_time, ready, 1, ip, 0);
             i64 latency = ready - now;
             /* Ladder L2 fill: victim dropped, origin "l1d". */
@@ -1218,6 +1174,21 @@ static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
             d_D_PF_ISSUED++;
         }
     }
+}
+
+/* _run_l1d_prefetcher_on_access for the kernel prefetcher at cycle t:
+ * on_access_kernel (a miss is recorded in the history table), then the
+ * ladder over the delta table's predictions, gated on the L1D MSHR
+ * occupancy. */
+static void berti_on_access(i64 ip, i64 vline, i64 t, int miss) {
+    mshr_expire(&M1, t);
+    f64 mshr_occ = M1.size ? (f64)M1.count / (f64)M1.size : 0.0;
+    pq_expire(t);
+    if (miss)
+        hist_insert(ip, vline, t);
+    i64 n_sel = dt_prefetch_deltas(ip);
+    if (n_sel)
+        run_ladder(n_sel, ip, vline, t, mshr_occ < F[FR_F_WATERMARK]);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1371,7 +1342,6 @@ static void run(void) {
     i64 lo = R[R_LO], hi = R[R_HI];
     i64 kernel = R[R_KERNEL];
     i64 lat_mask = kernel ? R[R_LAT_MASK] : 0;
-    f64 watermark = F[FR_F_WATERMARK];
     i64 r;
     for (r = lo; r < hi; r++) {
         i64 ip = T_IPS[r];
@@ -1415,15 +1385,15 @@ static void run(void) {
         d_D_DT_ACC++;
         i64 pline;
         i64 trans_latency;
-        i64 pp = tlb_get(&TDT, vpage);
-        if (pp >= 0) {
-            tlb_mru(&TDT, vpage);
+        i64 di = tlb_slot(&TDT, vpage);
+        if (di >= 0) {
+            tlb_touch(&TDT, di);
             d_D_DT_HIT++;
-            pline = (pp << LPB) | (vline & POM);
+            pline = (TDT.pp[di] << LPB) | (vline & POM);
             trans_latency = R[R_DT_LAT];
         } else {
             trans_latency = R[R_MISS_TRANS_LAT];
-            pp = stlb_lookup(vpage);
+            i64 pp = stlb_lookup(vpage);
             if (pp < 0) {
                 pp = physical_page(vpage);
                 R[R_MMU_WALKS]++;
@@ -1475,15 +1445,8 @@ static void run(void) {
             }
             if (is_write)
                 CL1.dirty[li] = 1;
-            if (kernel) {
-                mshr_expire(&M1, t);
-                f64 mshr_occ = M1.size
-                    ? (f64)M1.count / (f64)M1.size : 0.0;
-                pq_expire(t);
-                i64 n_sel = dt_prefetch_deltas(ip);
-                if (n_sel)
-                    run_ladder(n_sel, ip, vline, t, mshr_occ < watermark);
-            }
+            if (kernel)
+                berti_on_access(ip, vline, t, 0);
         } else {
             /* ------------------------------ L1D miss */
             d_D_L1_MISS++;
@@ -1513,17 +1476,8 @@ static void run(void) {
                             berti_learn(ip, vline, t, pf_lat_v);
                     }
                 }
-                if (kernel) {
-                    mshr_expire(&M1, t);
-                    f64 mshr_occ = M1.size
-                        ? (f64)M1.count / (f64)M1.size : 0.0;
-                    pq_expire(t);
-                    hist_insert(ip, vline, t);
-                    i64 n_sel = dt_prefetch_deltas(ip);
-                    if (n_sel)
-                        run_ladder(n_sel, ip, vline, t,
-                                   mshr_occ < watermark);
-                }
+                if (kernel)
+                    berti_on_access(ip, vline, t, 1);
                 latency = trans_latency + CL1.lat + wait;
             } else {
                 /* True miss: fetch from L2 (and below). */
@@ -1630,15 +1584,7 @@ static void run(void) {
                 if (is_write)
                     cache_mark_dirty(&CL1, pline);
                 if (kernel) {
-                    mshr_expire(&M1, t);
-                    f64 mshr_occ = M1.size
-                        ? (f64)M1.count / (f64)M1.size : 0.0;
-                    pq_expire(t);
-                    hist_insert(ip, vline, t);
-                    i64 n_sel = dt_prefetch_deltas(ip);
-                    if (n_sel)
-                        run_ladder(n_sel, ip, vline, t,
-                                   mshr_occ < watermark);
+                    berti_on_access(ip, vline, t, 1);
                     /* on_fill_kernel (demand fill). */
                     i64 fl = ready - miss_time;
                     if (0 < fl && fl <= lat_mask)

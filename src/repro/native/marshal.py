@@ -7,10 +7,10 @@ and whatever was copied is imported back into the very same Python
 objects before the span runner returns.  The hierarchy's state is
 therefore current at every span boundary — snapshots, warmup resets,
 lockstep digests and engine switches (demotion) all operate on ordinary
-hierarchy objects and never need to know a C kernel ran the span.  Two
-derived indexes are the exception, both kept O(what changed) per span:
-a cache's presence index is dropped and rebuilt by its next reader, and
-the kernel's page-table hash persists from span to span.
+hierarchy objects and never need to know a C kernel ran the span.  The
+derived indexes are the exception, each kept O(what changed) per span:
+the caches' and TLBs' indexes are dropped and rebuilt by their next
+reader, and the kernel's page-table hash persists from span to span.
 
 Layout contract
 ---------------
@@ -24,13 +24,14 @@ hash and forces a rebuild.
 
 Four marshalling classes of state:
 
-* **zero-copy** — the trace columns, the caches' per-way columns and
-  replacement columns (:class:`~repro.memory.cache.Cache` and its
-  policy keep their state in exactly the kernel's layout) and the
-  Berti history-table rings (``array('q')`` columns) are passed by
-  pointer and mutated in place; after each span every cache drops its
-  derived presence index (:meth:`~repro.memory.cache.Cache.drop_index`)
-  and the cache's next reader rebuilds it;
+* **zero-copy** — the trace columns, the per-way columns of the caches
+  and TLBs with their replacement columns
+  (:class:`~repro.memory.cache.Cache`, :class:`~repro.cpu.tlb.TLB` and
+  their policies keep their state in exactly the kernel's layout) and
+  the Berti history-table rings (``array('q')`` columns) are passed by
+  pointer and mutated in place; after each span every cache and TLB
+  drops its derived index (``drop_index()``) and its next reader
+  rebuilds it;
 * **persistent** — the page-table hash (``HASH_K``/``HASH_V``) lives
   in buffers owned here.  The kernel inserts every page it walks and
   logs the walk; the import replays the log into ``MMU._page_table``.
@@ -44,20 +45,18 @@ Four marshalling classes of state:
 * **absolute counters and structures** — everything else round-trips
   by value: exported at span start, imported unconditionally at span
   end (even on error: like the classic loop, the kernel mutates
-  structures in place before it fails).
+  structures in place before it fails).  The structures are the MSHR
+  entries, the DRAM banks and write queue, the core window, the PQ and
+  the Berti delta table; the import rebuilds the delta table's and the
+  history table's indexes through their ``reindex()``.
 
-Dict-shaped indexes (``MSHR._entries``, TLB ``_map``, history
-``_chains``, delta-table ``_by_delta``/``_by_tag``) are rebuilt from the
-flat columns at import time; their *insertion order* differs from the
-classic engine's, which is why those classes canonicalise dict order in
-``__getstate__`` — snapshot bytes stay backend-independent.  (A cache's
-``_where`` and the page-table hash are never pickled at all.)
+No index derived from a column is pickled, so snapshot bytes do not
+depend on the order in which either engine built it.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from typing import Any, Dict, List, Tuple
 
 from repro.cpu.core_model import CoreModel
@@ -184,7 +183,7 @@ _CACHE_BUF_FIELDS = (
     *(f for f, _ in _CACHE_COLUMNS), "POLC", "POLA", "MT",
 )
 _MSHR_BUF_FIELDS = ("LINE", "ALLOC", "READY", "ISPF", "IP", "VLINE", "MERGED")
-_TLB_BUF_FIELDS = ("VP", "PP", "LEN")
+_TLB_BUF_FIELDS = ("VP", "PP", "CLK", "AGE")
 
 BUFS: Tuple[str, ...] = (
     "T_IPS", "T_ADDRS", "T_WRITES", "T_GAPS", "T_DEPS",
@@ -215,16 +214,6 @@ def layout_digest() -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
-def decoded_columns(trace) -> Tuple[Any, Any]:
-    """addr→(vline, vpage) derived columns for the whole trace.
-
-    Delegates to :meth:`repro.workloads.trace.Trace.decoded_columns`
-    (numpy-vectorized, cached on the trace), so every span of every run
-    over the trace shares one decode by pointer.
-    """
-    return trace.decoded_columns()
-
-
 def _ptr_of(buf: Any) -> int:
     """Raw data pointer of an array('q'/'d') or numpy array (0 if empty)."""
     if buf is None:
@@ -236,7 +225,7 @@ def _ptr_of(buf: Any) -> int:
 
 def _column(buf: Any, n: int, what: str) -> Any:
     """``buf``, checked to be an int64 column of ``n`` entries: the
-    kernel indexes bound cache columns without bounds checks."""
+    kernel indexes bound columns without bounds checks."""
     if not isinstance(buf, array) or buf.typecode != "q" or len(buf) != n:
         raise SimulationError(
             f"{what} is not an array('q') of {n} entries", field="engine"
@@ -261,7 +250,8 @@ class NativeState:
         self._hashed = 0
 
         ips, addrs, writes, gaps, deps = trace.columns()
-        vlines, vpages = decoded_columns(trace)
+        # Cached on the trace: every run over it shares one decode.
+        vlines, vpages = trace.decoded_columns()
         b = self.bufs
         b["T_IPS"], b["T_ADDRS"], b["T_WRITES"] = ips, addrs, writes
         b["T_GAPS"], b["T_DEPS"] = gaps, deps
@@ -283,12 +273,6 @@ class NativeState:
         for p, mshr in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
             for f in _MSHR_BUF_FIELDS:
                 b[f"{p}_{f}"] = array("q", bytes(8 * max(1, mshr.size)))
-        for p, tlb in zip(_TLB_PREFIXES, (h.mmu.dtlb, h.mmu.stlb)):
-            row = tlb.ways + 1  # insert transiently exceeds ways
-            n = tlb.num_sets * row
-            b[f"{p}_VP"] = array("q", bytes(8 * n))
-            b[f"{p}_PP"] = array("q", bytes(8 * n))
-            b[f"{p}_LEN"] = array("q", bytes(8 * tlb.num_sets))
         cfg = h.dram.config
         b["BANK_ROW"] = array("q", bytes(8 * cfg.banks))
         b["BANK_BUSY"] = array("q", bytes(8 * cfg.banks))
@@ -328,7 +312,6 @@ class NativeState:
 
         self._export_caches()
         self._export_mshrs()
-        self._export_tlbs()
         self._export_mmu(hi - lo)
         self._export_dram()
         self._export_core(hi - lo)
@@ -403,20 +386,18 @@ class NativeState:
                 vlc[i] = e.vline
                 merged[i] = e.merged_demands
 
-    def _export_tlbs(self) -> None:
+    def _export_mmu(self, span_len: int) -> None:
         R, b, h = self.R, self.bufs, self.h
         mmu = h.mmu
         for p, tlb in zip(_TLB_PREFIXES, (mmu.dtlb, mmu.stlb)):
-            R[RIX[f"{p}_NSETS"]] = tlb.num_sets
+            sets, n, name = tlb.num_sets, tlb.entries, tlb.name
+            R[RIX[f"{p}_NSETS"]] = sets
             R[RIX[f"{p}_WAYS"]] = tlb.ways
-            row = tlb.ways + 1
-            vp, pp, ln = b[f"{p}_VP"], b[f"{p}_PP"], b[f"{p}_LEN"]
-            for s, entries in enumerate(tlb._sets):
-                ln[s] = len(entries)
-                base = s * row
-                for i, (v, ph) in enumerate(entries):
-                    vp[base + i] = v
-                    pp[base + i] = ph
+            b[f"{p}_VP"] = _column(tlb.vpages, n, f"{name}.vpages")
+            b[f"{p}_PP"] = _column(tlb.ppages, n, f"{name}.ppages")
+            b[f"{p}_CLK"] = _column(tlb.policy._clock, sets,
+                                    f"{name} LRU clocks")
+            b[f"{p}_AGE"] = _column(tlb.policy._age, n, f"{name} LRU ages")
         R[RIX["DT_LAT"]] = mmu.dtlb.latency
         R[RIX["MISS_TRANS_LAT"]] = mmu.dtlb.latency + mmu.stlb.latency
         R[RIX["WALK_LAT"]] = mmu.page_walk_latency
@@ -424,10 +405,6 @@ class NativeState:
         R[RIX["DT_PPROBE_HITS"]] = mmu.dtlb.stats.prefetch_probe_hits
         R[RIX["ST_ACC"]] = mmu.stlb.stats.accesses
         R[RIX["ST_HITS"]] = mmu.stlb.stats.hits
-
-    def _export_mmu(self, span_len: int) -> None:
-        R, b, h = self.R, self.bufs, self.h
-        mmu = h.mmu
         table = mmu._page_table
         # The hash persists across native spans (module docstring):
         # rebuild it only if the table grew outside the kernel or this
@@ -623,7 +600,6 @@ class NativeState:
         """Import state back; ``ok=False`` skips the span-delta flush."""
         self._import_caches()
         self._import_mshrs()
-        self._import_tlbs()
         self._import_mmu()
         self._import_dram()
         self._import_core()
@@ -684,30 +660,15 @@ class NativeState:
             m.allocations = R[RIX[f"{p}_ALLOCS"]]
             m.full_rejections = R[RIX[f"{p}_FULLREJ"]]
 
-    def _import_tlbs(self) -> None:
+    def _import_mmu(self) -> None:
         R, b, h = self.R, self.bufs, self.h
         mmu = h.mmu
-        for p, tlb in zip(_TLB_PREFIXES, (mmu.dtlb, mmu.stlb)):
-            row = tlb.ways + 1
-            vp, pp, ln = b[f"{p}_VP"], b[f"{p}_PP"], b[f"{p}_LEN"]
-            tmap: dict = {}
-            sets = tlb._sets
-            for s in range(tlb.num_sets):
-                base = s * row
-                n = ln[s]
-                entries = [(vp[base + i], pp[base + i]) for i in range(n)]
-                sets[s] = entries
-                for v, ph in entries:
-                    tmap[v] = ph
-            tlb._map = tmap
+        mmu.dtlb.drop_index()
+        mmu.stlb.drop_index()
         mmu.dtlb.stats.prefetch_probes = R[RIX["DT_PPROBES"]]
         mmu.dtlb.stats.prefetch_probe_hits = R[RIX["DT_PPROBE_HITS"]]
         mmu.stlb.stats.accesses = R[RIX["ST_ACC"]]
         mmu.stlb.stats.hits = R[RIX["ST_HITS"]]
-
-    def _import_mmu(self) -> None:
-        R, b, h = self.R, self.bufs, self.h
-        mmu = h.mmu
         n = R[RIX["WALKLOG_LEN"]]
         wvp, wpp = b["WALK_VP"], b["WALK_PP"]
         table = mmu._page_table
@@ -779,27 +740,7 @@ class NativeState:
         hist.inserts = new_inserts
         hist.searches = R[RIX["H_SEARCHES"]]
         if rebuild:
-            # Forward walk from the FIFO pointer visits oldest->youngest,
-            # reproducing the incremental chain maintenance exactly.
-            cfg = kern.config
-            sets, ways = cfg.history_sets, cfg.history_ways
-            tags, lines, tss = hist._tags, hist._lines, hist._tss
-            ptrs = hist._fifo_ptr
-            chains = hist._chains
-            for s in range(sets):
-                chain: dict = {}
-                base = s * ways
-                ptr = ptrs[s]
-                for j in range(ways):
-                    w = base + (ptr + j) % ways
-                    t = tags[w]
-                    if t < 0:
-                        continue
-                    dq = chain.get(t)
-                    if dq is None:
-                        chain[t] = dq = deque()
-                    dq.append((lines[w], tss[w]))
-                chains[s] = chain
+            hist.reindex()
 
         dt = kern.deltas
         entries = len(dt._valid)
@@ -808,16 +749,13 @@ class NativeState:
         ec, eo = b["E_CTR"], b["E_ORDER"]
         ew, es = b["E_WARMED"], b["E_SCOUNT"]
         sd, sc, ss = b["S_DELTA"], b["S_COV"], b["S_STATUS"]
-        by_tag: dict = {}
         for e in range(entries):
-            v = ev[e] != 0
-            dt._valid[e] = v
+            dt._valid[e] = ev[e] != 0
             dt._tags[e] = et[e]
             dt._counters[e] = ec[e]
             dt._orders[e] = eo[e]
             dt._warmed[e] = ew[e] != 0
-            count = es[e]
-            dt._slot_count[e] = count
+            dt._slot_count[e] = es[e]
             base = e * per
             drow, crow, strow = (dt._slot_delta[e], dt._slot_cov[e],
                                  dt._slot_status[e])
@@ -825,12 +763,7 @@ class NativeState:
                 drow[i] = sd[base + i]
                 crow[i] = sc[base + i]
                 strow[i] = ss[base + i]
-            dt._by_delta[e] = {drow[i]: i for i in range(count)}
-            dt._pf_cache[e] = None
-            dt._warm_cache[e] = None
-            if v:
-                by_tag[et[e]] = e
-        dt._by_tag = by_tag
+        dt.reindex()
         heap_cap = R[RIX["HEAP_CAP"]]
         hb, hl = b["HEAP"], b["HEAP_LEN"]
         for e in range(entries):

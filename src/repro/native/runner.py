@@ -189,10 +189,10 @@ class NativeRunner:
         self.demoted_spans += 1
         h = self.hierarchy
         if self._state is not None:
-            # Native spans drop the caches' presence indexes; the classic
-            # loop's inlined probes read them directly.
-            for cache in (h.l1d, h.l2, h.llc):
-                cache.index()
+            # Native spans drop the caches' and TLBs' indexes; the
+            # classic loop's inlined probes read them directly.
+            for part in (h.l1d, h.l2, h.llc, h.mmu.dtlb, h.mmu.stlb):
+                part.index()
         # Built per span: the guard that demoted this span may be a
         # wrapper attached since the last one, and the classic loop reads
         # ``demand_access`` when it is built.

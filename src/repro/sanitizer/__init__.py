@@ -29,6 +29,7 @@ from repro.sanitizer.lockstep import (
     lockstep_multicore,
     lockstep_run,
     quick_trace,
+    small_tlb_config,
 )
 from repro.sanitizer.reference import is_reference, to_reference
 from repro.sanitizer.snapshot import (
@@ -51,6 +52,7 @@ __all__ = [
     "lockstep_multicore",
     "lockstep_run",
     "quick_trace",
+    "small_tlb_config",
     "is_reference",
     "to_reference",
     "latest_snapshot",

@@ -9,7 +9,9 @@ the hierarchy's structures:
 
 * **cache** — the per-way columns against their derived indexes
   (``_where`` ↔ tag/valid columns, ``_valid_count``), duplicate tags,
-  prefetch metadata ranges, no prefetch bit on an invalid slot;
+  prefetch metadata ranges, no prefetch bit on an invalid slot; and
+  the dTLB/STLB columns against ``_map``, each page in its own set
+  and once, with the LRU stamp rules of **replacement**;
 * **replacement** — LRU clock uniqueness and bounds, SRRIP/DRRIP RRPV
   range, DRRIP PSEL range;
 * **mshr** — occupancy bound, per-entry timestamp monotonicity
@@ -39,6 +41,7 @@ import numpy as np
 
 from repro.core.delta_table import L2_PREF_REPL, NO_PREF, DeltaTable
 from repro.core.history_table import HistoryTable
+from repro.cpu.tlb import TLB
 from repro.errors import SanitizerError
 from repro.memory.cache import ORIGIN_L1D, ORIGIN_L2, ORIGIN_NONE, Cache
 from repro.memory.hierarchy import Hierarchy, _FIFOQueue
@@ -124,6 +127,62 @@ def check_cache(cache: Cache) -> List[Violation]:
     return out
 
 
+def check_tlb(tlb: TLB) -> List[Violation]:
+    """Consistency of one TLB's columns and its ``_map`` index (rebuilt
+    first if a native span dropped it); age 0 marks an empty way."""
+    out: List[Violation] = []
+    name, ways, num_sets = tlb.name, tlb.ways, tlb.num_sets
+    vpages, age, tmap = tlb.vpages, tlb.policy._age, tlb.index()
+    for vpage, slot in tmap.items():
+        if not (0 <= slot < len(age) and age[slot]):
+            out.append((name, f"_map[{vpage:#x}] points at empty slot "
+                        f"{slot}", {"tlb": name, "vpage": vpage}))
+        elif vpages[slot] != vpage:
+            out.append((name, f"_map[{vpage:#x}] points at slot {slot} "
+                        f"holding vpage {vpages[slot]:#x}",
+                        {"tlb": name, "vpage": vpage, "slot": slot}))
+    seen: Dict[int, int] = {}
+    occupied = list(compress(range(len(age)), age))
+    for slot in occupied:
+        vpage = vpages[slot]
+        dump = {"tlb": name, "slot": slot, "vpage": vpage}
+        if vpage % num_sets != slot // ways:
+            out.append((name, f"vpage {vpage:#x} in slot {slot} sits "
+                        f"outside its set {vpage % num_sets}", dump))
+        elif seen.setdefault(vpage, slot) != slot:
+            out.append((name, f"vpage {vpage:#x} in slots {seen[vpage]} "
+                        f"and {slot}", dump))
+        elif tmap.get(vpage) != slot:
+            out.append((name, f"vpage {vpage:#x} (slot {slot}) missing "
+                        f"from _map", dump))
+    out.extend(_check_lru(tlb.policy, occupied, f"{name}.policy",
+                          {"tlb": name}))
+    return out
+
+
+def _check_lru(policy: LRUPolicy, slots, name: str,
+               owner: Dict[str, Any]) -> List[Violation]:
+    """LRU stamps of the occupied ``slots``: none ahead of its set's
+    clock, none shared within a set."""
+    out: List[Violation] = []
+    ways = policy.num_ways
+    seen: Dict[Tuple[int, int], int] = {}
+    for slot in slots:
+        sidx, way = divmod(slot, ways)
+        age, clock = policy._age[slot], policy._clock[sidx]
+        dump = {**owner, "set": sidx, "way": way, "age": age,
+                "clock": clock}
+        if age > clock:
+            out.append((name, f"set {sidx} way {way}: LRU age "
+                        f"{age} ahead of set clock {clock}", dump))
+        other = seen.setdefault((sidx, age), way)
+        if other != way:
+            out.append((name, f"set {sidx}: LRU age {age} shared "
+                        f"by ways {other} and {way} (clock "
+                        f"uniqueness broken)", dump))
+    return out
+
+
 def check_replacement(cache: Cache) -> List[Violation]:
     """Replacement-metadata consistency for one cache's policy."""
     out: List[Violation] = []
@@ -131,20 +190,9 @@ def check_replacement(cache: Cache) -> List[Violation]:
     policy = cache.policy
     ways = cache.ways
     if isinstance(policy, LRUPolicy):
-        seen: Dict[Tuple[int, int], int] = {}
-        for slot in compress(range(len(cache.valid)), cache.valid):
-            sidx, way = divmod(slot, ways)
-            age, clock = policy._age[slot], policy._clock[sidx]
-            dump = {"cache": cache.name, "set": sidx, "way": way,
-                    "age": age, "clock": clock}
-            if age > clock:
-                out.append((name, f"set {sidx} way {way}: LRU age "
-                            f"{age} ahead of set clock {clock}", dump))
-            other = seen.setdefault((sidx, age), way)
-            if other != way:
-                out.append((name, f"set {sidx}: LRU age {age} shared "
-                            f"by ways {other} and {way} (clock "
-                            f"uniqueness broken)", dump))
+        out.extend(_check_lru(policy,
+                              compress(range(len(cache.valid)), cache.valid),
+                              name, {"cache": cache.name}))
     if isinstance(policy, SRRIPPolicy):
         max_rrpv = SRRIPPolicy.MAX_RRPV
         rrpvs = np.frombuffer(policy._rrpv, dtype=np.int64)
@@ -605,6 +653,8 @@ def check_hierarchy(
     if "cache" in fams:
         for cache in caches:
             out.extend(check_cache(cache))
+        out.extend(check_tlb(hierarchy.mmu.dtlb))
+        out.extend(check_tlb(hierarchy.mmu.stlb))
     if "replacement" in fams:
         for cache in caches:
             out.extend(check_replacement(cache))

@@ -11,10 +11,11 @@ after every access:
 * the core's cycle clock (exact float equality — both engines perform
   the same arithmetic in the same order, so any drift is a real bug),
 
-plus a structural digest (cache presence indexes, TLB contents in LRU
-order, the page table and its allocation counter, MSHR entry sets, PQ
-service times, per-cache counters) every ``digest_every`` accesses, and
-a full :class:`~repro.simulator.stats.SimResult` comparison at the end.
+plus a structural digest (cache presence indexes, TLB columns with
+their LRU stamps, the page table and its allocation counter, DRAM bank
+and queue state, MSHR entry sets, PQ service times, per-cache
+counters) every ``digest_every`` accesses, and a full
+:class:`~repro.simulator.stats.SimResult` comparison at the end.
 The first mismatch is reported with its access index, so a fast-path
 bug is localised to the exact record that exposed it.
 
@@ -25,7 +26,7 @@ detected *at* ``N`` — the self-test that the oracle actually looks.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.memory.hierarchy import Hierarchy
@@ -85,15 +86,16 @@ def _mshr_digest(mshr) -> Dict[int, Tuple[int, int, bool, int]]:
     }
 
 
-def _tlb_digest(tlb) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Each set's ``(vpage, ppage)`` entries, LRU first."""
-    return tuple(tuple(entries) for entries in tlb._sets)
+def _tlb_digest(tlb) -> Tuple[Tuple[Any, ...], Tuple[int, ...]]:
+    """Each way's ``(vpage, ppage, LRU age)``, and the set clocks."""
+    lru = tlb.policy
+    return (tuple(zip(tlb.vpages, tlb.ppages, lru._age)), tuple(lru._clock))
 
 
 def _state_digest(h: Hierarchy) -> Dict[str, Any]:
     """Comparable structural summary; read-only but for rebuilding a
     cache index a native span dropped."""
-    mmu = h.mmu
+    mmu, dram = h.mmu, h.dram
     return {
         "l1d_where": dict(h.l1d.index()),
         "l2_where": dict(h.l2.index()),
@@ -102,6 +104,9 @@ def _state_digest(h: Hierarchy) -> Dict[str, Any]:
         "stlb": _tlb_digest(mmu.stlb),
         "page_table": tuple(mmu._page_table.items()),
         "next_ppage": mmu._next_ppage,
+        "dram": (tuple((b.open_row, b.busy_until) for b in dram._banks),
+                 dram._bus_free, tuple(dram._pending_writes),
+                 astuple(dram.stats)),
         "l1d_mshr": _mshr_digest(h.l1d_mshr),
         "l2_mshr": _mshr_digest(h.l2_mshr),
         "llc_mshr": _mshr_digest(h.llc_mshr),
@@ -429,3 +434,12 @@ def quick_trace(records: int = 1200, name: str = "sancheck_quick") -> Trace:
     out = interleave([a, b, c], name, chunk=2)
     out.suite = "synthetic"
     return out
+
+
+def small_tlb_config() -> SystemConfig:
+    """A 4-entry 2-way dTLB and an 8-entry 2-way STLB on the default
+    system: from cold TLBs, :func:`quick_trace` hits both, evicts from
+    both and re-walks evicted pages (the ``sancheck --quick`` leg that
+    covers what the Table II STLB never does on these traces)."""
+    return replace(default_config(), dtlb_entries=4, dtlb_ways=2,
+                   stlb_entries=8, stlb_ways=2)

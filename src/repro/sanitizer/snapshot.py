@@ -12,7 +12,7 @@ module holds the format: :func:`save_snapshot`, :func:`load_snapshot`
 (which verifies), and :func:`resume_run`, which checks that a snapshot
 continues the requested run and returns that run.
 
-File format (version 3)::
+File format (version 4)::
 
     <JSON header line>\\n<pickle payload>
 
@@ -24,15 +24,17 @@ bytes), and ``header_crc``, :func:`repro.durability.crc32_of` (the
 CRC-32 of the canonical JSON) of every *other* header field, so a
 flipped bit in the identity fields themselves (trace name, record
 count, prefetcher names) is caught instead of silently redirecting a
-resume.  Version 3 pickles each cache as its per-way columns (earlier
-versions held per-line objects) and computes ``header_crc`` with the
-shared helper; older files are refused.  Checks run in a
-fixed order: magic, version, header integrity, payload length, payload
-checksum, trace identity, then payload structure (the unpickled state
-must be a dict carrying every resume field, and its ``next_index`` must
-agree with the header's ``index``).  :func:`load_snapshot` rejects
-every failure as a typed :class:`~repro.errors.SnapshotError`, never a
-partial resume.
+resume.  Version 4 pickles each cache and TLB as its per-way columns
+(version 3 held the TLBs as per-set lists, earlier versions held
+per-line cache objects), leaves out the indexes the caches, TLBs and
+Berti tables rebuild from their columns on load, and computes
+``header_crc`` with the shared helper; older files are refused.
+Checks run in a fixed order: magic, version, header integrity, payload
+length, payload checksum, trace identity, then payload structure (the
+unpickled state must be a dict carrying every resume field, and its
+``next_index`` must agree with the header's ``index``).
+:func:`load_snapshot` rejects every failure as a typed
+:class:`~repro.errors.SnapshotError`, never a partial resume.
 
 Writes are atomic: payload to a temp file in the target directory,
 ``flush`` + ``fsync``, then ``os.replace`` — a crash mid-write leaves
@@ -55,7 +57,7 @@ from repro.simulator.engine import Run
 from repro.workloads.trace import Trace
 
 MAGIC = "repro-snap"
-VERSION = 3
+VERSION = 4
 
 #: Payload keys: the :class:`~repro.simulator.engine.Run` attributes a
 #: resume restores, in the order they are pickled.

@@ -117,10 +117,23 @@ class TestStateDigest:
 
     def test_stlb_lru_order_is_compared(self):
         a, b = self._pair()
-        entries = next(e for e in b.mmu.stlb._sets if len(e) >= 2)
-        entries[0], entries[-1] = entries[-1], entries[0]
+        stlb = b.mmu.stlb
+        age = stlb.policy._age
+        for base in range(0, stlb.entries, stlb.ways):
+            occupied = [s for s in range(base, base + stlb.ways) if age[s]]
+            if len(occupied) >= 2:
+                break
+        # Same pages in the same slots, other LRU order.
+        first, last = occupied[0], occupied[-1]
+        age[first], age[last] = age[last], age[first]
         key, _, _ = _first_diff(_state_digest(a), _state_digest(b))
         assert key == "stlb"
+
+    def test_dram_state_is_compared(self):
+        a, b = self._pair()
+        b.dram._banks[3].open_row += 1
+        key, _, _ = _first_diff(_state_digest(a), _state_digest(b))
+        assert key == "dram"
 
 
 class TestReferenceEngine:

@@ -259,6 +259,47 @@ class TestOneCacheRepresentation:
                     cache.vlines[slot], cache.origin[slot])
         assert rebuilt == [cache.name for cache in caches]
 
+    def test_native_spans_drop_the_tlb_indexes(self, trace):
+        # The TLBs follow the caches: the kernel writes their columns in
+        # place, the span drops both indexes, and a rebuild from the
+        # columns equals the index the classic engine kept up to date.
+        from repro.sanitizer.invariants import check_tlb
+        from repro.simulator.engine import Run
+
+        runs = [Run.build(trace, make_prefetcher("berti"))
+                for _ in range(2)]
+        runs[0].use_engine("classic")
+        runs[1].use_engine("native", native="force")
+        for r in runs:
+            r.advance(len(trace) // 2)
+        hc, hn = (r.hierarchy for r in runs)
+        assert runs[1].span.native_spans >= 1
+        bufs = runs[1].span._state.bufs
+        assert bufs["ST_VP"] is hn.mmu.stlb.vpages
+        assert bufs["DT_AGE"] is hn.mmu.dtlb.policy._age
+        for classic, native in ((hc.mmu.dtlb, hn.mmu.dtlb),
+                                (hc.mmu.stlb, hn.mmu.stlb)):
+            assert native._map is None
+            assert native.index() == classic._map
+            assert check_tlb(native) == []
+            assert (native.vpages, native.ppages, native.policy._age) == (
+                classic.vpages, classic.ppages, classic.policy._age)
+
+    def test_small_tlb_leg_rewalks_evicted_pages(self):
+        # The sancheck --quick small-TLB leg: cold 4-entry dTLB and
+        # 8-entry STLB evict, so pages are walked again, on both engines.
+        from repro.sanitizer.lockstep import small_tlb_config
+
+        trace = quick_trace(RECORDS, "sancheck_small_tlb")
+        kw = dict(config=small_tlb_config(), prewarm_tlb=False)
+        res_c, hc = run(trace, "berti", "classic", **kw)
+        res_n, hn = run(trace, "berti", "native", native="force", **kw)
+        assert res_n.extra["native_spans"] >= 1
+        assert hn.mmu.stats.walks > len(hn.mmu._page_table)
+        assert strip_native(res_n.to_dict()) == strip_native(res_c.to_dict())
+        assert _state_digest(hn) == _state_digest(hc)
+        assert lockstep_engines(trace, l1d="berti", **kw).ok
+
 
 class TestLockstepEngines:
     def test_all_quick_prefetchers_agree(self, trace):

@@ -22,6 +22,7 @@ from repro.sanitizer.invariants import (
     check_mshr,
     check_pq,
     check_replacement,
+    check_tlb,
 )
 from repro.sanitizer.lockstep import quick_trace
 from repro.simulator.engine import build_hierarchy, simulate
@@ -125,6 +126,46 @@ class TestDetection:
         h.llc.policy._psel = 4096
         msgs = [v[1] for v in check_replacement(h.llc)]
         assert any("PSEL" in m for m in msgs)
+
+    @pytest.mark.parametrize("kind, fragment", [
+        ("unindexed", "missing from _map"),
+        ("empty", "points at empty slot"),
+        ("misindexed", "holding vpage"),
+        ("wrong_set", "outside its set"),
+        ("duplicate", "in slots"),
+        ("ahead", "ahead of set clock"),
+        ("shared_age", "uniqueness"),
+    ])
+    def test_tlb_corruption(self, trace, kind, fragment):
+        h = warmed_hierarchy(trace)
+        stlb = h.mmu.stlb
+        assert check_tlb(stlb) == []
+        age, vpages, tmap = stlb.policy._age, stlb.vpages, stlb._map
+        a, b = next(
+            occupied[:2] for base in range(0, stlb.entries, stlb.ways)
+            if len(occupied := [s for s in range(base, base + stlb.ways)
+                                if age[s]]) >= 2
+        )
+        if kind == "unindexed":
+            del tmap[vpages[a]]
+        elif kind == "empty":
+            tmap[-7] = age.index(0)
+        elif kind == "misindexed":
+            tmap[vpages[a]] = b
+        elif kind == "wrong_set":
+            del tmap[vpages[a]]
+            vpages[a] += 1
+            tmap[vpages[a]] = a
+        elif kind == "duplicate":
+            del tmap[vpages[b]]
+            vpages[b] = vpages[a]
+        elif kind == "ahead":
+            age[a] = stlb.policy._clock[a // stlb.ways] + 5
+        else:
+            age[b] = age[a]
+        found = check_hierarchy(h, frozenset({"cache"}))
+        assert any(fragment in v[1] for v in found), found
+        assert {v[0] for v in found} <= {"stlb", "stlb.policy"}
 
     def test_mshr_timestamp_monotonicity(self):
         from repro.memory.mshr import MSHR

@@ -47,8 +47,15 @@ class TestTLB:
         t = TLB("t", entries=4, ways=2, latency=1)
         for vp in range(20):
             t.insert(vp, vp + 100)
-        total = sum(len(s) for s in t._sets)
-        assert total == len(t._map) <= t.entries
+        occupied = [slot for slot, age in enumerate(t.policy._age) if age]
+        assert len(occupied) == len(t._map) == t.entries
+        # Each set keeps its two most recent pages, indexed where the
+        # columns hold them; a rebuild from the columns agrees.
+        assert sorted(t._map) == [16, 17, 18, 19]
+        for vp, slot in t._map.items():
+            assert (t.vpages[slot], t.ppages[slot]) == (vp, vp + 100)
+        live = dict(t._map)
+        assert t.reindex() == live
 
     def test_invalid_geometry(self):
         with pytest.raises(ValueError):
