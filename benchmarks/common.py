@@ -8,18 +8,23 @@ Scale: ``REPRO_BENCH_SCALE`` (default 0.5) multiplies trace lengths.  The
 paper simulates 200 M instructions per trace; these benches run minutes,
 not days, so absolute numbers differ — every bench prints the paper's
 reference values next to the measured ones for shape comparison.
+
+Every single-core run goes through :func:`simulate`, which runs the
+native C kernel where it applies and the classic loop elsewhere; the
+results are bit-identical either way.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.prefetchers.registry import make_prefetcher
+from repro.simulator import engine
 from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import simulate
 from repro.simulator.multicore import simulate_multicore
 from repro.simulator.stats import SimResult
 from repro.workloads.cloudsuite_like import cloudsuite_suite
@@ -30,6 +35,9 @@ from repro.workloads.trace import Trace
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
 CACHE_DIR = Path(__file__).parent / ".cache"
 RESULTS_DIR = Path(__file__).parent / "results"
+
+#: :func:`repro.simulator.engine.simulate` on the native engine.
+simulate = functools.partial(engine.simulate, engine="native", native="auto")
 
 _memory_cache: Dict[str, object] = {}
 _trace_cache: Dict[str, List[Trace]] = {}

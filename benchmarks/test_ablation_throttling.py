@@ -8,13 +8,12 @@ accuracy on irregular workloads) and Berti in the classic FDP control
 loop and compare.
 """
 
-from common import SCALE, gap_traces, once, run, save_report
+from common import SCALE, gap_traces, once, run, save_report, simulate
 
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_table
 from repro.prefetchers.registry import make_prefetcher
 from repro.prefetchers.throttle import FDPThrottle
-from repro.simulator.engine import simulate
 
 
 def test_fdp_throttling(benchmark):

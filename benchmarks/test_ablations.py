@@ -9,14 +9,13 @@ sensitivity studies; DESIGN.md §5).
 
 from dataclasses import replace
 
-from common import SCALE, once, save_report
+from common import SCALE, once, save_report, simulate
 
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_table
 from repro.core.berti import BertiPrefetcher
 from repro.core.config import BertiConfig
 from repro.prefetchers.registry import make_prefetcher
-from repro.simulator.engine import simulate
 from repro.workloads.spec_like import spec17_suite
 
 

@@ -7,13 +7,12 @@ the comparison: BOP (global) vs. Berti (local) coverage and speedup on
 mcf_s-1554B, plus the per-IP deltas Berti actually selected.
 """
 
-from common import SCALE, once, run, save_report
+from common import SCALE, once, run, save_report, simulate
 
 from repro.analysis.report import format_table
 from repro.core.berti import BertiPrefetcher
 from repro.core.delta_table import STATUS_NAMES
 from repro.prefetchers.bop import BOPPrefetcher
-from repro.simulator.engine import simulate
 from repro.workloads.spec_like import mcf_s_1554
 
 

@@ -5,14 +5,13 @@ configurations helps, extreme watermarks hurt both coverage (too high)
 and accuracy (too low).
 """
 
-from common import SCALE, once, save_report
+from common import SCALE, once, save_report, simulate
 
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_table
 from repro.core.berti import BertiPrefetcher
 from repro.core.config import BertiConfig
 from repro.prefetchers.registry import make_prefetcher
-from repro.simulator.engine import simulate
 from repro.workloads.gap import gap_suite
 from repro.workloads.spec_like import spec17_suite
 

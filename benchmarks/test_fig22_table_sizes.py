@@ -8,14 +8,13 @@ tables gains almost nothing (CactuBSSN being the exception that needs
 
 from dataclasses import replace
 
-from common import SCALE, once, save_report
+from common import SCALE, once, save_report, simulate
 
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_series
 from repro.core.berti import BertiPrefetcher
 from repro.core.config import BertiConfig
 from repro.prefetchers.registry import make_prefetcher
-from repro.simulator.engine import simulate
 from repro.workloads.gap import gap_suite
 from repro.workloads.spec_like import spec17_suite
 

@@ -766,11 +766,12 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
 def _add_engine_args(p) -> None:
     """Simulator inner-loop selection, shared by run/compare/suite."""
     g = p.add_argument_group("engine (docs/performance.md)")
-    g.add_argument("--engine", default="classic",
+    g.add_argument("--engine", default="native",
                    choices=["classic", "native"],
-                   help="simulator inner loop: classic per-record "
-                        "dispatch or the native C span kernel "
-                        "(bit-identical, faster on stock configs)")
+                   help="simulator inner loop: the native C span kernel "
+                        "(default; bit-identical, demotes to the classic "
+                        "loop where it cannot run) or classic per-record "
+                        "dispatch (pure-Python timing, the oracle)")
     g.add_argument("--native", default="auto",
                    choices=["auto", "force"],
                    help="native-backend policy with --engine native: "

@@ -238,7 +238,8 @@ class MappedTrace(Trace):
     simulation hot loop iterates the same 64-bit values — but the
     columns are ``memoryview`` casts into page-cache memory shared by
     every process mapping the same store.  Mutation APIs (``append`` /
-    ``extend``) are unavailable by construction.
+    ``extend``) are unavailable by construction.  The native kernel
+    reads these columns by pointer, without a copy.
 
     On a big-endian host the zero-copy contract cannot hold (the store
     format is little-endian), so :func:`load_trace_store` refuses with a
@@ -300,6 +301,7 @@ class MappedTrace(Trace):
             cols.append(view[start:start + span].cast("q"))
         (self._ips, self._addrs, self._writes, self._gaps, self._deps,
          self._lines) = cols
+        self._pages_cache = None  # decoded_columns() derives it on demand
 
     # -- read-only contract -------------------------------------------
 

@@ -1,14 +1,20 @@
-"""Opt-in native backend: C span kernel behind a bit-identity gate.
+"""Native backend: C span kernel behind a bit-identity gate.
 
 ``engine="native"`` runs each simulation span through a small C shared
 object compiled at first use (:mod:`repro.native.build`) over flat
 buffers (:mod:`repro.native.marshal`, zero-copy for the trace columns,
-the caches' per-way and replacement columns, and the Berti history
-rings).  Its guards
+mapped trace stores included, the caches' and TLBs' per-way and
+replacement columns, and the Berti history rings).  Its guards
 (:func:`repro.native.runner.native_mode`) demote any span the kernel
 cannot run — no compiler, non-stock or instrumented parts, any
 prefetcher but the stock Berti — to the classic per-record loop, with
 bit-identical results.
+
+It is the default of every job path (``JobSpec``, the CLI, the service
+and its agents, the figure benches); ``simulate()`` itself defaults to
+the classic engine.  The kernel runs one span per process at a time
+(:func:`repro.native.build.call_span`), so concurrent threads take
+turns in it.
 """
 
 from .build import (

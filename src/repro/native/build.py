@@ -11,6 +11,13 @@ ABI: ``R_<NAME>``/``FR_<NAME>``/``B_<NAME>`` index defines derived from
 No build-time dependencies beyond a C compiler (``$CC``, ``cc``,
 ``gcc`` or ``clang``); when none is present :func:`kernel_available`
 reports the diagnostic and the caller demotes to the classic loop.
+
+The kernel keeps its working state in file-scope statics (the register
+and buffer pointers, the error ``jmp_buf`` and the structs it caches
+from them), and ctypes releases the GIL for the call.  So
+:func:`call_span` runs one span per process at a time: threads that
+simulate concurrently (``repro serve --workers``, ``repro agent
+--pool``) take turns in the kernel and overlap only in Python.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import Any, Callable, Optional, Tuple
 
@@ -35,6 +43,9 @@ _KERNEL_SRC = Path(__file__).with_name("kernel.c")
 
 #: Memoised (entry_point, diagnostic) — at most one build per process.
 _BOUND: Optional[Tuple[Optional[Callable], Optional[str]]] = None
+_BUILD_LOCK = threading.Lock()
+#: Held for every kernel call: the kernel's state is process-global.
+_SPAN_LOCK = threading.Lock()
 
 
 def cache_dir() -> Path:
@@ -123,13 +134,15 @@ def kernel_available() -> Tuple[Optional[Callable], Optional[str]]:
     """``(entry_point, None)`` or ``(None, diagnostic)``, memoised."""
     global _BOUND
     if _BOUND is None:
-        try:
-            lib = build_kernel()
-            _BOUND = (lib.repro_run_span, None)
-        except NativeBuildError as exc:
-            _BOUND = (None, str(exc))
-        except OSError as exc:  # dlopen failure etc.
-            _BOUND = (None, f"kernel load failed: {exc}")
+        with _BUILD_LOCK:  # concurrent first jobs compile once
+            if _BOUND is None:
+                try:
+                    lib = build_kernel()
+                    _BOUND = (lib.repro_run_span, None)
+                except NativeBuildError as exc:
+                    _BOUND = (None, str(exc))
+                except OSError as exc:  # dlopen failure etc.
+                    _BOUND = (None, f"kernel load failed: {exc}")
     return _BOUND
 
 
@@ -140,7 +153,8 @@ def reset_build_cache() -> None:
 
 
 def call_span(fn: Callable, state: Any) -> int:
-    """Invoke ``repro_run_span`` over a prepared :class:`NativeState`."""
+    """Invoke ``repro_run_span`` over a prepared :class:`NativeState`,
+    one span per process at a time (module docstring)."""
     r_ptr = ctypes.cast(
         state.R.buffer_info()[0], ctypes.POINTER(ctypes.c_int64)
     )
@@ -148,4 +162,5 @@ def call_span(fn: Callable, state: Any) -> int:
         state.F.buffer_info()[0], ctypes.POINTER(ctypes.c_double)
     )
     bufs = (ctypes.c_void_p * len(marshal.BUFS))(*state.pointers())
-    return int(fn(r_ptr, f_ptr, bufs))
+    with _SPAN_LOCK:
+        return int(fn(r_ptr, f_ptr, bufs))

@@ -65,10 +65,7 @@ from repro.memory.hierarchy import LATENCY_FIELD_BITS, Hierarchy
 from repro.memory.mshr import MSHREntry
 from repro.memory.replacement import DRRIPPolicy, LRUPolicy
 
-try:  # numpy is a declared dependency, but the fallback keeps us honest
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+import numpy as np
 
 __all__ = ["REGISTERS", "FREGS", "BUFS", "NativeState", "layout_digest"]
 
@@ -205,6 +202,28 @@ RIX: Dict[str, int] = {name: i for i, name in enumerate(REGISTERS)}
 FIX: Dict[str, int] = {name: i for i, name in enumerate(FREGS)}
 BIX: Dict[str, int] = {name: i for i, name in enumerate(BUFS)}
 
+# Per-prefix register indexes and buffer names, resolved here once so a
+# span boundary formats no strings: register indexes in _*_regs order,
+# then buffer names (caches: (buffer, column) pairs, then the POLC,
+# POLA and MT buffers; MSHRs and TLBs: _*_BUF_FIELDS order).
+_DELTA_IX = tuple(RIX[name] for name in DELTA_REGS)
+_CACHE_BINDINGS = tuple(
+    (tuple(RIX[r] for r in _cache_regs(p)),
+     tuple((f"{p}_{f}", column) for f, column in _CACHE_COLUMNS),
+     (f"{p}_POLC", f"{p}_POLA", f"{p}_MT"))
+    for p in _CACHE_PREFIXES
+)
+_MSHR_BINDINGS = tuple(
+    (tuple(RIX[r] for r in _mshr_regs(p)),
+     tuple(f"{p}_{f}" for f in _MSHR_BUF_FIELDS))
+    for p in _MSHR_PREFIXES
+)
+_TLB_BINDINGS = tuple(
+    (tuple(RIX[r] for r in _tlb_regs(p)),
+     tuple(f"{p}_{f}" for f in _TLB_BUF_FIELDS))
+    for p in _TLB_PREFIXES
+)
+
 
 def layout_digest() -> str:
     """A short hash of the layout, folded into the kernel cache key."""
@@ -215,20 +234,28 @@ def layout_digest() -> str:
 
 
 def _ptr_of(buf: Any) -> int:
-    """Raw data pointer of an array('q'/'d') or numpy array (0 if empty)."""
-    if buf is None:
+    """Raw data pointer of a bound buffer (0 if absent or empty).
+
+    An ``array('q'/'d')``, or a read-only ``memoryview`` column of a
+    mapped trace store (:class:`~repro.memory.tracestore.MappedTrace`),
+    which has no ``buffer_info``: numpy reads its address without a
+    copy.  The kernel never writes the trace columns.
+    """
+    if buf is None or not len(buf):
         return 0
-    if _np is not None and isinstance(buf, _np.ndarray):
-        return buf.ctypes.data if buf.size else 0
-    return buf.buffer_info()[0] if len(buf) else 0
+    if type(buf) is array:
+        return buf.buffer_info()[0]
+    return np.frombuffer(buf, dtype=np.uint8).ctypes.data
 
 
-def _column(buf: Any, n: int, what: str) -> Any:
+def _column(buf: Any, n: int, owner: str, what: str) -> Any:
     """``buf``, checked to be an int64 column of ``n`` entries: the
-    kernel indexes bound columns without bounds checks."""
+    kernel indexes bound columns without bounds checks.  The message
+    (``owner.what``) is built only on failure."""
     if not isinstance(buf, array) or buf.typecode != "q" or len(buf) != n:
         raise SimulationError(
-            f"{what} is not an array('q') of {n} entries", field="engine"
+            f"{owner}.{what} is not an array('q') of {n} entries",
+            field="engine",
         )
     return buf
 
@@ -267,12 +294,14 @@ class NativeState:
 
     def _alloc_static(self) -> None:
         h, b = self.h, self.bufs
-        for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
+        for (_, _, (_, _, mt)), cache in zip(_CACHE_BINDINGS,
+                                             (h.l1d, h.l2, h.llc)):
             if type(cache.policy) is DRRIPPolicy:
-                b[f"{p}_MT"] = array("q", bytes(8 * 625))
-        for p, mshr in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
-            for f in _MSHR_BUF_FIELDS:
-                b[f"{p}_{f}"] = array("q", bytes(8 * max(1, mshr.size)))
+                b[mt] = array("q", bytes(8 * 625))
+        for (_, names), mshr in zip(_MSHR_BINDINGS,
+                                    (h.l1d_mshr, h.l2_mshr)):
+            for name in names:
+                b[name] = array("q", bytes(8 * max(1, mshr.size)))
         cfg = h.dram.config
         b["BANK_ROW"] = array("q", bytes(8 * cfg.banks))
         b["BANK_BUSY"] = array("q", bytes(8 * cfg.banks))
@@ -304,8 +333,8 @@ class NativeState:
 
     def begin_span(self, lo: int, hi: int) -> None:
         R, F, b, h = self.R, self.F, self.bufs, self.h
-        for name in DELTA_REGS:
-            R[RIX[name]] = 0
+        for i in _DELTA_IX:
+            R[i] = 0
         R[RIX["LO"]], R[RIX["HI"]] = lo, hi
         R[RIX["ERR"]] = 0
         R[RIX["KERNEL"]] = 0 if self._kern is None else 1
@@ -332,51 +361,50 @@ class NativeState:
 
     def _export_caches(self) -> None:
         R, b, h = self.R, self.bufs, self.h
-        for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
-            sets, n = cache.num_sets, cache.num_lines
-            R[RIX[f"{p}_SETS"]] = sets
-            R[RIX[f"{p}_WAYS"]] = cache.ways
-            R[RIX[f"{p}_LAT"]] = cache.latency
-            for f, column in _CACHE_COLUMNS:
-                b[f"{p}_{f}"] = _column(getattr(cache, column), n,
-                                        f"{cache.name}.{column}")
+        for (regs, columns, (polc, pola, mt)), cache in zip(
+                _CACHE_BINDINGS, (h.l1d, h.l2, h.llc)):
+            (r_sets, r_ways, r_lat, r_pol, r_psel,
+             r_pf_fills, r_dem_fills, r_useless, r_wb) = regs
+            sets, n, owner = cache.num_sets, cache.num_lines, cache.name
+            R[r_sets] = sets
+            R[r_ways] = cache.ways
+            R[r_lat] = cache.latency
+            for name, column in columns:
+                b[name] = _column(getattr(cache, column), n, owner, column)
             pol = cache.policy
             if type(pol) is LRUPolicy:
-                R[RIX[f"{p}_POL"]] = POL_LRU
-                b[f"{p}_POLC"] = _column(pol._clock, sets,
-                                         f"{cache.name} LRU clocks")
-                b[f"{p}_POLA"] = _column(pol._age, n, f"{cache.name} LRU ages")
+                R[r_pol] = POL_LRU
+                b[polc] = _column(pol._clock, sets, owner, "policy._clock")
+                b[pola] = _column(pol._age, n, owner, "policy._age")
             else:
-                R[RIX[f"{p}_POL"]] = (
+                R[r_pol] = (
                     POL_DRRIP if type(pol) is DRRIPPolicy else POL_SRRIP
                 )
-                b[f"{p}_POLC"] = None
-                b[f"{p}_POLA"] = _column(pol._rrpv, n, f"{cache.name} RRPVs")
+                b[polc] = None
+                b[pola] = _column(pol._rrpv, n, owner, "policy._rrpv")
             if type(pol) is DRRIPPolicy:
-                R[RIX[f"{p}_PSEL"]] = pol._psel
-                b[f"{p}_MT"][:] = array("q", pol._rng.getstate()[1])
+                R[r_psel] = pol._psel
+                b[mt][:] = array("q", pol._rng.getstate()[1])
             st = cache.stats
-            R[RIX[f"{p}_PF_FILLS"]] = st.prefetch_fills
-            R[RIX[f"{p}_DEM_FILLS"]] = st.demand_fills
-            R[RIX[f"{p}_USELESS"]] = st.useless_prefetches
-            R[RIX[f"{p}_WB"]] = st.writebacks
+            R[r_pf_fills] = st.prefetch_fills
+            R[r_dem_fills] = st.demand_fills
+            R[r_useless] = st.useless_prefetches
+            R[r_wb] = st.writebacks
 
     def _export_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h
-        for p, m in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
-            R[RIX[f"{p}_SIZE"]] = m.size
-            R[RIX[f"{p}_COUNT"]] = len(m._entries)
-            R[RIX[f"{p}_MINREADY"]] = m._min_ready
-            R[RIX[f"{p}_LASTEXP"]] = m._last_expire
-            R[RIX[f"{p}_ALLOCS"]] = m.allocations
-            R[RIX[f"{p}_FULLREJ"]] = m.full_rejections
-            line = b[f"{p}_LINE"]
-            alloc = b[f"{p}_ALLOC"]
-            ready = b[f"{p}_READY"]
-            ispf = b[f"{p}_ISPF"]
-            ipc = b[f"{p}_IP"]
-            vlc = b[f"{p}_VLINE"]
-            merged = b[f"{p}_MERGED"]
+        for (regs, names), m in zip(_MSHR_BINDINGS,
+                                    (h.l1d_mshr, h.l2_mshr)):
+            (r_size, r_count, r_minready, r_lastexp,
+             r_allocs, r_fullrej) = regs
+            R[r_size] = m.size
+            R[r_count] = len(m._entries)
+            R[r_minready] = m._min_ready
+            R[r_lastexp] = m._last_expire
+            R[r_allocs] = m.allocations
+            R[r_fullrej] = m.full_rejections
+            line, alloc, ready, ispf, ipc, vlc, merged = (
+                b[name] for name in names)
             for i, e in enumerate(m._entries.values()):
                 line[i] = e.line
                 alloc[i] = e.alloc_cycle
@@ -389,15 +417,15 @@ class NativeState:
     def _export_mmu(self, span_len: int) -> None:
         R, b, h = self.R, self.bufs, self.h
         mmu = h.mmu
-        for p, tlb in zip(_TLB_PREFIXES, (mmu.dtlb, mmu.stlb)):
-            sets, n, name = tlb.num_sets, tlb.entries, tlb.name
-            R[RIX[f"{p}_NSETS"]] = sets
-            R[RIX[f"{p}_WAYS"]] = tlb.ways
-            b[f"{p}_VP"] = _column(tlb.vpages, n, f"{name}.vpages")
-            b[f"{p}_PP"] = _column(tlb.ppages, n, f"{name}.ppages")
-            b[f"{p}_CLK"] = _column(tlb.policy._clock, sets,
-                                    f"{name} LRU clocks")
-            b[f"{p}_AGE"] = _column(tlb.policy._age, n, f"{name} LRU ages")
+        for ((r_nsets, r_ways), (vp, pp, clk, age)), tlb in zip(
+                _TLB_BINDINGS, (mmu.dtlb, mmu.stlb)):
+            sets, n, owner = tlb.num_sets, tlb.entries, tlb.name
+            R[r_nsets] = sets
+            R[r_ways] = tlb.ways
+            b[vp] = _column(tlb.vpages, n, owner, "vpages")
+            b[pp] = _column(tlb.ppages, n, owner, "ppages")
+            b[clk] = _column(tlb.policy._clock, sets, owner, "policy._clock")
+            b[age] = _column(tlb.policy._age, n, owner, "policy._age")
         R[RIX["DT_LAT"]] = mmu.dtlb.latency
         R[RIX["MISS_TRANS_LAT"]] = mmu.dtlb.latency + mmu.stlb.latency
         R[RIX["WALK_LAT"]] = mmu.page_walk_latency
@@ -624,29 +652,29 @@ class NativeState:
 
     def _import_caches(self) -> None:
         R, b, h = self.R, self.bufs, self.h
-        for p, cache in zip(_CACHE_PREFIXES, (h.l1d, h.l2, h.llc)):
+        for (regs, _, (_, _, mt)), cache in zip(_CACHE_BINDINGS,
+                                                (h.l1d, h.l2, h.llc)):
+            (_, _, _, _, r_psel,
+             r_pf_fills, r_dem_fills, r_useless, r_wb) = regs
             pol = cache.policy
             if type(pol) is DRRIPPolicy:
-                pol._psel = R[RIX[f"{p}_PSEL"]]
-                pol._rng.setstate((3, tuple(b[f"{p}_MT"]), None))
+                pol._psel = R[r_psel]
+                pol._rng.setstate((3, tuple(b[mt]), None))
             st = cache.stats
-            st.prefetch_fills = R[RIX[f"{p}_PF_FILLS"]]
-            st.demand_fills = R[RIX[f"{p}_DEM_FILLS"]]
-            st.useless_prefetches = R[RIX[f"{p}_USELESS"]]
-            st.writebacks = R[RIX[f"{p}_WB"]]
+            st.prefetch_fills = R[r_pf_fills]
+            st.demand_fills = R[r_dem_fills]
+            st.useless_prefetches = R[r_useless]
+            st.writebacks = R[r_wb]
             cache.drop_index()
 
     def _import_mshrs(self) -> None:
         R, b, h = self.R, self.bufs, self.h
-        for p, m in zip(_MSHR_PREFIXES, (h.l1d_mshr, h.l2_mshr)):
-            count = R[RIX[f"{p}_COUNT"]]
-            line = b[f"{p}_LINE"]
-            alloc = b[f"{p}_ALLOC"]
-            ready = b[f"{p}_READY"]
-            ispf = b[f"{p}_ISPF"]
-            ipc = b[f"{p}_IP"]
-            vlc = b[f"{p}_VLINE"]
-            merged = b[f"{p}_MERGED"]
+        for (regs, names), m in zip(_MSHR_BINDINGS,
+                                    (h.l1d_mshr, h.l2_mshr)):
+            (_, r_count, r_minready, r_lastexp, r_allocs, r_fullrej) = regs
+            count = R[r_count]
+            line, alloc, ready, ispf, ipc, vlc, merged = (
+                b[name] for name in names)
             entries: dict = {}
             for i in range(count):
                 entries[line[i]] = MSHREntry(
@@ -655,10 +683,10 @@ class NativeState:
                     ip=ipc[i], vline=vlc[i], merged_demands=merged[i],
                 )
             m._entries = entries
-            m._min_ready = R[RIX[f"{p}_MINREADY"]]
-            m._last_expire = R[RIX[f"{p}_LASTEXP"]]
-            m.allocations = R[RIX[f"{p}_ALLOCS"]]
-            m.full_rejections = R[RIX[f"{p}_FULLREJ"]]
+            m._min_ready = R[r_minready]
+            m._last_expire = R[r_lastexp]
+            m.allocations = R[r_allocs]
+            m.full_rejections = R[r_fullrej]
 
     def _import_mmu(self) -> None:
         R, b, h = self.R, self.bufs, self.h

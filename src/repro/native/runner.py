@@ -68,11 +68,20 @@ def non_stock_reason(hierarchy, core) -> str:
     that shadows ``demand_access`` with an instance attribute (the
     sanitizer, the lockstep capture) counts too: the kernel never goes
     through that method.  So does any L2 prefetcher.
+
+    The shadow is found through the attribute itself, which is the
+    class method bound to ``h`` unless an instance attribute hides it.
+    Reading ``h.__dict__`` instead would make CPython materialise the
+    hierarchy's instance dict and stop specialising its attribute loads
+    for the rest of the run (docs/performance.md).
     """
     h = hierarchy
     if type(h) is not Hierarchy:
         return f"hierarchy {type(h).__name__} is not the stock Hierarchy"
-    if "demand_access" in h.__dict__:
+    demand = h.demand_access
+    if (getattr(demand, "__self__", None) is not h
+            or getattr(demand, "__func__", None)
+            is not Hierarchy.demand_access):
         return "demand_access is wrapped by an instance attribute"
     for part, stock in (
         (h.mmu, MMU), (h.l1d, Cache), (h.l2, Cache), (h.llc, Cache),

@@ -68,8 +68,10 @@ class JobSpec:
     # The native engine is bit-identical to the classic one (that is its
     # contract, enforced by `repro sancheck --engine native`), so like
     # the knobs above these are performance details excluded from `key`:
-    # results cached under one engine are valid under the other.
-    engine: str = "classic"
+    # results cached under one engine are valid under the other.  Jobs
+    # default to the C kernel; "auto" demotes to the classic loop where
+    # the kernel cannot run (no compiler, a prefetcher it lacks).
+    engine: str = "native"
     native: str = "auto"
 
     @property

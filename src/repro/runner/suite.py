@@ -23,7 +23,7 @@ def build_matrix_jobs(
     mtps: Optional[int] = None,
     warmup_fraction: float = 0.2,
     faults: Optional[Mapping[str, FaultSpec]] = None,
-    engine: str = "classic",
+    engine: str = "native",
     native: str = "auto",
 ) -> List[JobSpec]:
     """One job per (trace, L1D prefetcher); ``faults`` maps trace names

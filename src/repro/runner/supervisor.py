@@ -203,6 +203,8 @@ class CampaignSupervisor(ExperimentRunner):
         self._hb: Dict[str, _HeartbeatState] = {}
         self._trace_est: Dict[str, float] = {}  # elapsed-seconds EMA
         self._events: List[dict] = []
+        # The one native-demotion event per reason code, updated in place.
+        self._demotion_events: Dict[int, dict] = {}
         self._recorded: List[Tuple[str, str, str]] = []  # (key, status, kind)
         # Half-open probe audit trail: one entry per breaker release
         # (probe admitted), updated in place with the probe's verdict.
@@ -384,30 +386,20 @@ class CampaignSupervisor(ExperimentRunner):
         if job is None:
             return
         if outcome.ok and not getattr(outcome, "from_journal", False):
-            extra = getattr(getattr(outcome, "result", None), "extra", None)
+            result = getattr(outcome, "result", None)
+            extra = getattr(result, "extra", None)
             if isinstance(extra, dict):
-                if extra.get("native_demoted"):
-                    # One structured event per demoted native run: the
-                    # fallback is silent at the simulate() API level
-                    # (results stay bit-identical), so the manifest is
-                    # where operators learn the C kernel did not run.
-                    from repro.native.runner import DEMOTION_REASONS
-
-                    code = int(extra.get("native_demotion_code", 0))
-                    self._event(
-                        "native-demotion",
-                        key=outcome.key,
-                        code=code,
-                        reason=DEMOTION_REASONS.get(code, "unknown"),
-                        demoted_spans=int(
-                            extra.get("native_demoted_spans", 0)),
-                        native_spans=int(extra.get("native_spans", 0)),
-                    )
+                # Which path ran: the markers run_job keeps beside (not
+                # in) the result, so results stay engine-independent.
+                markers = getattr(result, "engine_markers", {})
+                if markers.get("native_demoted"):
+                    self._note_demotion(outcome.key, markers)
                 records = extra.get("trace_records")
                 if records:
                     self._records_done += int(records)
                     self._busy_seconds += outcome.elapsed
-                    engine = getattr(job, "engine", "classic")
+                    engine = ("native" if markers.get("native_spans")
+                              else "classic")
                     self._engine_records[engine] = (
                         self._engine_records.get(engine, 0) + int(records)
                     )
@@ -418,6 +410,26 @@ class CampaignSupervisor(ExperimentRunner):
                 else 0.5 * prev + 0.5 * outcome.elapsed
             )
         self._update_breaker(outcome, job)
+
+    def _note_demotion(self, key: str, markers: Dict[str, float]) -> None:
+        """Fold one demoted job into its reason's ``native-demotion``
+        event: one event per reason per campaign, with the job count
+        and keys.  The fallback is silent at the ``simulate()`` API level
+        (results stay bit-identical), so the manifest is where operators
+        learn the C kernel did not run."""
+        from repro.native.runner import DEMOTION_REASONS
+
+        code = int(markers.get("native_demotion_code", 0))
+        event = self._demotion_events.get(code)
+        if event is None:
+            event = self._demotion_events[code] = self._event(
+                "native-demotion", code=code,
+                reason=DEMOTION_REASONS.get(code, "unknown"),
+                jobs=0, keys=[], demoted_spans=0, native_spans=0)
+        event["jobs"] += 1
+        event["keys"].append(key)
+        event["demoted_spans"] += int(markers.get("native_demoted_spans", 0))
+        event["native_spans"] += int(markers.get("native_spans", 0))
 
     def _journal_degraded(self, exc: BaseException) -> None:
         super()._journal_degraded(exc)
@@ -662,10 +674,11 @@ class CampaignSupervisor(ExperimentRunner):
     # Manifest + events
     # ------------------------------------------------------------------
 
-    def _event(self, kind: str, **details) -> None:
+    def _event(self, kind: str, **details) -> dict:
         event = {"event": kind, "at_monotonic": round(self._now(), 3)}
         event.update(details)
         self._events.append(event)
+        return event
 
     def _manifest_path(self) -> Optional[Path]:
         if self.sup.manifest_path is not None:
@@ -686,7 +699,8 @@ class CampaignSupervisor(ExperimentRunner):
         compare against ``BENCH_simcore.json``).  Journal-replayed jobs
         contribute to neither: they did no simulation this run.
         ``engines`` breaks the record count down by the simulator inner
-        loop that produced it.
+        loop that produced it: ``native`` when the C kernel ran at least
+        one of the job's spans, ``classic`` otherwise.
         """
         wall = 0.0
         if self._campaign_started is not None:

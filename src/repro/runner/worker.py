@@ -136,6 +136,12 @@ def run_job(spec: JobSpec, attempt: int = 1) -> SimResult:
             "inconsistent statistics: " + "; ".join(violations),
             trace=spec.trace, prefetcher=spec.l1d,
         )
+    # A job's result must not depend on the engine: the native markers
+    # vary with the cut schedule and with whether the host has a
+    # compiler.  They move to `engine_markers`, which `to_dict()` (the
+    # journal, the result cache, agent reports) does not serialise.
+    markers = [k for k in result.extra if k.startswith("native_")]
+    result.engine_markers = {k: result.extra.pop(k) for k in markers}
     # Record the job's record count so the campaign supervisor can report
     # aggregate records/sec in the manifest.  Added after the simulation
     # returns, so engine-level results (golden matrix, lockstep) are

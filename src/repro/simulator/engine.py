@@ -439,7 +439,8 @@ def simulate(
     result's ``extra`` carries ``native_spans`` /
     ``native_demoted_spans`` markers (plus ``native_demoted`` /
     ``native_demotion_code`` after a fallback) — strip ``native_*`` keys
-    before cross-engine dict comparisons.  Snapshots are taken between
+    before cross-engine dict comparisons (``run_job`` moves them to
+    ``SimResult.engine_markers``).  Snapshots are taken between
     spans, where the native runner has written its state back into the
     Python objects, so checkpoint files are byte-identical across
     engines and a run snapshotted under one resumes under the other.

@@ -8,7 +8,7 @@ the raw event counts the energy model needs.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict
+from typing import Any, ClassVar, Dict
 
 
 @dataclass
@@ -87,6 +87,13 @@ class SimResult:
     llc_prefetch_fills: int = 0
 
     extra: Dict[str, float] = field(default_factory=dict)
+
+    #: Which engine path computed a job's result: the ``native_*``
+    #: markers :func:`repro.runner.worker.run_job` moves out of
+    #: :attr:`extra`.  Not a field, so ``to_dict()``, equality and every
+    #: persisted form ignore it; pickling keeps it, so a campaign
+    #: supervisor still sees it across its process pool.
+    engine_markers: ClassVar[Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
 

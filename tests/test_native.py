@@ -763,3 +763,127 @@ class TestPredecodeSharing:
         _, pages = t.decoded_columns()
         assert len(pages) == 9
         assert pages[-1] == 0x9000 >> 12
+
+
+class TestJobPath:
+    """The default job path: native on mapped trace stores and on
+    concurrent threads, with job results that do not depend on the
+    engine."""
+
+    @needs_kernel
+    def test_native_on_mapped_trace_matches_classic_and_in_memory(
+            self, trace, tmp_path):
+        from repro.memory.tracestore import (
+            load_trace_store,
+            write_trace_store,
+        )
+
+        mapped = load_trace_store(write_trace_store(trace, tmp_path / "t.trc"))
+        try:
+            in_memory, _ = run(trace, "berti", "classic")
+            classic, _ = run(mapped, "berti", "classic")
+            native, _ = run(mapped, "berti", "native", native="force")
+        finally:
+            mapped.close()
+        assert native.extra["native_spans"] > 0
+        assert native.extra["native_demoted_spans"] == 0
+        assert strip_native(native.to_dict()) == classic.to_dict()
+        assert classic.to_dict() == in_memory.to_dict()
+
+    @needs_kernel
+    def test_concurrent_native_runs_match_classic(self):
+        # The kernel's state is process-global, so concurrent spans
+        # must take turns.  In a child process: without that, threads
+        # corrupt each other's state and can abort the interpreter.
+        import os
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        import repro
+
+        script = textwrap.dedent("""
+            import sys
+            import threading
+            from repro.prefetchers.registry import make_prefetcher
+            from repro.sanitizer.lockstep import quick_trace
+            from repro.simulator.engine import simulate
+
+            def stats(result):
+                d = result.to_dict()
+                d["extra"] = {k: v for k, v in d["extra"].items()
+                              if not k.startswith("native")}
+                return d
+
+            trace = quick_trace(3000, "threads")
+            want = stats(simulate(trace, make_prefetcher("berti"),
+                                  engine="classic"))
+            ok = []
+
+            def work():
+                for _ in range(3):
+                    r = simulate(trace, make_prefetcher("berti"),
+                                 engine="native", native="force",
+                                 progress=lambda n: None, progress_every=200)
+                    ok.append(r.extra["native_spans"] > 10
+                              and stats(r) == want)
+
+            sys.setswitchinterval(1e-5)  # interleave the threads finely
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=500)
+                assert not t.is_alive()
+            print(f"{sum(ok)}/{len(ok)} match")
+            raise SystemExit(0 if len(ok) == 12 and all(ok) else 1)
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, (proc.returncode, proc.stdout,
+                                      proc.stderr[-2000:])
+        assert "12/12 match" in proc.stdout
+
+    def test_job_results_do_not_depend_on_the_engine(self, tmp_path,
+                                                    monkeypatch):
+        # Journals, result-cache entries and agent reports serialise
+        # run_job(...).to_dict(): its bytes must be the same whichever
+        # engine, span cadence or host produced them.
+        import dataclasses
+
+        from repro.durability import canonical_json
+        from repro.runner.jobs import JobSpec
+        from repro.runner.worker import run_job
+
+        base = JobSpec(trace="mcf_s-1554B", l1d="berti", scale=0.5)
+        hb = dict(heartbeat_path=str(tmp_path / "hb.json"),
+                  heartbeat_every=2000)
+
+        def job(**overrides):
+            return run_job(dataclasses.replace(base, **overrides))
+
+        reference = job(engine="classic")
+        runs = {
+            "native": job(engine="native"),
+            "native, heartbeats": job(engine="native", **hb),
+            "classic, heartbeats": job(engine="classic", **hb),
+        }
+        monkeypatch.setattr(native_build, "kernel_available",
+                            lambda: (None, "no compiler"))
+        runs["no kernel"] = job(engine="native")
+        runs["no kernel, heartbeats"] = job(engine="native", **hb)
+        data = canonical_json(reference.to_dict())
+        assert "native_" not in data
+        for name, result in runs.items():
+            assert canonical_json(result.to_dict()) == data, name
+        # The markers still say which path ran, beside the result.
+        assert reference.engine_markers == {}
+        assert runs["no kernel"].engine_markers["native_demotion_code"] == 1
+        assert runs["no kernel"].engine_markers["native_spans"] == 0
+        if _KERNEL_FN is not None:
+            spans = runs["native"].engine_markers["native_spans"]
+            cut = runs["native, heartbeats"].engine_markers["native_spans"]
+            assert cut > spans > 0

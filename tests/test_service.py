@@ -921,6 +921,50 @@ class TestHTTPRoundTrip:
             conn.close()
 
 
+class TestNativeJobs:
+    def test_two_workers_on_berti_jobs_match_classic(self, tmp_path,
+                                                     monkeypatch):
+        # Real jobs on two worker threads, on the default (native)
+        # engine: the payloads the service caches are exactly what the
+        # classic engine computes for the same specs.
+        import dataclasses
+        import time
+
+        from repro.native import build as native_build
+        from repro.runner.worker import run_job
+
+        kernel_calls = []
+        call_span = native_build.call_span
+
+        def counted(fn, state):
+            kernel_calls.append(1)
+            return call_span(fn, state)
+
+        monkeypatch.setattr(native_build, "call_span", counted)
+        specs = [JobSpec(trace=trace, l1d="berti", scale=scale)
+                 for trace in (TRACE, TRACE2) for scale in (0.05, 0.1)]
+        service = CampaignService(ServiceConfig(
+            state_dir=tmp_path / "state", workers=2, lease_duration=30.0,
+            lease_poll=0.05))
+        service.start()
+        try:
+            cid = submit_specs(service, specs)["campaign"]
+            deadline = time.monotonic() + 120.0
+            while service.status(cid)["state"] != "done":
+                assert time.monotonic() < deadline, service.status(cid)
+                time.sleep(0.05)
+            results = service.results(cid)["results"]
+        finally:
+            service.stop(timeout=10.0)
+        assert service.jobs_computed == len(specs)
+        if native_build.kernel_available()[0] is not None:
+            assert kernel_calls, "the service's jobs never ran the kernel"
+        for spec, entry in zip(specs, results):
+            assert entry["status"] == "ok", entry
+            classic = run_job(dataclasses.replace(spec, engine="classic"))
+            assert entry["result"] == classic.to_dict(), spec.key
+
+
 class TestServeCommand:
     def test_sigterm_as_soon_as_endpoint_is_published_drains(
             self, tmp_path):

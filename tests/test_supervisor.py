@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
+from repro.native.build import kernel_available
 from repro.runner import (
     CampaignSupervisor,
     ExperimentRunner,
@@ -37,6 +38,8 @@ needs_fork = pytest.mark.skipif(
     not sys.platform.startswith("linux"),
     reason="fork + POSIX signals required",
 )
+
+_KERNEL_FN, _ = kernel_available()
 
 
 def fast_sup(**overrides) -> SupervisorConfig:
@@ -530,11 +533,12 @@ class TestThroughputEdges:
         assert block["records_per_sec"] == 0.0
 
     def test_engine_breakdown_in_manifest(self, tmp_path):
+        # Both jobs take the default engine: the kernel runs Berti, and
+        # IPCP demotes to the classic loop, so it is credited there.
         journal = tmp_path / "j.jsonl"
         jobs = [
-            JobSpec(trace=TRACE, l1d="none", scale=SCALE,
-                    engine="native"),
             JobSpec(trace=TRACE, l1d="berti", scale=SCALE),
+            JobSpec(trace=TRACE, l1d="ipcp", scale=SCALE),
         ]
         CampaignSupervisor(
             RunnerConfig(workers=1, journal_path=journal), fast_sup(),
@@ -542,6 +546,32 @@ class TestThroughputEdges:
         manifest = json.loads(
             (tmp_path / "j.jsonl.manifest.json").read_text())
         tp = manifest["throughput"]
-        assert set(tp["engines"]) == {"classic", "native"}
-        assert tp["engines"]["native"] > 0
-        assert tp["engines"]["classic"] > 0
+        # Without a compiler every span demotes, so Berti is classic too.
+        engines = {"classic", "native"} if _KERNEL_FN else {"classic"}
+        assert set(tp["engines"]) == engines
+        assert all(records > 0 for records in tp["engines"].values())
+
+    def test_demotions_fold_into_one_event_per_reason(self, tmp_path):
+        from repro.native.runner import DEMOTION_REASONS
+
+        journal = tmp_path / "j.jsonl"
+        ipcp = [JobSpec(trace=trace, l1d="ipcp", scale=SCALE)
+                for trace in (TRACE, TRACE2)]
+        berti = JobSpec(trace=TRACE, l1d="berti", scale=SCALE)
+        CampaignSupervisor(
+            RunnerConfig(workers=1, journal_path=journal), fast_sup(),
+        ).run(ipcp + [berti])
+        manifest = json.loads(
+            (tmp_path / "j.jsonl.manifest.json").read_text())
+        events = [e for e in manifest["events"]
+                  if e["event"] == "native-demotion"]
+        # With a kernel only IPCP demotes (unsupported prefetcher);
+        # without one every job does, for want of a compiler.
+        code, demoted = (3, ipcp) if _KERNEL_FN else (1, ipcp + [berti])
+        assert len(events) == 1, events
+        (event,) = events
+        assert event["code"] == code
+        assert event["reason"] == DEMOTION_REASONS[code]
+        assert event["jobs"] == len(demoted)
+        assert sorted(event["keys"]) == sorted(j.key for j in demoted)
+        assert event["demoted_spans"] >= len(demoted)
