@@ -12,7 +12,6 @@ from common import SCALE, once, run, save_report, spec_traces
 from repro.analysis.metrics import geomean
 from repro.analysis.report import format_table
 from repro.prefetchers.registry import make_prefetcher
-from repro.simulator.engine import simulate
 
 
 def test_context_and_related_work(benchmark):

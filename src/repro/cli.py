@@ -290,12 +290,14 @@ def cmd_suite(args) -> int:
 
 def cmd_sancheck(args) -> int:
     """Differential checks: reference oracle and/or engine lockstep."""
+    from repro.fuzz.cases import case_factory
     from repro.prefetchers.registry import L1D_PREFETCHERS, L2_PREFETCHERS
     from repro.sanitizer import (
         lockstep_engines,
         lockstep_multicore,
         lockstep_run,
         quick_trace,
+        small_berti_config,
         small_tlb_config,
     )
 
@@ -341,6 +343,9 @@ def cmd_sancheck(args) -> int:
         # Cold, small TLBs: the only leg whose STLB evicts.
         check(quick_trace(args.records, "sancheck_small_tlb"), l1d="berti",
               config=small_tlb_config(), prewarm_tlb=False)
+        # Small Berti tables: the leg whose delta table elects victims.
+        check(quick_trace(args.records, "sancheck_small_berti"),
+              l1d="berti", make=case_factory(small_berti_config()))
         if "reference" in modes:
             # Multicore has no native path, so there is no engines
             # variant to diff.
@@ -849,8 +854,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     san.add_argument("--quick", action="store_true",
                      help="sweep every registry prefetcher, one Berti "
-                          "run on cold small TLBs and one multicore mix "
-                          "on a small synthetic trace")
+                          "run on cold small TLBs, one on small Berti "
+                          "tables and one multicore mix on a small "
+                          "synthetic trace")
     san.add_argument("--records", type=int, default=1200,
                      help="records in the --quick synthetic trace")
     san.add_argument("--trace", default="mcf_s-1554B",

@@ -18,11 +18,18 @@ While the first phase is still warming up, deltas are used for L1D
 prefetching with a stricter 80 % watermark once at least eight searches
 have been gathered.
 
-Kernel layout.  Entries are parallel preallocated lists (no per-slot
-objects): coverage is maintained *incrementally* by running counters on
-the per-entry slot lists, and every read-side product is cached with
-dirty-bit invalidation —
+Kernel layout.  The table is nine flat ``array('q')`` columns (no
+per-slot objects), the very buffers the native kernel binds by pointer:
+``_valid``, ``_tags``, ``_counters``, ``_orders``, ``_warmed`` and
+``_slot_count`` per entry, and ``_slot_delta``, ``_slot_cov`` and
+``_slot_status`` over ``entries * deltas_per_entry`` slots, slot ``s``
+of entry ``e`` at flat index ``e * deltas_per_entry + s``.  Coverage is
+maintained *incrementally* in those columns, and every read-side product
+is an index derived from them, rebuilt by :meth:`reindex` and never
+pickled —
 
+* ``_by_tag`` and ``_by_delta`` map a tag to its entry and a delta to
+  its slot's flat index,
 * ``_pf_cache`` memoises the warmed-up selected-delta list (invalidated
   only at phase close and on the rare eviction of a prefetching slot),
 * ``_warm_cache`` memoises the warmup selection (invalidated whenever
@@ -33,10 +40,13 @@ dirty-bit invalidation —
   exactly the reference scan's lowest-coverage-first-occurrence victim
   rule.  Entries go stale when a slot's coverage moves (a fresh pair is
   pushed; the old one is discarded on pop against the live columns), and
-  the heap is rebuilt at phase close, the only time statuses change.
-  This matters because irregular traces (graph kernels) present mostly
-  *unseen* deltas: nearly every timely delta needs a victim, and the
-  reference rescans all 16 slots each time,
+  the entry's heap is rebuilt at phase close, the only time statuses
+  change.  This matters because irregular traces (graph kernels) present
+  mostly *unseen* deltas: nearly every timely delta needs a victim, and
+  the reference rescans all 16 slots each time.  The heap's pop is the
+  lowest ``(coverage, slot)`` among the live candidates whatever stale
+  pairs it holds, so the native kernel, which has no heap, scans the
+  entry's slots for that same victim,
 
 so :meth:`prefetch_deltas` — called on **every** L1D access — is a dict
 probe plus a list return on the common path, and a victim election on
@@ -52,7 +62,8 @@ differential lockstep oracle; both produce bit-identical results.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from array import array
+from heapq import heapify, heappop, heappush
 from typing import List, Tuple
 
 from repro.core.config import BertiConfig
@@ -96,23 +107,23 @@ class DeltaTable:
         if self._valid[victim]:
             self._by_tag.pop(self._tags[victim], None)
         self._fifo_clock += 1
-        self._valid[victim] = True
+        self._valid[victim] = 1
         self._tags[victim] = tag
         self._counters[victim] = 0
         self._orders[victim] = self._fifo_clock
-        self._warmed[victim] = False
+        self._warmed[victim] = 0
         self._slot_count[victim] = 0
-        deltas = self._slot_delta[victim]
-        covs = self._slot_cov[victim]
-        statuses = self._slot_status[victim]
-        for i in range(len(deltas)):
-            deltas[i] = 0
-            covs[i] = 0
-            statuses[i] = NO_PREF
+        per_entry = self.config.deltas_per_entry
+        base = victim * per_entry
+        end = base + per_entry
+        blank = array("q", [0]) * per_entry  # delta 0, coverage 0, NO_PREF
+        self._slot_delta[base:end] = blank
+        self._slot_cov[base:end] = blank
+        self._slot_status[base:end] = blank
         self._by_delta[victim].clear()
         self._pf_cache[victim] = None
         self._warm_cache[victim] = None
-        del self._evict_heap[victim][:]
+        self._evict_heap[victim] = []
         self._by_tag[tag] = victim
         return victim
 
@@ -141,10 +152,11 @@ class DeltaTable:
         if timely_deltas:
             coverage_cap = self._coverage_cap
             by_delta = self._by_delta[e]
-            deltas = self._slot_delta[e]
-            covs = self._slot_cov[e]
-            statuses = self._slot_status[e]
+            deltas = self._slot_delta
+            covs = self._slot_cov
+            statuses = self._slot_status
             per_entry = cfg.deltas_per_entry
+            base = e * per_entry
             heap = self._evict_heap[e]
             count = self._slot_count[e]
             for delta in timely_deltas:
@@ -161,7 +173,7 @@ class DeltaTable:
                     continue
                 if count < per_entry:
                     # First empty slot in slot order == the dense tail.
-                    s = count
+                    s = base + count
                     count += 1
                     self._slot_count[e] = count
                 else:
@@ -184,7 +196,7 @@ class DeltaTable:
                         self.discarded_deltas += 1
                         continue
                     del by_delta[deltas[s]]
-                    if statuses[s] != NO_PREF:
+                    if st != NO_PREF:
                         # Evicting a prefetching (L2_PREF_REPL) slot
                         # changes the selected set for warmed-up entries.
                         self._pf_cache[e] = None
@@ -205,14 +217,15 @@ class DeltaTable:
         medium = cfg.medium_watermark * cfg.counter_max
         repl = cfg.repl_watermark * cfg.counter_max
 
-        count = self._slot_count[e]
-        covs = self._slot_cov[e]
-        statuses = self._slot_status[e]
+        base = e * cfg.deltas_per_entry
+        covs = self._slot_cov
+        statuses = self._slot_status
         promoted = 0
         max_prefetch = cfg.max_prefetch_deltas
         # Consider highest-coverage deltas first so the 12-delta bound
         # keeps the best ones (stable: equal coverages keep slot order).
-        for i in sorted(range(count), key=covs.__getitem__, reverse=True):
+        for i in sorted(range(base, base + self._slot_count[e]),
+                        key=covs.__getitem__, reverse=True):
             coverage = covs[i]
             if coverage > high and promoted < max_prefetch:
                 statuses[i] = L1D_PREF
@@ -224,18 +237,25 @@ class DeltaTable:
                 statuses[i] = NO_PREF
             covs[i] = 0
         self._counters[e] = 0
-        self._warmed[e] = True
+        self._warmed[e] = 1
         self._pf_cache[e] = None   # statuses changed: recompute lazily
         self._warm_cache[e] = None
-        # Rebuild the victim heap: statuses changed and every coverage is
-        # back to zero.  Ascending slot index with equal coverages is
-        # already heap-ordered, so no heapify is needed.
-        heap = self._evict_heap[e]
-        del heap[:]
-        for i in range(count):
-            st = statuses[i]
-            if st == NO_PREF or st == L2_PREF_REPL:
-                heap.append((0, i))
+        # Statuses changed and every coverage is back to zero.
+        self._evict_heap[e] = self._victim_heap(e)
+
+    def _victim_heap(self, e: int) -> List[Tuple[int, int]]:
+        """Entry ``e``'s victim heap built from the columns: the
+        ``(coverage, slot)`` pair of every slot whose status allows
+        replacement."""
+        base = e * self.config.deltas_per_entry
+        covs = self._slot_cov
+        statuses = self._slot_status
+        heap = [
+            (covs[s], s) for s in range(base, base + self._slot_count[e])
+            if statuses[s] == NO_PREF or statuses[s] == L2_PREF_REPL
+        ]
+        heapify(heap)
+        return heap
 
     # ------------------------------------------------------------------
     # Prediction
@@ -255,23 +275,25 @@ class DeltaTable:
         e = self._by_tag.get(self._tag_of(ip))
         if e is None:
             return []
+        # Only a warmed-up entry memoises its selection here.
+        selected = self._pf_cache[e]
+        if selected is not None:
+            return selected
         cfg = self.config
         if self._warmed[e]:
-            selected = self._pf_cache[e]
-            if selected is None:
-                count = self._slot_count[e]
-                deltas = self._slot_delta[e]
-                statuses = self._slot_status[e]
-                selected = [
-                    (deltas[i], statuses[i])
-                    for i in range(count)
-                    if statuses[i] != NO_PREF
-                ]
-                # High-coverage deltas first: under PQ pressure the queue
-                # sheds the low-coverage tail, not the best predictions.
-                selected.sort(key=lambda ds: ds[1] != L1D_PREF)
-                selected = selected[: cfg.max_prefetch_deltas]
-                self._pf_cache[e] = selected
+            base = e * cfg.deltas_per_entry
+            deltas = self._slot_delta
+            statuses = self._slot_status
+            selected = [
+                (deltas[i], statuses[i])
+                for i in range(base, base + self._slot_count[e])
+                if statuses[i] != NO_PREF
+            ]
+            # High-coverage deltas first: under PQ pressure the queue
+            # sheds the low-coverage tail, not the best predictions.
+            selected.sort(key=lambda ds: ds[1] != L1D_PREF)
+            selected = selected[: cfg.max_prefetch_deltas]
+            self._pf_cache[e] = selected
             return selected
         counter = self._counters[e]
         if counter < cfg.warmup_min_searches:
@@ -279,12 +301,12 @@ class DeltaTable:
         selected = self._warm_cache[e]
         if selected is None:
             threshold = cfg.warmup_watermark * counter
-            count = self._slot_count[e]
-            deltas = self._slot_delta[e]
-            covs = self._slot_cov[e]
+            base = e * cfg.deltas_per_entry
+            deltas = self._slot_delta
+            covs = self._slot_cov
             selected = [
                 (deltas[i], L1D_PREF)
-                for i in range(count)
+                for i in range(base, base + self._slot_count[e])
                 if covs[i] >= threshold
             ][: cfg.max_prefetch_deltas]
             self._warm_cache[e] = selected
@@ -295,33 +317,27 @@ class DeltaTable:
         e = self._by_tag.get(self._tag_of(ip))
         if e is None:
             return []
-        count = self._slot_count[e]
-        deltas = self._slot_delta[e]
-        covs = self._slot_cov[e]
-        statuses = self._slot_status[e]
-        return [(deltas[i], covs[i], statuses[i]) for i in range(count)]
+        base = e * self.config.deltas_per_entry
+        end = base + self._slot_count[e]
+        return list(zip(self._slot_delta[base:end], self._slot_cov[base:end],
+                        self._slot_status[base:end]))
 
     def reset(self) -> None:
         cfg = self.config
         entries = cfg.delta_table_entries
-        per_entry = cfg.deltas_per_entry
+        slots = entries * cfg.deltas_per_entry
         # Entry-level columns.
-        self._valid = [False] * entries
-        self._tags = [0] * entries
-        self._counters = [0] * entries
-        self._orders = [0] * entries
-        self._warmed = [False] * entries
-        # Slot-level columns: per-entry parallel lists, preallocated.
-        # Valid slots are the dense prefix [0, _slot_count).
-        self._slot_count = [0] * entries
-        self._slot_delta = [[0] * per_entry for _ in range(entries)]
-        self._slot_cov = [[0] * per_entry for _ in range(entries)]
-        self._slot_status = [[NO_PREF] * per_entry for _ in range(entries)]
-        # Lazy victim heaps: (coverage, slot) pairs for every slot whose
-        # status allows replacement.  May hold stale pairs; pops validate
-        # against the live columns.  Invariant: the *current* pair of
-        # every replacement-candidate slot is present.
-        self._evict_heap = [[] for _ in range(entries)]
+        self._valid = array("q", [0]) * entries
+        self._tags = array("q", [0]) * entries
+        self._counters = array("q", [0]) * entries
+        self._orders = array("q", [0]) * entries
+        self._warmed = array("q", [0]) * entries
+        # Slot-level columns, flat: slot s of entry e at e * per + s.
+        # Valid slots are each entry's dense prefix [0, _slot_count).
+        self._slot_count = array("q", [0]) * entries
+        self._slot_delta = array("q", [0]) * slots
+        self._slot_cov = array("q", [0]) * slots
+        self._slot_status = array("q", [NO_PREF]) * slots
         self._fifo_clock = 0
         self._fifo_ptr = 0
         self.phase_completions = 0
@@ -330,25 +346,35 @@ class DeltaTable:
 
     def reindex(self) -> None:
         """Rebuild the derived per-entry state from the columns: the
-        ``_by_tag`` (tag -> entry) and ``_by_delta`` (delta -> slot)
-        indexes, and the empty prediction memos ``_pf_cache`` and
-        ``_warm_cache`` (recomputed on demand)."""
+        ``_by_tag`` (tag -> entry) and ``_by_delta`` (delta -> flat slot
+        index) indexes, the victim heaps, and the empty prediction memos
+        ``_pf_cache`` and ``_warm_cache`` (recomputed on demand).
+
+        Invariant of the lazy victim heaps: they may hold stale pairs
+        (pops validate against the live columns), but the *current*
+        pair of every replacement-candidate slot is present."""
+        entries = len(self._valid)
+        per_entry = self.config.deltas_per_entry
+        deltas = self._slot_delta
         self._by_tag = {
             tag: e for e, (valid, tag) in enumerate(zip(self._valid, self._tags))
             if valid
         }
         self._by_delta = [
-            {deltas[i]: i for i in range(count)}
-            for deltas, count in zip(self._slot_delta, self._slot_count)
+            {deltas[s]: s for s in range(base, base + count)}
+            for base, count in zip(range(0, entries * per_entry, per_entry),
+                                   self._slot_count)
         ]
-        self._pf_cache = [None] * len(self._valid)
-        self._warm_cache = [None] * len(self._valid)
+        self._evict_heap = [self._victim_heap(e) for e in range(entries)]
+        self._pf_cache = [None] * entries
+        self._warm_cache = [None] * entries
 
     def __getstate__(self):
-        # The lookup indexes and the memos are derived from the columns:
-        # rebuilt, not pickled.
+        # The lookup indexes, the victim heaps and the memos are derived
+        # from the columns: rebuilt, not pickled.
         state = self.__dict__.copy()
-        for derived in ("_by_tag", "_by_delta", "_pf_cache", "_warm_cache"):
+        for derived in ("_by_tag", "_by_delta", "_evict_heap", "_pf_cache",
+                        "_warm_cache"):
             del state[derived]
         return state
 

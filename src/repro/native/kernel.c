@@ -724,78 +724,6 @@ static i64 hist_search(i64 key, i64 line, i64 demand_time, i64 latency) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Per-entry eviction heaps: CPython heapq on (cov, slot) pairs        */
-/* ------------------------------------------------------------------ */
-
-static i64 *HEAPB, *HLN;
-static i64 heap_cap;
-
-static inline int pair_lt(i64 c1, i64 s1, i64 c2, i64 s2) {
-    return c1 < c2 || (c1 == c2 && s1 < s2);
-}
-
-static void heap_siftdown(i64 *h, i64 startpos, i64 pos) {
-    i64 nc = h[2 * pos], ns = h[2 * pos + 1];
-    while (pos > startpos) {
-        i64 parent = (pos - 1) >> 1;
-        if (pair_lt(nc, ns, h[2 * parent], h[2 * parent + 1])) {
-            h[2 * pos] = h[2 * parent];
-            h[2 * pos + 1] = h[2 * parent + 1];
-            pos = parent;
-        } else {
-            break;
-        }
-    }
-    h[2 * pos] = nc;
-    h[2 * pos + 1] = ns;
-}
-
-static void heap_push(i64 e, i64 c, i64 s) {
-    i64 n = HLN[e];
-    if (n >= heap_cap) {
-        /* Defensive: marshal sizes the heap past the worst case. */
-        R[R_ERR] = 2;
-        R[R_ERR_A] = e;
-        R[R_ERR_B] = n;
-        longjmp(err_jmp, 1);
-    }
-    i64 *h = HEAPB + e * heap_cap * 2;
-    h[2 * n] = c;
-    h[2 * n + 1] = s;
-    HLN[e] = n + 1;
-    heap_siftdown(h, 0, n);
-}
-
-static void heap_pop(i64 e, i64 *rc, i64 *rs) {
-    i64 *h = HEAPB + e * heap_cap * 2;
-    i64 n = --HLN[e];
-    i64 lc = h[2 * n], ls = h[2 * n + 1];
-    if (n == 0) {
-        *rc = lc;
-        *rs = ls;
-        return;
-    }
-    *rc = h[0];
-    *rs = h[1];
-    /* _siftup(h, 0) with newitem = lastelt, then _siftdown. */
-    i64 pos = 0, childpos = 1;
-    while (childpos < n) {
-        i64 right = childpos + 1;
-        if (right < n
-            && !pair_lt(h[2 * childpos], h[2 * childpos + 1],
-                        h[2 * right], h[2 * right + 1]))
-            childpos = right;
-        h[2 * pos] = h[2 * childpos];
-        h[2 * pos + 1] = h[2 * childpos + 1];
-        pos = childpos;
-        childpos = 2 * pos + 1;
-    }
-    h[2 * pos] = lc;
-    h[2 * pos + 1] = ls;
-    heap_siftdown(h, 0, pos);
-}
-
-/* ------------------------------------------------------------------ */
 /* Berti delta table                                                   */
 /* ------------------------------------------------------------------ */
 
@@ -848,7 +776,6 @@ static i64 dt_allocate(i64 tag) {
         SCV[base + i] = 0;
         SST[base + i] = 0;
     }
-    HLN[victim] = 0;
     return victim;
 }
 
@@ -886,18 +813,22 @@ static void dt_close_phase(i64 e) {
     }
     EC[e] = 0;
     EW[e] = 1;
-    /* Rebuilt heap: (0, slot) ascending is already heap-ordered. */
-    i64 *h = HEAPB + e * heap_cap * 2;
-    i64 n = 0;
-    for (i = 0; i < cnt; i++) {
-        i64 st = SST[base + i];
-        if (st == 0 || st == 3) {
-            h[2 * n] = 0;
-            h[2 * n + 1] = i;
-            n++;
+}
+
+/* The victim for a newly seen delta in a full entry: the lowest
+ * (coverage, slot) among the NO_PREF / L2_PREF_REPL slots -- the pair
+ * DeltaTable's lazy heap pops and the reference table's min() picks.
+ * -1 when no slot may be replaced. */
+static i64 dt_victim(i64 base) {
+    i64 victim = -1, best = INT64_MAX, s;
+    for (s = 0; s < e_per; s++) {
+        i64 st = SST[base + s];
+        if ((st == 0 || st == 3) && SCV[base + s] < best) {
+            victim = s;
+            best = SCV[base + s];
         }
     }
-    HLN[e] = n;
+    return victim;
 }
 
 /* record_search runs unconditionally after a clamped search — it
@@ -914,29 +845,15 @@ static void dt_record_search(i64 key, i64 n_deltas) {
         i64 delta = SCR[k];
         i64 s = dt_by_delta(e, delta);
         if (s >= 0) {
-            i64 c = SCV[base + s];
-            if (c < R[R_COV_CAP]) {
-                SCV[base + s] = c + 1;
-                i64 st = SST[base + s];
-                if (st == 0 || st == 3)
-                    heap_push(e, c + 1, s);
-            }
+            if (SCV[base + s] < R[R_COV_CAP])
+                SCV[base + s]++;
             continue;
         }
-        i64 slot = -1;
+        i64 slot;
         if (ES[e] < e_per) {
-            slot = ES[e];
-            ES[e]++;
+            slot = ES[e]++;
         } else {
-            while (HLN[e] > 0) {
-                i64 pc, ps;
-                heap_pop(e, &pc, &ps);
-                i64 st = SST[base + ps];
-                if (SCV[base + ps] == pc && (st == 0 || st == 3)) {
-                    slot = ps;
-                    break;
-                }
-            }
+            slot = dt_victim(base);
             if (slot < 0) {
                 R[R_DT_DISCARDED]++;
                 continue;
@@ -945,7 +862,6 @@ static void dt_record_search(i64 key, i64 n_deltas) {
         SD[base + slot] = delta;
         SCV[base + slot] = 1;
         SST[base + slot] = 0;
-        heap_push(e, 1, slot);
     }
     if (counter >= R[R_COUNTER_MAX])
         dt_close_phase(e);
@@ -1287,9 +1203,6 @@ static void load_all(void) {
         SD = (i64 *)B[B_S_DELTA];
         SCV = (i64 *)B[B_S_COV];
         SST = (i64 *)B[B_S_STATUS];
-        HEAPB = (i64 *)B[B_HEAP];
-        HLN = (i64 *)B[B_HEAP_LEN];
-        heap_cap = R[R_HEAP_CAP];
         e_count = R[R_E_COUNT];
         e_per = R[R_E_PER];
     }

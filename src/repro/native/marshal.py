@@ -10,7 +10,9 @@ lockstep digests and engine switches (demotion) all operate on ordinary
 hierarchy objects and never need to know a C kernel ran the span.  The
 derived indexes are the exception, each kept O(what changed) per span:
 the caches' and TLBs' indexes are dropped and rebuilt by their next
-reader, and the kernel's page-table hash persists from span to span.
+reader, the Berti tables rebuild theirs at the import (the history
+table only when the span inserted), and the kernel's page-table hash
+persists from span to span.
 
 Layout contract
 ---------------
@@ -27,11 +29,14 @@ Four marshalling classes of state:
 * **zero-copy** — the trace columns, the per-way columns of the caches
   and TLBs with their replacement columns
   (:class:`~repro.memory.cache.Cache`, :class:`~repro.cpu.tlb.TLB` and
-  their policies keep their state in exactly the kernel's layout) and
-  the Berti history-table rings (``array('q')`` columns) are passed by
-  pointer and mutated in place; after each span every cache and TLB
-  drops its derived index (``drop_index()``) and its next reader
-  rebuilds it;
+  their policies keep their state in exactly the kernel's layout), the
+  Berti history-table rings and the nine delta-table columns
+  (``array('q')`` columns) are passed by pointer and mutated in place;
+  after each span every cache and TLB drops its derived index
+  (``drop_index()``) and its next reader rebuilds it, and both Berti
+  tables rebuild theirs through ``reindex()`` — the delta table's lazy
+  victim heaps among them, which the kernel does without: it scans an
+  entry's slots for the victim the heap would pop;
 * **persistent** — the page-table hash (``HASH_K``/``HASH_V``) lives
   in buffers owned here.  The kernel inserts every page it walks and
   logs the walk; the import replays the log into ``MMU._page_table``.
@@ -46,9 +51,7 @@ Four marshalling classes of state:
   by value: exported at span start, imported unconditionally at span
   end (even on error: like the classic loop, the kernel mutates
   structures in place before it fails).  The structures are the MSHR
-  entries, the DRAM banks and write queue, the core window, the PQ and
-  the Berti delta table; the import rebuilds the delta table's and the
-  history table's indexes through their ``reindex()``.
+  entries, the DRAM banks and write queue, the core window and the PQ.
 
 No index derived from a column is pickled, so snapshot bytes do not
 depend on the order in which either engine built it.
@@ -157,8 +160,7 @@ REGISTERS: Tuple[str, ...] = (
     "E_COUNT", "E_PER", "COUNTER_MAX", "MAX_DSEARCH", "MAX_PF_DELTAS",
     "LAT_MASK", "COV_CAP", "DTAG_MASK", "WARM_MIN", "CROSS_OK",
     "DELTA_LO", "DELTA_HI",
-    "HEAP_CAP", "DT_FIFO_CLOCK", "DT_FIFO_PTR",
-    "DT_PHASES", "DT_DISCARDED",
+    "DT_FIFO_CLOCK", "DT_FIFO_PTR", "DT_PHASES", "DT_DISCARDED",
     *DELTA_REGS,
 )
 
@@ -179,6 +181,24 @@ _CACHE_COLUMNS = (
 _CACHE_BUF_FIELDS = (
     *(f for f, _ in _CACHE_COLUMNS), "POLC", "POLA", "MT",
 )
+#: Kernel buffer -> the HistoryTable column bound to it by pointer: per
+#: way (set * ways + way), then per set.
+_WAY_COLUMNS = (
+    ("H_TAGS", "_tags"), ("H_LINES", "_lines"), ("H_TSS", "_tss"),
+    ("H_ORDERS", "_orders"),
+)
+_SET_COLUMNS = (("H_CLOCK", "_fifo_clock"), ("H_PTR", "_fifo_ptr"))
+#: Kernel buffer -> the DeltaTable column bound to it by pointer: per
+#: entry, then flat over entries * deltas_per_entry slots.
+_ENTRY_COLUMNS = (
+    ("E_VALID", "_valid"), ("E_TAG", "_tags"), ("E_CTR", "_counters"),
+    ("E_ORDER", "_orders"), ("E_WARMED", "_warmed"),
+    ("E_SCOUNT", "_slot_count"),
+)
+_SLOT_COLUMNS = (
+    ("S_DELTA", "_slot_delta"), ("S_COV", "_slot_cov"),
+    ("S_STATUS", "_slot_status"),
+)
 _MSHR_BUF_FIELDS = ("LINE", "ALLOC", "READY", "ISPF", "IP", "VLINE", "MERGED")
 _TLB_BUF_FIELDS = ("VP", "PP", "CLK", "AGE")
 
@@ -192,9 +212,10 @@ BUFS: Tuple[str, ...] = (
     "BANK_ROW", "BANK_BUSY", "PENDW",
     "WIN_K", "WIN_RET", "LOADS",
     "PQ_ST",
-    "H_TAGS", "H_LINES", "H_TSS", "H_ORDERS", "H_CLOCK", "H_PTR",
-    "E_VALID", "E_TAG", "E_CTR", "E_ORDER", "E_WARMED", "E_SCOUNT",
-    "S_DELTA", "S_COV", "S_STATUS", "HEAP", "HEAP_LEN",
+    *(name for name, _ in _WAY_COLUMNS),
+    *(name for name, _ in _SET_COLUMNS),
+    *(name for name, _ in _ENTRY_COLUMNS),
+    *(name for name, _ in _SLOT_COLUMNS),
     "SCRATCH",
 )
 
@@ -312,20 +333,8 @@ class NativeState:
         kern = h._l1d_kernel
         self._kern = kern
         if kern is not None:
-            kcfg = kern.config
-            e = kcfg.delta_table_entries
-            per = kcfg.deltas_per_entry
-            for f in ("E_VALID", "E_TAG", "E_CTR", "E_ORDER", "E_WARMED",
-                      "E_SCOUNT", "HEAP_LEN"):
-                b[f] = array("q", bytes(8 * e))
-            for f in ("S_DELTA", "S_COV", "S_STATUS"):
-                b[f] = array("q", bytes(8 * e * per))
-            b["SCRATCH"] = array("q", bytes(8 * max(1, kcfg.max_deltas_per_search)))
-            # Between phase closes an entry's heap gains at most
-            # counter_max * max_deltas_per_search pairs on top of what a
-            # close leaves (<= per_entry); sized per span in begin_span.
-            self._heap_slack = (kcfg.counter_max * kcfg.max_deltas_per_search
-                                + per + 8)
+            b["SCRATCH"] = array(
+                "q", bytes(8 * max(1, kern.config.max_deltas_per_search)))
 
     # ------------------------------------------------------------------
     # Export (Python -> flat buffers)
@@ -541,15 +550,15 @@ class NativeState:
         kern = self._kern
         hist = kern.history
         cfg = kern.config
-        # History rings: zero-copy — refresh pointers each span (reset()
-        # rebinds new arrays).
-        b["H_TAGS"] = hist._tags
-        b["H_LINES"] = hist._lines
-        b["H_TSS"] = hist._tss
-        b["H_ORDERS"] = hist._orders
-        b["H_CLOCK"] = hist._fifo_clock
-        b["H_PTR"] = hist._fifo_ptr
-        R[RIX["H_SETS"]] = cfg.history_sets
+        # History rings and delta-table columns: zero-copy — refresh the
+        # pointers each span (reset() rebinds new arrays).
+        sets = cfg.history_sets
+        for name, column in _WAY_COLUMNS:
+            b[name] = _column(getattr(hist, column), sets * cfg.history_ways,
+                              "history", column)
+        for name, column in _SET_COLUMNS:
+            b[name] = _column(getattr(hist, column), sets, "history", column)
+        R[RIX["H_SETS"]] = sets
         R[RIX["H_WAYS"]] = cfg.history_ways
         R[RIX["H_INSERTS"]] = hist.inserts
         R[RIX["H_SEARCHES"]] = hist.searches
@@ -580,45 +589,11 @@ class NativeState:
         F[FIX["F_REPL"]] = cfg.repl_watermark * cfg.counter_max
         F[FIX["F_WARM_WM"]] = cfg.warmup_watermark
 
-        ev, et = b["E_VALID"], b["E_TAG"]
-        ec, eo = b["E_CTR"], b["E_ORDER"]
-        ew, es = b["E_WARMED"], b["E_SCOUNT"]
-        sd, sc, ss = b["S_DELTA"], b["S_COV"], b["S_STATUS"]
-        for e in range(entries):
-            ev[e] = 1 if dt._valid[e] else 0
-            et[e] = dt._tags[e]
-            ec[e] = dt._counters[e]
-            eo[e] = dt._orders[e]
-            ew[e] = 1 if dt._warmed[e] else 0
-            es[e] = dt._slot_count[e]
-            base = e * per
-            drow, crow, strow = (dt._slot_delta[e], dt._slot_cov[e],
-                                 dt._slot_status[e])
-            for i in range(per):
-                sd[base + i] = drow[i]
-                sc[base + i] = crow[i]
-                ss[base + i] = strow[i]
-        # Heaps: verbatim pair arrays (the kernel implements CPython's
-        # heapq algorithms, so the final array layout round-trips).
-        heap_cap = max(
-            (max((len(hp) for hp in dt._evict_heap), default=0)
-             + self._heap_slack),
-            self._heap_slack,
-        )
-        hb = b.get("HEAP")
-        if hb is None or len(hb) < entries * heap_cap * 2:
-            b["HEAP"] = hb = array("q", bytes(8 * entries * heap_cap * 2))
-        else:
-            heap_cap = len(hb) // (entries * 2)
-        R[RIX["HEAP_CAP"]] = heap_cap
-        hl = b["HEAP_LEN"]
-        for e in range(entries):
-            heap = dt._evict_heap[e]
-            hl[e] = len(heap)
-            base = e * heap_cap * 2
-            for i, (c, s) in enumerate(heap):
-                hb[base + 2 * i] = c
-                hb[base + 2 * i + 1] = s
+        for name, column in _ENTRY_COLUMNS:
+            b[name] = _column(getattr(dt, column), entries, "deltas", column)
+        for name, column in _SLOT_COLUMNS:
+            b[name] = _column(getattr(dt, column), entries * per, "deltas",
+                              column)
 
     # ------------------------------------------------------------------
     # Import (flat buffers -> Python)
@@ -760,7 +735,7 @@ class NativeState:
             st.append(buf[i])
 
     def _import_berti(self) -> None:
-        R, b = self.R, self.bufs
+        R = self.R
         kern = self._kern
         hist = kern.history
         new_inserts = R[RIX["H_INSERTS"]]
@@ -771,39 +746,11 @@ class NativeState:
             hist.reindex()
 
         dt = kern.deltas
-        entries = len(dt._valid)
-        per = kern.config.deltas_per_entry
-        ev, et = b["E_VALID"], b["E_TAG"]
-        ec, eo = b["E_CTR"], b["E_ORDER"]
-        ew, es = b["E_WARMED"], b["E_SCOUNT"]
-        sd, sc, ss = b["S_DELTA"], b["S_COV"], b["S_STATUS"]
-        for e in range(entries):
-            dt._valid[e] = ev[e] != 0
-            dt._tags[e] = et[e]
-            dt._counters[e] = ec[e]
-            dt._orders[e] = eo[e]
-            dt._warmed[e] = ew[e] != 0
-            dt._slot_count[e] = es[e]
-            base = e * per
-            drow, crow, strow = (dt._slot_delta[e], dt._slot_cov[e],
-                                 dt._slot_status[e])
-            for i in range(per):
-                drow[i] = sd[base + i]
-                crow[i] = sc[base + i]
-                strow[i] = ss[base + i]
-        dt.reindex()
-        heap_cap = R[RIX["HEAP_CAP"]]
-        hb, hl = b["HEAP"], b["HEAP_LEN"]
-        for e in range(entries):
-            base = e * heap_cap * 2
-            dt._evict_heap[e] = [
-                (hb[base + 2 * i], hb[base + 2 * i + 1])
-                for i in range(hl[e])
-            ]
         dt._fifo_clock = R[RIX["DT_FIFO_CLOCK"]]
         dt._fifo_ptr = R[RIX["DT_FIFO_PTR"]]
         dt.phase_completions = R[RIX["DT_PHASES"]]
         dt.discarded_deltas = R[RIX["DT_DISCARDED"]]
+        dt.reindex()
 
     def _flush_deltas(self) -> None:
         R, h = self.R, self.h

@@ -12,11 +12,12 @@ Demotion is *sticky for reporting only*: the first reason is recorded in
 surface one structured event, but each span still re-checks — a guard
 that clears (e.g. a test un-wraps a hook) lets later spans run natively.
 
-Error mapping: the kernel returns 0 on success, 1 for MSHR exhaustion
-(registers ``ERR_A..ERR_D`` carry count/size/cycle/line) and any other
-value for an internal invariant breach.  On every non-zero return the
-state is imported with ``end_span(ok=False)`` — absolute counters land,
-span deltas are discarded — the state a crashed run is left in.
+Error mapping: the kernel returns 0 on success and 1 for MSHR
+exhaustion (registers ``ERR_A..ERR_D`` carry count/size/cycle/line);
+any other value is reported as an internal error.  On every non-zero
+return the state is imported with ``end_span(ok=False)`` — absolute
+counters land, span deltas are discarded — the state a crashed run is
+left in.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ from repro.simulator.engine import make_classic_runner
 from . import build as _build
 from .marshal import RIX, NativeState
 
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised via monkeypatching
-    _np = None
+import numpy as np
 
 __all__ = ["DEMOTION_REASONS", "native_mode", "make_native_runner",
            "NativeRunner", "non_stock_reason"]
@@ -148,9 +146,7 @@ def _addresses_nonnegative(trace) -> bool:
     addrs = trace.columns()[1]
     if len(addrs) == 0:
         return True
-    if _np is not None:
-        return not bool((_np.frombuffer(addrs, dtype=_np.int64) < 0).any())
-    return min(addrs) >= 0
+    return not bool((np.frombuffer(addrs, dtype=np.int64) < 0).any())
 
 
 class NativeRunner:

@@ -29,6 +29,7 @@ from repro.sanitizer.lockstep import (
     lockstep_multicore,
     lockstep_run,
     quick_trace,
+    small_berti_config,
     small_tlb_config,
 )
 from repro.sanitizer.reference import is_reference, to_reference
@@ -52,6 +53,7 @@ __all__ = [
     "lockstep_multicore",
     "lockstep_run",
     "quick_trace",
+    "small_berti_config",
     "small_tlb_config",
     "is_reference",
     "to_reference",

@@ -316,27 +316,29 @@ def check_delta_table(table: DeltaTable, name: str) -> List[Violation]:
             out.append((name, f"entry {tag:#x}: slot count {count} out "
                         f"of [0, {per_entry}]", dump))
             continue
-        deltas = table._slot_delta[e]
-        covs = table._slot_cov[e]
-        statuses = table._slot_status[e]
+        base = e * per_entry
+        deltas = table._slot_delta
+        covs = table._slot_cov
+        statuses = table._slot_status
         by_delta = table._by_delta[e]
         for i in range(count):
-            sdump = {**dump, "slot": i, "delta": deltas[i],
-                     "coverage": covs[i], "status": statuses[i]}
-            if not 0 <= covs[i] <= coverage_cap:
+            s = base + i
+            sdump = {**dump, "slot": i, "delta": deltas[s],
+                     "coverage": covs[s], "status": statuses[s]}
+            if not 0 <= covs[s] <= coverage_cap:
                 out.append((name, f"entry {tag:#x} slot {i}: "
-                            f"coverage {covs[i]} out of "
+                            f"coverage {covs[s]} out of "
                             f"[0, {coverage_cap}]", sdump))
-            elif covs[i] > counter:
+            elif covs[s] > counter:
                 out.append((name, f"entry {tag:#x} slot {i}: "
-                            f"coverage {covs[i]} exceeds the "
+                            f"coverage {covs[s]} exceeds the "
                             f"phase's search counter {counter}", sdump))
-            if not NO_PREF <= statuses[i] <= L2_PREF_REPL:
+            if not NO_PREF <= statuses[s] <= L2_PREF_REPL:
                 out.append((name, f"entry {tag:#x} slot {i}: "
-                            f"unknown status {statuses[i]}", sdump))
-            if by_delta.get(deltas[i]) != i:
+                            f"unknown status {statuses[s]}", sdump))
+            if by_delta.get(deltas[s]) != s:
                 out.append((name, f"entry {tag:#x} slot {i}: "
-                            f"delta {deltas[i]} not mirrored in "
+                            f"delta {deltas[s]} not mirrored in "
                             f"by_delta", sdump))
         if len(by_delta) != count:
             out.append((name, f"entry {tag:#x}: {count} valid "
@@ -348,13 +350,14 @@ def check_delta_table(table: DeltaTable, name: str) -> List[Violation]:
         # a missing pair silently protects the slot from eviction.
         heap_pairs = set(table._evict_heap[e])
         for i in range(count):
-            st = statuses[i]
+            s = base + i
+            st = statuses[s]
             if (st == NO_PREF or st == L2_PREF_REPL) and \
-                    (covs[i], i) not in heap_pairs:
+                    (covs[s], s) not in heap_pairs:
                 out.append((name, f"entry {tag:#x} slot {i}: "
                             f"replacement candidate missing from the "
                             f"victim heap",
-                            {**dump, "slot": i, "coverage": covs[i],
+                            {**dump, "slot": i, "coverage": covs[s],
                              "status": st}))
         out.extend(_check_delta_caches(table, e, name, dump))
     if valid_entries != len(table._by_tag):
@@ -371,15 +374,16 @@ def _check_delta_caches(
     """A populated prediction cache must equal a fresh recomputation."""
     out: List[Violation] = []
     cfg = table.config
-    count = table._slot_count[e]
-    deltas = table._slot_delta[e]
-    covs = table._slot_cov[e]
-    statuses = table._slot_status[e]
+    base = e * cfg.deltas_per_entry
+    slots = range(base, base + table._slot_count[e])
+    deltas = table._slot_delta
+    covs = table._slot_cov
+    statuses = table._slot_status
     cached = table._pf_cache[e]
     if cached is not None:
         expected = [
             (deltas[i], statuses[i])
-            for i in range(count)
+            for i in slots
             if statuses[i] != NO_PREF
         ]
         expected.sort(key=lambda ds: ds[1] != 1)  # L1D_PREF first
@@ -403,7 +407,7 @@ def _check_delta_caches(
             threshold = cfg.warmup_watermark * counter
             expected = [
                 (deltas[i], 1)  # L1D_PREF
-                for i in range(count)
+                for i in slots
                 if covs[i] >= threshold
             ][: cfg.max_prefetch_deltas]
             if warm != expected:

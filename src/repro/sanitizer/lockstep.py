@@ -14,7 +14,9 @@ after every access:
 plus a structural digest (cache presence indexes, TLB columns with
 their LRU stamps, the page table and its allocation counter, DRAM bank
 and queue state, MSHR entry sets, PQ service times, per-cache
-counters) every ``digest_every`` accesses, and a full
+counters, and Berti's delta and history tables in a view that reads
+the kernelized and the reference tables alike) every ``digest_every``
+accesses, and a full
 :class:`~repro.simulator.stats.SimResult` comparison at the end.
 The first mismatch is reported with its access index, so a fast-path
 bug is localised to the exact record that exposed it.
@@ -29,6 +31,12 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.berti import BertiPrefetcher
+from repro.core.config import BertiConfig
+from repro.core.reference_tables import (
+    ReferenceDeltaTable,
+    ReferenceHistoryTable,
+)
 from repro.memory.hierarchy import Hierarchy
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.reference import to_reference
@@ -92,10 +100,54 @@ def _tlb_digest(tlb) -> Tuple[Tuple[Any, ...], Tuple[int, ...]]:
     return (tuple(zip(tlb.vpages, tlb.ppages, lru._age)), tuple(lru._clock))
 
 
+def _delta_table_digest(dt) -> Tuple[Any, ...]:
+    """Each entry's ``(valid, tag, counter, order, warmed, slots)`` with
+    its dense ``(delta, coverage, status)`` slots, then the FIFO pointer
+    and clock and the two counters: the same view of the flat columns
+    and of :class:`ReferenceDeltaTable`'s slot objects."""
+    if isinstance(dt, ReferenceDeltaTable):
+        entries = tuple(
+            (e.valid, e.tag, e.counter, e.order, e.warmed_up,
+             tuple((s.delta, s.coverage, s.status)
+                   for s in e.slots if s.valid))
+            for e in dt._entries
+        )
+    else:
+        per = dt.config.deltas_per_entry
+        entries = tuple(
+            (bool(dt._valid[e]), dt._tags[e], dt._counters[e],
+             dt._orders[e], bool(dt._warmed[e]),
+             tuple(zip(dt._slot_delta[b:b + n], dt._slot_cov[b:b + n],
+                       dt._slot_status[b:b + n])))
+            for e, (b, n) in enumerate(zip(
+                range(0, len(dt._slot_delta), per), dt._slot_count))
+        )
+    return (entries, dt._fifo_ptr, dt._fifo_clock, dt.phase_completions,
+            dt.discarded_deltas)
+
+
+def _history_digest(ht) -> Tuple[Any, ...]:
+    """Each way's ``(tag, line, ts, order)`` (``None`` when empty), the
+    per-set FIFO pointers and clocks and the two counters: the same view
+    of the flat rings and of :class:`ReferenceHistoryTable`'s rows."""
+    if isinstance(ht, ReferenceHistoryTable):
+        ways = tuple(row for rows in ht._sets for row in rows)
+    else:
+        ways = tuple(
+            None if tag < 0 else (tag, line, ts, order)
+            for tag, line, ts, order in zip(ht._tags, ht._lines, ht._tss,
+                                            ht._orders)
+        )
+    return (ways, tuple(ht._fifo_ptr), tuple(ht._fifo_clock), ht.inserts,
+            ht.searches)
+
+
 def _state_digest(h: Hierarchy) -> Dict[str, Any]:
     """Comparable structural summary; read-only but for rebuilding a
     cache index a native span dropped."""
     mmu, dram = h.mmu, h.dram
+    pf = h.l1d_prefetcher
+    berti = isinstance(pf, BertiPrefetcher)
     return {
         "l1d_where": dict(h.l1d.index()),
         "l2_where": dict(h.l2.index()),
@@ -116,6 +168,8 @@ def _state_digest(h: Hierarchy) -> Dict[str, Any]:
         "llc_stats": astuple(h.llc.stats),
         "pf_l1d": astuple(h.pf_stats["l1d"]),
         "pf_l2": astuple(h.pf_stats["l2"]),
+        "berti_deltas": _delta_table_digest(pf.deltas) if berti else None,
+        "berti_history": _history_digest(pf.history) if berti else None,
     }
 
 
@@ -443,3 +497,13 @@ def small_tlb_config() -> SystemConfig:
     covers what the Table II STLB never does on these traces)."""
     return replace(default_config(), dtlb_entries=4, dtlb_ways=2,
                    stlb_entries=8, stlb_ways=2)
+
+
+def small_berti_config() -> BertiConfig:
+    """A 4-entry delta table of 4 slots whose phase closes every 4
+    searches: on :func:`quick_trace` its entries fill, so nearly every
+    unseen delta elects a victim and phases close often (the ``sancheck
+    --quick`` leg that covers the victim election the 16 x 16 table
+    rarely runs on these traces)."""
+    return BertiConfig(delta_table_entries=4, deltas_per_entry=4,
+                       counter_max=4)

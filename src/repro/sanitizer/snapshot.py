@@ -12,7 +12,7 @@ module holds the format: :func:`save_snapshot`, :func:`load_snapshot`
 (which verifies), and :func:`resume_run`, which checks that a snapshot
 continues the requested run and returns that run.
 
-File format (version 4)::
+File format (version 5)::
 
     <JSON header line>\\n<pickle payload>
 
@@ -24,10 +24,12 @@ bytes), and ``header_crc``, :func:`repro.durability.crc32_of` (the
 CRC-32 of the canonical JSON) of every *other* header field, so a
 flipped bit in the identity fields themselves (trace name, record
 count, prefetcher names) is caught instead of silently redirecting a
-resume.  Version 4 pickles each cache and TLB as its per-way columns
-(version 3 held the TLBs as per-set lists, earlier versions held
-per-line cache objects), leaves out the indexes the caches, TLBs and
-Berti tables rebuild from their columns on load, and computes
+resume.  Version 5 pickles each cache and TLB as its per-way columns
+and Berti's delta table as flat ``array('q')`` columns (version 4 held
+per-entry lists and the delta table's victim heaps, version 3 the TLBs
+as per-set lists, earlier versions per-line cache objects), leaves out
+the indexes the caches, TLBs and Berti tables rebuild from their
+columns on load, the victim heaps among them, and computes
 ``header_crc`` with the shared helper; older files are refused.
 Checks run in a fixed order: magic, version, header integrity, payload
 length, payload checksum, trace identity, then payload structure (the
@@ -57,7 +59,7 @@ from repro.simulator.engine import Run
 from repro.workloads.trace import Trace
 
 MAGIC = "repro-snap"
-VERSION = 4
+VERSION = 5
 
 #: Payload keys: the :class:`~repro.simulator.engine.Run` attributes a
 #: resume restores, in the order they are pickled.

@@ -24,7 +24,7 @@ from repro.sanitizer.reference import (
     to_reference,
 )
 from repro.simulator.config import default_config
-from repro.simulator.engine import build_hierarchy, simulate
+from repro.simulator.engine import Run, build_hierarchy, simulate
 
 
 # A representative subset; the full registry sweep is `repro sancheck
@@ -134,6 +134,29 @@ class TestStateDigest:
         b.dram._banks[3].open_row += 1
         key, _, _ = _first_diff(_state_digest(a), _state_digest(b))
         assert key == "dram"
+
+    def test_berti_tables_are_compared(self):
+        def trained():
+            run = Run.build(quick_trace(600), make_prefetcher("berti"))
+            run.use_engine("classic").advance(600)
+            return run.hierarchy
+
+        def bump_coverage(pf):
+            dt = pf.deltas
+            e = next(e for e, n in enumerate(dt._slot_count) if n)
+            dt._slot_cov[e * dt.config.deltas_per_entry] += 1
+
+        def bump_timestamp(pf):
+            hist = pf.history
+            w = next(w for w, tag in enumerate(hist._tags) if tag >= 0)
+            hist._tss[w] += 1
+
+        a = _state_digest(trained())
+        for key, bump in (("berti_deltas", bump_coverage),
+                          ("berti_history", bump_timestamp)):
+            b = trained()
+            bump(b.l1d_prefetcher)
+            assert _first_diff(a, _state_digest(b))[0] == key
 
 
 class TestReferenceEngine:

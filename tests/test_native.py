@@ -301,6 +301,46 @@ class TestOneCacheRepresentation:
         assert lockstep_engines(trace, l1d="berti", **kw).ok
 
 
+@needs_kernel
+class TestOneBertiRepresentation:
+    """The kernel runs on the delta table's own columns: it scans for
+    the victim its lazy heap would pop, and no second copy exists."""
+
+    COLUMNS = (
+        ("E_VALID", "_valid"), ("E_TAG", "_tags"), ("E_CTR", "_counters"),
+        ("E_ORDER", "_orders"), ("E_WARMED", "_warmed"),
+        ("E_SCOUNT", "_slot_count"), ("S_DELTA", "_slot_delta"),
+        ("S_COV", "_slot_cov"), ("S_STATUS", "_slot_status"),
+    )
+
+    def test_columns_are_the_kernel_buffers(self):
+        from repro.sanitizer.invariants import check_berti
+        from repro.sanitizer.lockstep import small_berti_config
+        from repro.simulator.engine import Run, span_cuts
+
+        # The small-tables leg of sancheck --quick: entries fill, so the
+        # kernel elects victims; a callback every 17 records cuts spans.
+        trace = quick_trace(RECORDS, "sancheck_small_berti")
+        runs = [Run.build(trace, BertiPrefetcher(small_berti_config()))
+                for _ in range(2)]
+        runs[0].use_engine("classic")
+        runs[1].use_engine("native", native="force")
+        cuts = span_cuts(len(trace), runs[0].warmup_end, every=17)
+        pf = runs[1].hierarchy.l1d_prefetcher
+        for cut in cuts:
+            for r in runs:
+                r.advance(cut)
+            bufs = runs[1].span._state.bufs
+            for name, column in self.COLUMNS:
+                assert bufs[name] is getattr(pf.deltas, column), name
+            assert check_berti(pf, "l1d_prefetcher") == []
+        assert runs[1].span.native_spans == len(cuts)
+        assert pf.deltas.phase_completions > 100
+        hc, hn = (r.hierarchy for r in runs)
+        assert _state_digest(hn) == _state_digest(hc)
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+
 class TestLockstepEngines:
     def test_all_quick_prefetchers_agree(self, trace):
         labels = {}
@@ -738,6 +778,22 @@ class TestErrorMapping:
         llc = runner.hierarchy.llc
         llc.dirty = array("q", bytes(8 * (llc.num_lines - 1)))
         with pytest.raises(SimulationError, match="llc.dirty") as exc:
+            runner(0, 200)
+        assert exc.value.context()["field"] == "engine"
+        assert runner.native_spans == 0
+
+    @pytest.mark.parametrize("table,column", [("deltas", "_slot_cov"),
+                                              ("history", "_tss")])
+    def test_missized_berti_column_refused_before_the_kernel(self, table,
+                                                             column):
+        # The kernel indexes the Berti tables' columns unchecked too.
+        from array import array
+
+        runner = self.make_runner(quick_trace(200, "err_map"))
+        part = getattr(runner.hierarchy.l1d_prefetcher, table)
+        setattr(part, column, array("q", getattr(part, column)[:-1]))
+        with pytest.raises(SimulationError,
+                           match=f"{table}.{column}") as exc:
             runner(0, 200)
         assert exc.value.context()["field"] == "engine"
         assert runner.native_spans == 0

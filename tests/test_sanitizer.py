@@ -220,7 +220,9 @@ class TestDetection:
             i for i, v in enumerate(table._valid)
             if v and table._slot_count[i] > 0
         )
-        table._slot_cov[e][0] = table._counters[e] + 1
+        # Slot 0 of entry e in the flat slot columns.
+        table._slot_cov[e * table.config.deltas_per_entry] = (
+            table._counters[e] + 1)
         msgs = [v[1] for v in check_berti(h.l1d_prefetcher,
                                           "l1d_prefetcher")]
         assert any("exceeds" in m for m in msgs)
@@ -232,7 +234,8 @@ class TestDetection:
             i for i, v in enumerate(table._valid)
             if v and table._slot_count[i] > 0
         )
-        del table._by_delta[e][table._slot_delta[e][0]]
+        del table._by_delta[e][
+            table._slot_delta[e * table.config.deltas_per_entry]]
         assert check_berti(h.l1d_prefetcher, "l1d_prefetcher")
 
     def test_berti_stale_prediction_cache(self, trace):
@@ -277,11 +280,13 @@ class TestDetection:
     def test_berti_victim_heap_missing_candidate(self, trace):
         h = warmed_hierarchy(trace, l1d="berti")
         table = h.l1d_prefetcher.deltas
+        per = table.config.deltas_per_entry
         e = next(
             i for i, v in enumerate(table._valid)
             if v and any(
                 st in (0, 3)  # NO_PREF / L2_PREF_REPL: candidates
-                for st in table._slot_status[i][: table._slot_count[i]]
+                for st in table._slot_status[
+                    i * per: i * per + table._slot_count[i]]
             )
         )
         del table._evict_heap[e][:]

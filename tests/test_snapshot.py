@@ -173,13 +173,13 @@ class TestRejection:
             load_snapshot(path, trace=trace)
 
     def test_future_version_rejected(self, trace, ckpt_dir):
-        # 3 (per-set TLB lists) and 2 (per-line cache objects) are
-        # earlier formats, no longer readable; they are refused, not
-        # resumed into a crash.
+        # 4 (per-entry delta-table lists and victim heaps), 3 (per-set
+        # TLB lists) and 2 (per-line cache objects) are earlier formats,
+        # no longer readable; they are refused, not resumed into a crash.
         path = self._one(ckpt_dir)
         header, payload = open(path, "rb").read().split(b"\n", 1)
         meta = json.loads(header)
-        for version in (99, 3, 2):
+        for version in (99, 4, 3, 2):
             meta["version"] = version
             open(path, "wb").write(
                 json.dumps(meta).encode() + b"\n" + payload
