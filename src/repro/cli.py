@@ -293,11 +293,16 @@ def cmd_sancheck(args) -> int:
     from repro.fuzz.cases import case_factory
     from repro.prefetchers.registry import L1D_PREFETCHERS, L2_PREFETCHERS
     from repro.sanitizer import (
+        IPCP_EVENTS,
+        ipcp_events,
+        ipcp_trace,
         lockstep_engines,
         lockstep_multicore,
         lockstep_run,
         quick_trace,
         small_berti_config,
+        small_ipcp,
+        small_ipcp_factory,
         small_tlb_config,
     )
 
@@ -356,6 +361,18 @@ def cmd_sancheck(args) -> int:
             print(reports[-1].describe())
         if args.seed_divergence is not None:
             check(trace, l1d="berti", seed_divergence=args.seed_divergence)
+        # Small IPCP tables on a many-IP, irregular mix: the leg whose IP
+        # table, CSPT and region monitor churn, with every class firing.
+        small = ipcp_trace(args.records)
+        check(small, l1d="ipcp", make=small_ipcp_factory)
+        events = ipcp_events(small, small_ipcp())
+        print(f"ipcp events on {small.name}: " + " ".join(
+            f"{name}={events[name]}" for name in IPCP_EVENTS))
+        unseen = [name for name in IPCP_EVENTS if not events[name]]
+        if unseen:
+            print(f"error: the small-IPCP leg never fired "
+                  f"{', '.join(unseen)}", file=sys.stderr)
+            return 4
     else:
         check(resolve_trace(args.trace, args.scale), l1d=args.l1d,
               l2=args.l2, seed_divergence=args.seed_divergence)

@@ -203,7 +203,7 @@ _WARMUPS = [0.0, 0.2, 0.5, 0.9]
 def _config_vector(rng: random.Random) -> Dict[str, Any]:
     config: Dict[str, Any] = {
         "l1d": rng.choice(["berti", "berti", "berti", "berti_page",
-                           "next_line"]),
+                           "next_line", "ipcp"]),
         "l2": rng.choice(["none", "none", "none", "vldp"]),
         "chunk_size": rng.choice(_CHUNKS),
         "warmup_fraction": rng.choice(_WARMUPS),

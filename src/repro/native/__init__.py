@@ -4,11 +4,13 @@
 object compiled at first use (:mod:`repro.native.build`) over flat
 buffers (:mod:`repro.native.marshal`, zero-copy for the trace columns,
 mapped trace stores included, the caches' and TLBs' per-way and
-replacement columns, and the Berti history rings).  Its guards
-(:func:`repro.native.runner.native_mode`) demote any span the kernel
-cannot run — no compiler, non-stock or instrumented parts, any
-prefetcher but the stock Berti — to the classic per-record loop, with
-bit-identical results.
+replacement columns, and the L1D prefetcher's tables).  The kernel
+runs no prefetcher, the stock Berti or the stock IPCP at the L1D, and
+none at the L2.  Its guards (:func:`repro.native.runner.native_mode`)
+demote any span the kernel cannot run — no compiler, non-stock or
+instrumented parts, any other prefetcher or a subclass of these, an L2
+prefetcher — to the classic per-record loop, with bit-identical
+results.
 
 It is the default of every job path (``JobSpec``, the CLI, the service
 and its agents, the figure benches); ``simulate()`` itself defaults to

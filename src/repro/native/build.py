@@ -6,7 +6,8 @@ kernel source plus the marshal layout digest — editing either produces a
 new cache entry, so stale binaries can never be loaded against a
 mismatched layout.  The generated ``repro_native_layout.h`` is the only
 ABI: ``R_<NAME>``/``FR_<NAME>``/``B_<NAME>`` index defines derived from
-:data:`repro.native.marshal.REGISTERS` / ``FREGS`` / ``BUFS``.
+:data:`repro.native.marshal.REGISTERS` / ``FREGS`` / ``BUFS``, and the
+``PF_<NAME>`` prefetcher kinds of ``PF_KINDS``.
 
 No build-time dependencies beyond a C compiler (``$CC``, ``cc``,
 ``gcc`` or ``clang``); when none is present :func:`kernel_available`
@@ -79,6 +80,8 @@ def layout_header() -> str:
         lines.append(f"#define FR_{name} {i}")
     for i, name in enumerate(marshal.BUFS):
         lines.append(f"#define B_{name} {i}")
+    for i, name in enumerate(marshal.PF_KINDS):
+        lines.append(f"#define PF_{name} {i}")
     lines.append("#endif")
     return "\n".join(lines) + "\n"
 

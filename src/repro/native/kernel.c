@@ -4,8 +4,9 @@
  * path of MMU.translate_demand, the L1D probe and MSHR merge ladder,
  * _access_l2 / _access_llc, and the prefetch ladder of
  * _run_l1d_prefetcher_on_access / _kernel_issue_selected) -- plus the
- * Berti kernel hooks (repro/core/berti.py over history_table.py /
- * delta_table.py).
+ * L1D prefetcher the PF_KIND register names: the Berti kernel hooks
+ * (repro/core/berti.py over history_table.py / delta_table.py) or IPCP
+ * (repro/prefetchers/ipcp.py), each over its own Python columns.
  *
  * The layout header (repro_native_layout.h) is generated from
  * repro/native/marshal.py at build time; the R_/FR_/B_ indexes are the
@@ -942,160 +943,174 @@ static i64 llc_prefetch(i64 pline, i64 t) {
     return ready;
 }
 
-static void run_ladder(i64 n_sel, i64 ip, i64 vline, i64 now,
-                       int mshr_below) {
-    i64 pq_full = 0;
+/* One suggestion's issue tail, shared by every prefetcher kind: the
+ * translate -> dedup -> PQ -> MSHR-reserve -> fill sequence of
+ * Hierarchy._issue_l1d_prefetch_fast behind the translation and
+ * duplicate filter its callers inline (_kernel_issue_selected unrolls
+ * the same order).  The caller has counted the suggestion.  *pq_full is
+ * the caller's sticky flag: a PQ push that failed at `now` fails for
+ * every later push at the same `now`. */
+static void issue_prefetch(i64 target, int fill_l1, i64 ip, i64 now,
+                           int *pq_full) {
+    i64 vpage = target >> LPB;
+    d_D_STLB_PROBES++;
+    i64 pline;
+    i64 si = tlb_slot(&TST, vpage);
+    if (si < 0) {
+        pline = translate_cold(target, vpage);
+        if (pline < 0) {
+            d_D_PF_DTRANS++;
+            return;
+        }
+    } else {
+        d_D_STLB_HITS++;
+        pline = (TST.pp[si] << LPB) | (target & POM);
+    }
+    if (fill_l1) {
+        i64 s1 = pline & CL1.set_mask;
+        if (cache_way(&CL1, s1, pline) >= 0) {
+            d_D_PF_DDUP++;
+            return;
+        }
+        mshr_expire(&M1, now);
+        if (mshr_find(&M1, pline) >= 0) {
+            d_D_PF_DDUP++;
+            return;
+        }
+        if (*pq_full) {
+            d_D_PF_DQ++;
+            return;
+        }
+        pq_expire(now);
+        if (pq_len >= pq_size) {
+            *pq_full = 1;
+            d_D_PF_DQ++;
+            return;
+        }
+        f64 start = (f64)now;
+        if (pq_len && PQST[pq_len - 1] > start)
+            start = PQST[pq_len - 1];
+        f64 service = start + pq_period;
+        PQST[pq_len++] = service;
+        i64 issue_time = now + (i64)(service - (f64)now);
+        mshr_expire(&M1, issue_time);
+        if (M1.count >= m1_reserve) {
+            d_D_PF_DM++;
+            return;
+        }
+        i64 ready;
+        i64 s2 = pline & CL2.set_mask;
+        i64 w2 = cache_way(&CL2, s2, pline);
+        if (w2 >= 0) {
+            cache_touch(&CL2, s2, w2);
+            ready = issue_time + CL2.lat;
+            i64 a2 = CL2.arr[s2 * CL2.ways + w2];
+            if (a2 > ready)
+                ready = a2;
+        } else {
+            mshr_expire(&M2, issue_time);
+            i64 mi = mshr_find(&M2, pline);
+            if (mi >= 0) {
+                d_D_M2_MERGES++;
+                M2.merged[mi]++;
+                i64 wait2 = M2.ready[mi] - issue_time;
+                if (wait2 < 0)
+                    wait2 = 0;
+                ready = issue_time + CL2.lat + wait2;
+            } else {
+                i64 mt2 = issue_time + CL2.lat;
+                d_D_T2L_PF++;
+                ready = llc_prefetch(pline, mt2);
+                mshr_expire(&M2, mt2);
+                if (M2.count < M2.size)
+                    mshr_allocate(&M2, pline, mt2, ready, 1, ip, 0);
+                i64 v2 = cache_fill(&CL2, pline, mt2, ready, 1,
+                                    ip, -1, 0, 0);
+                if (v2 >= 0)
+                    handle_wb(1, v2, ready);
+            }
+        }
+        i64 latency = ready - now;
+        mshr_allocate(&M1, pline, issue_time, ready, 1, ip, target);
+        /* Ladder L1 fill: the victim is dropped (no wb chain). */
+        cache_fill(&CL1, pline, issue_time, ready, 1, ip, target,
+                   (0 < latency && latency < LATENCY_CAP) ? latency : 0,
+                   1);
+        d_D_T12_PF++;
+        d_D_PF_FILLS++;
+        d_D_PF_ISSUED++;
+    } else {
+        i64 s2 = pline & CL2.set_mask;
+        if (cache_way(&CL2, s2, pline) >= 0) {
+            d_D_PF_DDUP++;
+            return;
+        }
+        if (*pq_full) {
+            d_D_PF_DQ++;
+            return;
+        }
+        pq_expire(now);
+        if (pq_len >= pq_size) {
+            *pq_full = 1;
+            d_D_PF_DQ++;
+            return;
+        }
+        f64 start = (f64)now;
+        if (pq_len && PQST[pq_len - 1] > start)
+            start = PQST[pq_len - 1];
+        f64 service = start + pq_period;
+        PQST[pq_len++] = service;
+        i64 issue_time = now + (i64)(service - (f64)now);
+        mshr_expire(&M2, now);
+        if (cache_way(&CL2, s2, pline) >= 0
+            || mshr_find(&M2, pline) >= 0) {
+            d_D_PF_DDUP++;
+            return;
+        }
+        mshr_expire(&M2, issue_time);
+        if (M2.count >= M2.size) {
+            d_D_PF_DM++;
+            return;
+        }
+        i64 ready = llc_prefetch(pline, issue_time + CL2.lat);
+        mshr_allocate(&M2, pline, issue_time, ready, 1, ip, 0);
+        i64 latency = ready - now;
+        /* Ladder L2 fill: victim dropped, origin "l1d". */
+        cache_fill(&CL2, pline, issue_time, ready, 1, ip, target,
+                   (0 < latency && latency < LATENCY_CAP) ? latency : 0,
+                   1);
+        d_D_T12_PF++;
+        d_D_T2L_PF++;
+        d_D_PF_FILLS++;
+        d_D_PF_ISSUED++;
+    }
+}
+
+/* Berti's prologue (_kernel_issue_selected): a delta whose target
+ * underflows is skipped uncounted, cross-page suppression precedes the
+ * suggested count, and an L1D_PREF delta fills the L1D only while the
+ * L1D MSHR is below the watermark. */
+static void berti_issue(i64 n_sel, i64 vline, i64 ip, i64 now,
+                        int mshr_below) {
+    int pq_full = 0;
     i64 k;
     for (k = 0; k < n_sel; k++) {
-        i64 delta = SEL_D[k], status = SEL_S[k];
-        i64 target = vline + delta;
+        i64 target = vline + SEL_D[k];
         if (target < 0)
             continue;
         if (!R[R_CROSS_OK] && (vline >> LPB) != (target >> LPB)) {
             d_D_CROSS++;
             continue;
         }
-        int fill_l1 = (status == 1) && mshr_below;
         d_D_PF_SUGG++;
-        i64 vpage = target >> LPB;
-        d_D_STLB_PROBES++;
-        i64 pline;
-        i64 si = tlb_slot(&TST, vpage);
-        if (si < 0) {
-            pline = translate_cold(target, vpage);
-            if (pline < 0) {
-                d_D_PF_DTRANS++;
-                continue;
-            }
-        } else {
-            d_D_STLB_HITS++;
-            pline = (TST.pp[si] << LPB) | (target & POM);
-        }
-        if (fill_l1) {
-            i64 s1 = pline & CL1.set_mask;
-            if (cache_way(&CL1, s1, pline) >= 0) {
-                d_D_PF_DDUP++;
-                continue;
-            }
-            mshr_expire(&M1, now);
-            if (mshr_find(&M1, pline) >= 0) {
-                d_D_PF_DDUP++;
-                continue;
-            }
-            if (pq_full) {
-                d_D_PF_DQ++;
-                continue;
-            }
-            pq_expire(now);
-            if (pq_len >= pq_size) {
-                pq_full = 1;
-                d_D_PF_DQ++;
-                continue;
-            }
-            f64 start = (f64)now;
-            if (pq_len && PQST[pq_len - 1] > start)
-                start = PQST[pq_len - 1];
-            f64 service = start + pq_period;
-            PQST[pq_len++] = service;
-            i64 issue_time = now + (i64)(service - (f64)now);
-            mshr_expire(&M1, issue_time);
-            if (M1.count >= m1_reserve) {
-                d_D_PF_DM++;
-                continue;
-            }
-            i64 ready;
-            i64 s2 = pline & CL2.set_mask;
-            i64 w2 = cache_way(&CL2, s2, pline);
-            if (w2 >= 0) {
-                cache_touch(&CL2, s2, w2);
-                ready = issue_time + CL2.lat;
-                i64 a2 = CL2.arr[s2 * CL2.ways + w2];
-                if (a2 > ready)
-                    ready = a2;
-            } else {
-                mshr_expire(&M2, issue_time);
-                i64 mi = mshr_find(&M2, pline);
-                if (mi >= 0) {
-                    d_D_M2_MERGES++;
-                    M2.merged[mi]++;
-                    i64 wait2 = M2.ready[mi] - issue_time;
-                    if (wait2 < 0)
-                        wait2 = 0;
-                    ready = issue_time + CL2.lat + wait2;
-                } else {
-                    i64 mt2 = issue_time + CL2.lat;
-                    d_D_T2L_PF++;
-                    ready = llc_prefetch(pline, mt2);
-                    mshr_expire(&M2, mt2);
-                    if (M2.count < M2.size)
-                        mshr_allocate(&M2, pline, mt2, ready, 1, ip, 0);
-                    i64 v2 = cache_fill(&CL2, pline, mt2, ready, 1,
-                                        ip, -1, 0, 0);
-                    if (v2 >= 0)
-                        handle_wb(1, v2, ready);
-                }
-            }
-            i64 latency = ready - now;
-            mshr_allocate(&M1, pline, issue_time, ready, 1, ip, target);
-            /* Ladder L1 fill: the victim is dropped (no wb chain). */
-            cache_fill(&CL1, pline, issue_time, ready, 1, ip, target,
-                       (0 < latency && latency < LATENCY_CAP) ? latency : 0,
-                       1);
-            d_D_T12_PF++;
-            d_D_PF_FILLS++;
-            d_D_PF_ISSUED++;
-        } else {
-            i64 s2 = pline & CL2.set_mask;
-            if (cache_way(&CL2, s2, pline) >= 0) {
-                d_D_PF_DDUP++;
-                continue;
-            }
-            if (pq_full) {
-                d_D_PF_DQ++;
-                continue;
-            }
-            pq_expire(now);
-            if (pq_len >= pq_size) {
-                pq_full = 1;
-                d_D_PF_DQ++;
-                continue;
-            }
-            f64 start = (f64)now;
-            if (pq_len && PQST[pq_len - 1] > start)
-                start = PQST[pq_len - 1];
-            f64 service = start + pq_period;
-            PQST[pq_len++] = service;
-            i64 issue_time = now + (i64)(service - (f64)now);
-            mshr_expire(&M2, now);
-            if (cache_way(&CL2, s2, pline) >= 0
-                || mshr_find(&M2, pline) >= 0) {
-                d_D_PF_DDUP++;
-                continue;
-            }
-            mshr_expire(&M2, issue_time);
-            if (M2.count >= M2.size) {
-                d_D_PF_DM++;
-                continue;
-            }
-            i64 ready = llc_prefetch(pline, issue_time + CL2.lat);
-            mshr_allocate(&M2, pline, issue_time, ready, 1, ip, 0);
-            i64 latency = ready - now;
-            /* Ladder L2 fill: victim dropped, origin "l1d". */
-            cache_fill(&CL2, pline, issue_time, ready, 1, ip, target,
-                       (0 < latency && latency < LATENCY_CAP) ? latency : 0,
-                       1);
-            d_D_T12_PF++;
-            d_D_T2L_PF++;
-            d_D_PF_FILLS++;
-            d_D_PF_ISSUED++;
-        }
+        issue_prefetch(target, SEL_S[k] == 1 && mshr_below, ip, now,
+                       &pq_full);
     }
 }
 
-/* _run_l1d_prefetcher_on_access for the kernel prefetcher at cycle t:
- * on_access_kernel (a miss is recorded in the history table), then the
- * ladder over the delta table's predictions, gated on the L1D MSHR
- * occupancy. */
+/* _run_l1d_prefetcher_on_access for Berti at cycle t: on_access_kernel
+ * (a miss is recorded in the history table), then the ladder over the
+ * delta table's predictions, gated on the L1D MSHR occupancy. */
 static void berti_on_access(i64 ip, i64 vline, i64 t, int miss) {
     mshr_expire(&M1, t);
     f64 mshr_occ = M1.size ? (f64)M1.count / (f64)M1.size : 0.0;
@@ -1104,7 +1119,174 @@ static void berti_on_access(i64 ip, i64 vline, i64 t, int miss) {
         hist_insert(ip, vline, t);
     i64 n_sel = dt_prefetch_deltas(ip);
     if (n_sel)
-        run_ladder(n_sel, ip, vline, t, mshr_occ < F[FR_F_WATERMARK]);
+        berti_issue(n_sel, vline, ip, t, mshr_occ < F[FR_F_WATERMARK]);
+}
+
+/* ------------------------------------------------------------------ */
+/* IPCP (IPCPPrefetcher.on_access over its own columns)                */
+/* ------------------------------------------------------------------ */
+
+/* IP table (one row per entry), CSPT (one row per signature slot),
+ * region monitor (REGION_ROWS rows) and the clock / live-row scalars. */
+static i64 *PV, *PT, *PL, *PS, *PC, *PG;
+static i64 *CST, *CCF;
+static i64 *GR, *GB, *GL, *GD;
+static i64 *PSC;
+static i64 p_entries, c_entries, cs_degree, cplx_degree, gs_degree;
+static i64 region_lines;
+
+/* ipcp.py's CS_/CPLX_CONF_MAX and CS_/CPLX_THRESHOLD, and its 10-bit
+ * signature (SIG_BITS) and IP tag. */
+#define IPCP_CONF_MAX 3
+#define IPCP_THRESHOLD 2
+#define IPCP_MASK 0x3FF
+#define IPCP_SIG(sig, stride) ((((sig) << 1) ^ ((stride) & 0x3F)) & IPCP_MASK)
+
+/* IPCPPrefetcher._gs: the GS suggestions land in SEL_D/SEL_S from 0;
+ * returns their count (0 when the region is not dense). */
+static i64 ipcp_gs(i64 line) {
+    i64 region = ifdiv(line, region_lines);
+    i64 live = PSC[1];
+    i64 row, bitmap, last, k, n = 0;
+    for (row = 0; row < live; row++)
+        if (GR[row] == region)
+            break;
+    if (row == live) {
+        if (live > 64)
+            row = 0; /* epoch reset: every live row is dropped */
+        PSC[1] = row + 1;
+        GR[row] = region;
+        bitmap = 0;
+        last = line;
+    } else {
+        bitmap = GB[row];
+        last = GL[row];
+    }
+    bitmap |= (i64)1 << imod(line, region_lines);
+    i64 dir = line >= last ? 1 : -1;
+    GB[row] = bitmap;
+    GL[row] = line;
+    GD[row] = dir;
+    if (__builtin_popcountll((u64)bitmap) >= region_lines / 3) {
+        for (k = 1; k <= gs_degree; k++) {
+            SEL_D[n] = line + dir * k;
+            SEL_S[n] = k <= 2 ? 1 : 2;
+            n++;
+        }
+    }
+    return n;
+}
+
+/* IPCPPrefetcher.on_access: train CS and CPLX, then classify.  The
+ * suggestions' target lines land in SEL_D and their fill levels (1 =
+ * L1D, 2 = L2) in SEL_S; returns their count. */
+static i64 ipcp_on_access(i64 ip, i64 line) {
+    PSC[0]++;
+    i64 e = imod(ip, p_entries);
+    i64 tag = ifdiv(ip, p_entries) & IPCP_MASK;
+    i64 last, stride, conf, sig, k, n = 0;
+    if (!PV[e] || PT[e] != tag) {
+        PV[e] = 1;
+        PT[e] = tag;
+        PS[e] = PC[e] = PG[e] = 0;
+        last = stride = conf = sig = 0;
+    } else {
+        last = PL[e];
+        stride = PS[e];
+        conf = PC[e];
+        sig = PG[e];
+    }
+    if (last != 0) {
+        i64 step = line - last;
+        if (step != 0) {
+            /* CS training (2-bit confidence). */
+            if (step == stride) {
+                if (conf < IPCP_CONF_MAX)
+                    conf++;
+            } else if (conf > 1) {
+                conf--;
+            } else {
+                conf = 0;
+                stride = step;
+            }
+            /* CPLX training: the old signature predicts this stride. */
+            i64 slot = imod(sig, c_entries);
+            if (CST[slot] == step) {
+                if (CCF[slot] < IPCP_CONF_MAX)
+                    CCF[slot]++;
+            } else {
+                i64 c = CCF[slot] - 1;
+                if (c <= 0) {
+                    CST[slot] = step;
+                    c = 0;
+                }
+                CCF[slot] = c;
+            }
+            sig = IPCP_SIG(sig, step);
+            PS[e] = stride;
+            PC[e] = conf;
+            PG[e] = sig;
+        }
+    }
+    PL[e] = line;
+    if (conf >= IPCP_THRESHOLD && stride != 0) {
+        for (k = 1; k <= cs_degree; k++) {
+            SEL_D[n] = line + stride * k;
+            SEL_S[n] = 1;
+            n++;
+        }
+        return n;
+    }
+    i64 target = line;
+    for (k = 0; k < cplx_degree; k++) {
+        i64 slot = imod(sig, c_entries);
+        i64 st = CST[slot];
+        if (CCF[slot] < IPCP_THRESHOLD || st == 0)
+            break;
+        target += st;
+        SEL_D[n] = target;
+        SEL_S[n] = k < 2 ? 1 : 2;
+        n++;
+        sig = IPCP_SIG(sig, st);
+    }
+    if (n)
+        return n;
+    n = ipcp_gs(line);
+    if (n)
+        return n;
+    SEL_D[0] = line + 1; /* next-line fallback */
+    SEL_S[0] = 1;
+    return 1;
+}
+
+/* _run_l1d_prefetcher_on_access for IPCP at cycle t: the MSHR and PQ
+ * sampling, on_access, then the virtual path's prologue over
+ * issue_l1d_prefetch -- each suggestion is counted first, a negative
+ * target is a dropped translation, and no cross-page check runs. */
+static void ipcp_access(i64 ip, i64 vline, i64 t) {
+    mshr_expire(&M1, t);
+    pq_expire(t);
+    i64 n_sel = ipcp_on_access(ip, vline);
+    int pq_full = 0;
+    i64 k;
+    for (k = 0; k < n_sel; k++) {
+        i64 target = SEL_D[k];
+        d_D_PF_SUGG++;
+        if (target < 0) {
+            d_D_PF_DTRANS++;
+            continue;
+        }
+        issue_prefetch(target, SEL_S[k] == 1, ip, t, &pq_full);
+    }
+}
+
+/* The L1D prefetcher's on_access at cycle t, by kind. */
+static void prefetcher_on_access(i64 kind, i64 ip, i64 vline, i64 t,
+                                 int miss) {
+    if (kind == PF_BERTI)
+        berti_on_access(ip, vline, t, miss);
+    else
+        ipcp_access(ip, vline, t);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1181,7 +1363,7 @@ static void load_all(void) {
     T_VLINES = (i64 *)B[B_T_VLINES];
     T_VPAGES = (i64 *)B[B_T_VPAGES];
 
-    if (R[R_KERNEL]) {
+    if (R[R_PF_KIND] == PF_BERTI) {
         HT = (i64 *)B[B_H_TAGS];
         HL = (i64 *)B[B_H_LINES];
         HTS = (i64 *)B[B_H_TSS];
@@ -1205,6 +1387,26 @@ static void load_all(void) {
         SST = (i64 *)B[B_S_STATUS];
         e_count = R[R_E_COUNT];
         e_per = R[R_E_PER];
+    } else if (R[R_PF_KIND] == PF_IPCP) {
+        PV = (i64 *)B[B_IPT_VALID];
+        PT = (i64 *)B[B_IPT_TAG];
+        PL = (i64 *)B[B_IPT_LAST];
+        PS = (i64 *)B[B_IPT_STRIDE];
+        PC = (i64 *)B[B_IPT_CONF];
+        PG = (i64 *)B[B_IPT_SIG];
+        CST = (i64 *)B[B_CSPT_STRIDE];
+        CCF = (i64 *)B[B_CSPT_CONF];
+        GR = (i64 *)B[B_RG_REGION];
+        GB = (i64 *)B[B_RG_BITMAP];
+        GL = (i64 *)B[B_RG_LAST];
+        GD = (i64 *)B[B_RG_DIR];
+        PSC = (i64 *)B[B_IPCP_SCALARS];
+        p_entries = R[R_IPT_ENTRIES];
+        c_entries = R[R_CSPT_ENTRIES];
+        cs_degree = R[R_CS_DEGREE];
+        cplx_degree = R[R_CPLX_DEGREE];
+        gs_degree = R[R_GS_DEGREE];
+        region_lines = R[R_REGION_LINES];
     }
 
 #define LOAD_DELTA(n) d_##n = R[R_##n];
@@ -1253,8 +1455,8 @@ static void save_all(void) {
 
 static void run(void) {
     i64 lo = R[R_LO], hi = R[R_HI];
-    i64 kernel = R[R_KERNEL];
-    i64 lat_mask = kernel ? R[R_LAT_MASK] : 0;
+    i64 kind = R[R_PF_KIND];
+    i64 lat_mask = kind == PF_BERTI ? R[R_LAT_MASK] : 0;
     i64 r;
     for (r = lo; r < hi; r++) {
         i64 ip = T_IPS[r];
@@ -1349,17 +1551,21 @@ static void run(void) {
                 }
                 i64 pf_lat_v = CL1.pflat[li];
                 CL1.pflat[li] = 0;
-                if (kernel) {
+                if (kind) {
+                    /* _notify_l1d_prefetch_hit: its MSHR sampling runs
+                     * for every prefetcher; only Berti learns. */
                     mshr_expire(&M1, t);
-                    hist_insert(ip, vline, t);
-                    if (0 < pf_lat_v && pf_lat_v <= lat_mask)
-                        berti_learn(ip, vline, t, pf_lat_v);
+                    if (kind == PF_BERTI) {
+                        hist_insert(ip, vline, t);
+                        if (0 < pf_lat_v && pf_lat_v <= lat_mask)
+                            berti_learn(ip, vline, t, pf_lat_v);
+                    }
                 }
             }
             if (is_write)
                 CL1.dirty[li] = 1;
-            if (kernel)
-                berti_on_access(ip, vline, t, 0);
+            if (kind)
+                prefetcher_on_access(kind, ip, vline, t, 0);
         } else {
             /* ------------------------------ L1D miss */
             d_D_L1_MISS++;
@@ -1379,18 +1585,20 @@ static void run(void) {
                     d_D_PF_USEFUL++;
                     d_D_PF_LATE++;
                     d_D_PF_PROMOTED++;
-                    if (kernel) {
+                    if (kind) {
                         i64 pf_lat_v = M1.ready[mi] - M1.alloc[mi];
                         if (pf_lat_v < 1)
                             pf_lat_v = 1;
                         mshr_expire(&M1, t);
-                        hist_insert(ip, vline, t);
-                        if (0 < pf_lat_v && pf_lat_v <= lat_mask)
-                            berti_learn(ip, vline, t, pf_lat_v);
+                        if (kind == PF_BERTI) {
+                            hist_insert(ip, vline, t);
+                            if (0 < pf_lat_v && pf_lat_v <= lat_mask)
+                                berti_learn(ip, vline, t, pf_lat_v);
+                        }
                     }
                 }
-                if (kernel)
-                    berti_on_access(ip, vline, t, 1);
+                if (kind)
+                    prefetcher_on_access(kind, ip, vline, t, 1);
                 latency = trans_latency + CL1.lat + wait;
             } else {
                 /* True miss: fetch from L2 (and below). */
@@ -1496,9 +1704,11 @@ static void run(void) {
                     handle_wb(0, v1, ready);
                 if (is_write)
                     cache_mark_dirty(&CL1, pline);
-                if (kernel) {
-                    berti_on_access(ip, vline, t, 1);
-                    /* on_fill_kernel (demand fill). */
+                if (kind)
+                    prefetcher_on_access(kind, ip, vline, t, 1);
+                if (kind == PF_BERTI) {
+                    /* on_fill_kernel (demand fill); IPCP's on_fill is
+                     * the base no-op. */
                     i64 fl = ready - miss_time;
                     if (0 < fl && fl <= lat_mask)
                         berti_learn(ip, vline, miss_time, fl);

@@ -9,10 +9,10 @@ therefore current at every span boundary — snapshots, warmup resets,
 lockstep digests and engine switches (demotion) all operate on ordinary
 hierarchy objects and never need to know a C kernel ran the span.  The
 derived indexes are the exception, each kept O(what changed) per span:
-the caches' and TLBs' indexes are dropped and rebuilt by their next
-reader, the Berti tables rebuild theirs at the import (the history
-table only when the span inserted), and the kernel's page-table hash
-persists from span to span.
+the caches', TLBs' and IPCP region monitor's indexes are dropped and
+rebuilt by their next reader, the Berti tables rebuild theirs at the
+import (the history table only when the span inserted), and the
+kernel's page-table hash persists from span to span.
 
 Layout contract
 ---------------
@@ -22,7 +22,9 @@ Layout contract
 :mod:`repro.native.build` generates a C header mapping each name to its
 index (``R_<NAME>``, ``FR_<NAME>``, ``B_<NAME>``), so Python and C can
 never disagree on an offset — adding a field here re-keys the kernel
-hash and forces a rebuild.
+hash and forces a rebuild.  ``PF_KINDS`` names the values of the
+``PF_KIND`` register (``PF_<NAME>`` in the header): which L1D
+prefetcher the kernel runs.
 
 Four marshalling classes of state:
 
@@ -30,13 +32,15 @@ Four marshalling classes of state:
   and TLBs with their replacement columns
   (:class:`~repro.memory.cache.Cache`, :class:`~repro.cpu.tlb.TLB` and
   their policies keep their state in exactly the kernel's layout), the
-  Berti history-table rings and the nine delta-table columns
+  Berti history-table rings and the nine delta-table columns, and
+  IPCP's IP-table, CSPT, region-monitor and scalar columns
   (``array('q')`` columns) are passed by pointer and mutated in place;
-  after each span every cache and TLB drops its derived index
-  (``drop_index()``) and its next reader rebuilds it, and both Berti
-  tables rebuild theirs through ``reindex()`` — the delta table's lazy
-  victim heaps among them, which the kernel does without: it scans an
-  entry's slots for the victim the heap would pop;
+  after each span every cache and TLB and the IPCP region monitor drop
+  their derived index (``drop_index()``) and the next reader rebuilds
+  it, and both Berti tables rebuild theirs through ``reindex()`` — the
+  delta table's lazy victim heaps among them, which the kernel does
+  without: it scans an entry's slots for the victim the heap would
+  pop;
 * **persistent** — the page-table hash (``HASH_K``/``HASH_V``) lives
   in buffers owned here.  The kernel inserts every page it walks and
   logs the walk; the import replays the log into ``MMU._page_table``.
@@ -67,10 +71,16 @@ from repro.errors import SimulationError
 from repro.memory.hierarchy import LATENCY_FIELD_BITS, Hierarchy
 from repro.memory.mshr import MSHREntry
 from repro.memory.replacement import DRRIPPolicy, LRUPolicy
+from repro.prefetchers.ipcp import REGION_ROWS, IPCPPrefetcher
 
 import numpy as np
 
-__all__ = ["REGISTERS", "FREGS", "BUFS", "NativeState", "layout_digest"]
+__all__ = ["REGISTERS", "FREGS", "BUFS", "PF_KINDS", "NativeState",
+           "layout_digest"]
+
+#: Values of the PF_KIND register: the L1D prefetcher the kernel runs.
+PF_KINDS = ("NONE", "BERTI", "IPCP")
+PF_NONE, PF_BERTI, PF_IPCP = range(len(PF_KINDS))
 
 # Replacement-policy kinds understood by the kernel.
 POL_LRU = 0
@@ -122,7 +132,7 @@ DELTA_REGS = (
 
 REGISTERS: Tuple[str, ...] = (
     # Span arguments and error channel.
-    "LO", "HI", "KERNEL",
+    "LO", "HI", "PF_KIND",
     "ERR", "ERR_A", "ERR_B", "ERR_C", "ERR_D",
     # Caches.
     *(_cache_regs(p)[i] for p in _CACHE_PREFIXES
@@ -161,6 +171,9 @@ REGISTERS: Tuple[str, ...] = (
     "LAT_MASK", "COV_CAP", "DTAG_MASK", "WARM_MIN", "CROSS_OK",
     "DELTA_LO", "DELTA_HI",
     "DT_FIFO_CLOCK", "DT_FIFO_PTR", "DT_PHASES", "DT_DISCARDED",
+    # IPCP geometry.
+    "IPT_ENTRIES", "CSPT_ENTRIES", "CS_DEGREE", "CPLX_DEGREE",
+    "GS_DEGREE", "REGION_LINES",
     *DELTA_REGS,
 )
 
@@ -199,6 +212,19 @@ _SLOT_COLUMNS = (
     ("S_DELTA", "_slot_delta"), ("S_COV", "_slot_cov"),
     ("S_STATUS", "_slot_status"),
 )
+#: Kernel buffer -> the IPCPPrefetcher column bound to it by pointer:
+#: per IP-table entry, per CSPT slot, per region-monitor row, and the
+#: two scalars (clock, live region rows).
+_IPT_COLUMNS = (
+    ("IPT_VALID", "_valid"), ("IPT_TAG", "_tags"),
+    ("IPT_LAST", "_last_line"), ("IPT_STRIDE", "_stride"),
+    ("IPT_CONF", "_cs_conf"), ("IPT_SIG", "_signature"),
+)
+_CSPT_COLUMNS = (("CSPT_STRIDE", "_cspt_stride"), ("CSPT_CONF", "_cspt_conf"))
+_REGION_COLUMNS = (
+    ("RG_REGION", "_region"), ("RG_BITMAP", "_bitmap"),
+    ("RG_LAST", "_last"), ("RG_DIR", "_direction"),
+)
 _MSHR_BUF_FIELDS = ("LINE", "ALLOC", "READY", "ISPF", "IP", "VLINE", "MERGED")
 _TLB_BUF_FIELDS = ("VP", "PP", "CLK", "AGE")
 
@@ -217,6 +243,10 @@ BUFS: Tuple[str, ...] = (
     *(name for name, _ in _ENTRY_COLUMNS),
     *(name for name, _ in _SLOT_COLUMNS),
     "SCRATCH",
+    *(name for name, _ in _IPT_COLUMNS),
+    *(name for name, _ in _CSPT_COLUMNS),
+    *(name for name, _ in _REGION_COLUMNS),
+    "IPCP_SCALARS",
 )
 
 RIX: Dict[str, int] = {name: i for i, name in enumerate(REGISTERS)}
@@ -250,7 +280,8 @@ def layout_digest() -> str:
     """A short hash of the layout, folded into the kernel cache key."""
     import hashlib
 
-    blob = "|".join(REGISTERS) + "#" + "|".join(FREGS) + "#" + "|".join(BUFS)
+    blob = "#".join("|".join(names)
+                    for names in (REGISTERS, FREGS, BUFS, PF_KINDS))
     return hashlib.sha256(blob.encode("ascii")).hexdigest()[:16]
 
 
@@ -294,6 +325,8 @@ class NativeState:
         # history arrays are rebound by HistoryTable.reset()).
         self.bufs: Dict[str, Any] = {name: None for name in BUFS}
         self._kern = None
+        self._ipcp = None
+        self._kind = PF_NONE
         # Page-table mappings the kernel's HASH_K/HASH_V hold.
         self._hashed = 0
 
@@ -331,10 +364,15 @@ class NativeState:
         b["PQ_ST"] = array("d", bytes(8 * max(1, h.pq.size)))
 
         kern = h._l1d_kernel
+        pf = h.l1d_prefetcher
         self._kern = kern
         if kern is not None:
+            self._kind = PF_BERTI
             b["SCRATCH"] = array(
                 "q", bytes(8 * max(1, kern.config.max_deltas_per_search)))
+        elif type(pf) is IPCPPrefetcher:
+            self._kind = PF_IPCP
+            self._ipcp = pf
 
     # ------------------------------------------------------------------
     # Export (Python -> flat buffers)
@@ -346,7 +384,7 @@ class NativeState:
             R[i] = 0
         R[RIX["LO"]], R[RIX["HI"]] = lo, hi
         R[RIX["ERR"]] = 0
-        R[RIX["KERNEL"]] = 0 if self._kern is None else 1
+        R[RIX["PF_KIND"]] = self._kind
 
         self._export_caches()
         self._export_mshrs()
@@ -354,8 +392,10 @@ class NativeState:
         self._export_dram()
         self._export_core(hi - lo)
         self._export_pq()
-        if self._kern is not None:
+        if self._kind == PF_BERTI:
             self._export_berti()
+        elif self._kind == PF_IPCP:
+            self._export_ipcp()
 
         F[FIX["F_WATERMARK"]] = h._l1d_kern_watermark
         R[RIX["CROSS_OK"]] = 1 if h._l1d_kern_cross_page else 0
@@ -595,6 +635,25 @@ class NativeState:
             b[name] = _column(getattr(dt, column), entries * per, "deltas",
                               column)
 
+    def _export_ipcp(self) -> None:
+        R, b, pf = self.R, self.bufs, self._ipcp
+        # Zero-copy, like the delta table: reset() rebinds new columns.
+        n, m = pf.ip_entries, pf.cspt_entries
+        for name, column in _IPT_COLUMNS:
+            b[name] = _column(getattr(pf, column), n, "ipcp", column)
+        for name, column in _CSPT_COLUMNS:
+            b[name] = _column(getattr(pf, column), m, "ipcp", column)
+        for name, column in _REGION_COLUMNS:
+            b[name] = _column(getattr(pf, column), REGION_ROWS, "ipcp",
+                              column)
+        b["IPCP_SCALARS"] = _column(pf._scalars, 2, "ipcp", "_scalars")
+        R[RIX["IPT_ENTRIES"]] = n
+        R[RIX["CSPT_ENTRIES"]] = m
+        R[RIX["CS_DEGREE"]] = pf.cs_degree
+        R[RIX["CPLX_DEGREE"]] = pf.cplx_degree
+        R[RIX["GS_DEGREE"]] = pf.gs_degree
+        R[RIX["REGION_LINES"]] = pf.region_lines
+
     # ------------------------------------------------------------------
     # Import (flat buffers -> Python)
     # ------------------------------------------------------------------
@@ -607,8 +666,10 @@ class NativeState:
         self._import_dram()
         self._import_core()
         self._import_pq()
-        if self._kern is not None:
+        if self._kind == PF_BERTI:
             self._import_berti()
+        elif self._kind == PF_IPCP:
+            self._ipcp.drop_index()
         R, h = self.R, self.h
         h._pf_l1d_stats.useless = R[RIX["PF1_USELESS"]]
         pfs2 = h.pf_stats["l2"]

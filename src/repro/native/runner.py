@@ -33,6 +33,7 @@ from repro.memory.hierarchy import Hierarchy, _FIFOQueue
 from repro.memory.mshr import MSHR
 from repro.memory.replacement import DRRIPPolicy, LRUPolicy, SRRIPPolicy
 from repro.prefetchers.base import NoPrefetcher
+from repro.prefetchers.ipcp import IPCPPrefetcher
 from repro.simulator.engine import make_classic_runner
 
 from . import build as _build
@@ -51,6 +52,12 @@ DEMOTION_REASONS = {
     4: "unsupported-replacement",
     5: "forced",
 }
+
+#: Largest suggestion list per access (the kernel's SEL_* buffers).
+_MAX_SUGGESTIONS = 64
+#: IPCP's target arithmetic stays inside int64 for lines below 2**50,
+#: whatever the degrees (each at most _MAX_SUGGESTIONS).
+_IPCP_ADDRESS_BOUND = 1 << 56
 
 # Exact replacement-policy types the kernel implements.  Subclasses are
 # rejected: a policy override changes victim selection and the C side
@@ -94,14 +101,42 @@ def non_stock_reason(hierarchy, core) -> str:
     return ""
 
 
+def _ipcp_reason(pf: IPCPPrefetcher) -> str:
+    """Why the kernel cannot run this ``IPCPPrefetcher`` (``""`` when
+    it can): an ``on_access`` shadowed by an instance attribute, or a
+    geometry the kernel was not sized for.
+
+    The shadow is found through the bound method's ``__func__``, not
+    through ``pf.__dict__``, which would make CPython materialise the
+    instance dict and stop specialising its attribute loads.
+    """
+    on_access = pf.on_access
+    if (getattr(on_access, "__self__", None) is not pf
+            or getattr(on_access, "__func__", None)
+            is not IPCPPrefetcher.on_access):
+        return "IPCPPrefetcher.on_access is wrapped by an instance attribute"
+    if pf.region_lines > 63:
+        return (f"IPCP region_lines {pf.region_lines} exceeds the "
+                f"kernel's 63-bit region bitmap")
+    degrees = (pf.cs_degree, pf.cplx_degree, pf.gs_degree)
+    if max(degrees) > _MAX_SUGGESTIONS:
+        return (f"IPCP degrees {degrees} exceed kernel bound "
+                f"{_MAX_SUGGESTIONS}")
+    return ""
+
+
 def native_mode(hierarchy, core) -> Tuple[bool, int, str]:
     """Classify whether the native kernel may run a span.
 
     Returns ``(ok, demotion_code, detail)``: stock parts only
     (:func:`non_stock_reason`), exact stock replacement policies, a
-    single-ASID MMU, and either no L1D prefetcher or the stock
-    ``BertiPrefetcher`` on its kernel hooks with table geometries
-    within the C fast-path bounds.
+    single-ASID MMU, and an L1D prefetcher the kernel implements with
+    table geometries within its bounds: none, the stock
+    ``BertiPrefetcher`` on its kernel hooks, or exactly
+    ``IPCPPrefetcher`` with its class ``on_access``
+    (:func:`_ipcp_reason`).
+    Subclasses of either (``IPCPL2Prefetcher``, fault injectors) and
+    wrappers (FDP throttling) demote with code 3.
     """
     reason = non_stock_reason(hierarchy, core)
     if reason:
@@ -122,15 +157,19 @@ def native_mode(hierarchy, core) -> Tuple[bool, int, str]:
     pf = h.l1d_prefetcher
     if type(pf) is NoPrefetcher:
         return (True, 0, "")
+    if type(pf) is IPCPPrefetcher:
+        reason = _ipcp_reason(pf)
+        return (False, 3, reason) if reason else (True, 0, "")
     if type(pf) is not BertiPrefetcher or h._l1d_kernel is not pf:
         return (
             False,
             3,
             f"L1D prefetcher {type(pf).__name__} is not the stock "
-            f"BertiPrefetcher",
+            f"BertiPrefetcher or IPCPPrefetcher",
         )
     cfg = pf.config
-    if cfg.deltas_per_entry > 64 or cfg.max_prefetch_deltas > 64:
+    if (cfg.deltas_per_entry > _MAX_SUGGESTIONS
+            or cfg.max_prefetch_deltas > _MAX_SUGGESTIONS):
         return (
             False,
             3,
@@ -140,13 +179,17 @@ def native_mode(hierarchy, core) -> Tuple[bool, int, str]:
     return (True, 0, "")
 
 
-def _addresses_nonnegative(trace) -> bool:
-    """The kernel's open-addressing page table uses -1 as its empty
-    marker, so negative virtual pages must stay on the Python path."""
+def _address_range(trace) -> Tuple[int, int]:
+    """The trace's smallest and largest virtual address (0, 0 when
+    empty).  The kernel's open-addressing page table uses -1 as its
+    empty marker, so negative virtual pages must stay on the Python
+    path, and IPCP's targets need addresses below
+    :data:`_IPCP_ADDRESS_BOUND`."""
     addrs = trace.columns()[1]
     if len(addrs) == 0:
-        return True
-    return not bool((np.frombuffer(addrs, dtype=np.int64) < 0).any())
+        return (0, 0)
+    column = np.frombuffer(addrs, dtype=np.int64)
+    return (int(column.min()), int(column.max()))
 
 
 class NativeRunner:
@@ -184,7 +227,7 @@ class NativeRunner:
                 trace=trace.name,
                 field="engine",
             )
-        self._addrs_ok = _addresses_nonnegative(trace)
+        self._addr_range = _address_range(trace)
         self._state: Optional[NativeState] = None
 
     def _demote(self, code: int, detail: str, lo: int, hi: int) -> None:
@@ -211,12 +254,18 @@ class NativeRunner:
         if self._fn is None:
             self._demote(1, self.compiler_diagnostic or "no compiler", lo, hi)
             return
-        if not self._addrs_ok:
+        low, high = self._addr_range
+        if low < 0:
             self._demote(2, "trace contains negative addresses", lo, hi)
             return
         ok, code, detail = native_mode(self.hierarchy, self.core)
         if not ok:
             self._demote(code, detail, lo, hi)
+            return
+        if (high >= _IPCP_ADDRESS_BOUND
+                and type(self.hierarchy.l1d_prefetcher) is IPCPPrefetcher):
+            self._demote(3, f"trace address {high:#x} reaches IPCP's "
+                            f"kernel bound {_IPCP_ADDRESS_BOUND:#x}", lo, hi)
             return
         if self._state is None:
             self._state = NativeState(self.trace, self.hierarchy, self.core)

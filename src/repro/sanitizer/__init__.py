@@ -24,12 +24,17 @@ from repro.sanitizer.invariants import (
     check_hierarchy,
 )
 from repro.sanitizer.lockstep import (
+    IPCP_EVENTS,
     LockstepReport,
+    ipcp_events,
+    ipcp_trace,
     lockstep_engines,
     lockstep_multicore,
     lockstep_run,
     quick_trace,
     small_berti_config,
+    small_ipcp,
+    small_ipcp_factory,
     small_tlb_config,
 )
 from repro.sanitizer.reference import is_reference, to_reference
@@ -48,12 +53,17 @@ __all__ = [
     "Sanitizer",
     "attach_sanitizer",
     "check_hierarchy",
+    "IPCP_EVENTS",
     "LockstepReport",
+    "ipcp_events",
+    "ipcp_trace",
     "lockstep_engines",
     "lockstep_multicore",
     "lockstep_run",
     "quick_trace",
     "small_berti_config",
+    "small_ipcp",
+    "small_ipcp_factory",
     "small_tlb_config",
     "is_reference",
     "to_reference",

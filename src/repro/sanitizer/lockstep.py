@@ -14,9 +14,9 @@ after every access:
 plus a structural digest (cache presence indexes, TLB columns with
 their LRU stamps, the page table and its allocation counter, DRAM bank
 and queue state, MSHR entry sets, PQ service times, per-cache
-counters, and Berti's delta and history tables in a view that reads
-the kernelized and the reference tables alike) every ``digest_every``
-accesses, and a full
+counters, Berti's delta and history tables in a view that reads
+the kernelized and the reference tables alike, and IPCP's tables) every
+``digest_every`` accesses, and a full
 :class:`~repro.simulator.stats.SimResult` comparison at the end.
 The first mismatch is reported with its access index, so a fast-path
 bug is localised to the exact record that exposed it.
@@ -38,6 +38,12 @@ from repro.core.reference_tables import (
     ReferenceHistoryTable,
 )
 from repro.memory.hierarchy import Hierarchy
+from repro.prefetchers.ipcp import (
+    CLOCK,
+    CS_THRESHOLD,
+    REGIONS,
+    IPCPPrefetcher,
+)
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.reference import to_reference
 from repro.simulator.config import SystemConfig, default_config
@@ -142,12 +148,33 @@ def _history_digest(ht) -> Tuple[Any, ...]:
             ht.searches)
 
 
+def _ipcp_digest(pf: IPCPPrefetcher) -> Tuple[Any, ...]:
+    """Each IP-table entry's ``(valid, tag, last line, stride, CS
+    confidence, signature)``, each CSPT slot's ``(stride, confidence)``,
+    the live region rows as a map region -> ``(bitmap, last line,
+    direction)`` (so the rows' order does not matter) and the clock."""
+    live = pf._scalars[REGIONS]
+    regions = {
+        region: (bitmap, last, direction)
+        for region, bitmap, last, direction in zip(
+            pf._region[:live], pf._bitmap, pf._last, pf._direction)
+    }
+    return (
+        tuple(zip(pf._valid, pf._tags, pf._last_line, pf._stride,
+                  pf._cs_conf, pf._signature)),
+        tuple(zip(pf._cspt_stride, pf._cspt_conf)),
+        regions,
+        pf._scalars[CLOCK],
+    )
+
+
 def _state_digest(h: Hierarchy) -> Dict[str, Any]:
     """Comparable structural summary; read-only but for rebuilding a
     cache index a native span dropped."""
     mmu, dram = h.mmu, h.dram
     pf = h.l1d_prefetcher
     berti = isinstance(pf, BertiPrefetcher)
+    ipcp = isinstance(pf, IPCPPrefetcher)
     return {
         "l1d_where": dict(h.l1d.index()),
         "l2_where": dict(h.l2.index()),
@@ -170,6 +197,7 @@ def _state_digest(h: Hierarchy) -> Dict[str, Any]:
         "pf_l2": astuple(h.pf_stats["l2"]),
         "berti_deltas": _delta_table_digest(pf.deltas) if berti else None,
         "berti_history": _history_digest(pf.history) if berti else None,
+        "ipcp": _ipcp_digest(pf) if ipcp else None,
     }
 
 
@@ -497,6 +525,131 @@ def small_tlb_config() -> SystemConfig:
     covers what the Table II STLB never does on these traces)."""
     return replace(default_config(), dtlb_entries=4, dtlb_ways=2,
                    stlb_entries=8, stlb_ways=2)
+
+
+def small_ipcp() -> IPCPPrefetcher:
+    """A 4-entry IP table and an 8-slot CSPT: on :func:`ipcp_trace`
+    every class fires and the tables churn (the ``sancheck --quick``
+    leg :func:`ipcp_events` counts).  :func:`quick_trace` covers much
+    less of IPCP: its three IPs (0x100, 0x200, 0x300) share IP-table
+    entry 0 at any power-of-two table size up to 256 and evict each
+    other, so IPCP there never reaches CS, CPLX, a region-monitor
+    epoch clear or a negative target."""
+    return IPCPPrefetcher(ip_entries=4, cspt_entries=8)
+
+
+def small_ipcp_factory(name: str):
+    """A registry-compatible factory that builds :func:`small_ipcp`
+    for ``"ipcp"``."""
+    return small_ipcp() if name == "ipcp" else make_prefetcher(name)
+
+
+def ipcp_trace(records: int = 1200,
+               name: str = "sancheck_small_ipcp") -> Trace:
+    """A seeded many-IP, irregular mix for :func:`small_ipcp`, one
+    record per role in turn:
+
+    * IP-table entry 0 streams with a constant stride (CS);
+    * entry 1 repeats +1, +3 (CPLX, which CS never claims);
+    * entry 2 descends by 2 lines towards line 0 and restarts at line
+      20, so CS and GS suggest negative targets;
+    * entry 3 is shared by 48 IPs (each switch replaces its tag) that
+      either jump anywhere in 2**24 lines (new GS regions, so the
+      region monitor's epochs reset, and CSPT strides reset) or touch
+      a 32-line window that moves now and then (dense: GS fires; sparse
+      early on: next-line).
+    """
+    import random
+
+    rng = random.Random(1209)
+    out = Trace(name)
+    stride_line, pattern_line, down = 1 << 14, 1 << 16, 20
+    window = 1 << 12
+    for i in range(records):
+        role = i % 4
+        if role == 0:
+            ip, line = 0x400, stride_line
+            stride_line += 2
+        elif role == 1:
+            ip, line = 0x401, pattern_line
+            pattern_line += 1 if (i // 4) % 2 == 0 else 3
+        elif role == 2:
+            ip, line = 0x402, down
+            down = down - 2 if down > 2 else 20
+        else:
+            ip = 0x403 + 4 * rng.randrange(48)
+            if rng.random() < 0.5:
+                line = rng.randrange(1 << 24)
+            else:
+                if rng.random() < 0.02:
+                    window = rng.randrange(1 << 19) * 32
+                line = window + rng.randrange(32)
+        out.append(ip, line << 6, rng.random() < 0.25, rng.randrange(6), 0)
+    out.suite = "synthetic"
+    return out
+
+
+#: What :func:`ipcp_events` counts, in report order.
+IPCP_EVENTS = ("ip_tag_replace", "cspt_reset", "region_clear", "cs",
+               "cplx", "gs", "next_line", "negative_target")
+
+
+class _IPCPEventProbe(IPCPPrefetcher):
+    """An IPCP that counts :data:`IPCP_EVENTS` from outside the
+    algorithm: the table state around each ``on_access`` and which of
+    ``_cplx_chain`` / ``_gs`` produced its suggestions."""
+
+    name = "ipcp"
+
+    def __init__(self, pf: IPCPPrefetcher) -> None:
+        super().__init__(pf.ip_entries, pf.cspt_entries, pf.cs_degree,
+                         pf.cplx_degree, pf.gs_degree, pf.region_lines)
+        self.events = dict.fromkeys(IPCP_EVENTS, 0)
+        self._fired = ""
+
+    def on_access(self, access):
+        events = self.events
+        n = self.ip_entries
+        e = access.ip % n
+        if self._valid[e] and self._tags[e] != (access.ip // n) & 0x3FF:
+            events["ip_tag_replace"] += 1
+        cspt = bytes(self._cspt_stride)
+        self._fired = ""
+        requests = super().on_access(access)
+        if bytes(self._cspt_stride) != cspt:
+            events["cspt_reset"] += 1
+        if not self._fired:
+            self._fired = ("cs" if self._cs_conf[e] >= CS_THRESHOLD
+                           and self._stride[e] else "next_line")
+        events[self._fired] += 1
+        events["negative_target"] += sum(r.line < 0 for r in requests)
+        return requests
+
+    def _cplx_chain(self, signature, line):
+        requests = super()._cplx_chain(signature, line)
+        if requests:
+            self._fired = "cplx"
+        return requests
+
+    def _gs(self, line):
+        live = self._scalars[REGIONS]
+        requests = super()._gs(line)
+        if self._scalars[REGIONS] < live:
+            self.events["region_clear"] += 1
+        if requests:
+            self._fired = "gs"
+        return requests
+
+
+def ipcp_events(trace: Trace, pf: IPCPPrefetcher,
+                config: Optional[SystemConfig] = None) -> Dict[str, int]:
+    """How often each of :data:`IPCP_EVENTS` fires when a fresh copy of
+    ``pf``'s geometry runs ``trace`` (classic engine, warmup included):
+    the coverage report of the small-IPCP ``sancheck`` leg."""
+    probe = _IPCPEventProbe(pf)
+    Run.build(trace, probe, None, config or default_config()).use_engine(
+        "classic").advance(len(trace))
+    return probe.events
 
 
 def small_berti_config() -> BertiConfig:

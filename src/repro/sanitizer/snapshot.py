@@ -12,7 +12,7 @@ module holds the format: :func:`save_snapshot`, :func:`load_snapshot`
 (which verifies), and :func:`resume_run`, which checks that a snapshot
 continues the requested run and returns that run.
 
-File format (version 5)::
+File format (version 6)::
 
     <JSON header line>\\n<pickle payload>
 
@@ -24,13 +24,15 @@ bytes), and ``header_crc``, :func:`repro.durability.crc32_of` (the
 CRC-32 of the canonical JSON) of every *other* header field, so a
 flipped bit in the identity fields themselves (trace name, record
 count, prefetcher names) is caught instead of silently redirecting a
-resume.  Version 5 pickles each cache and TLB as its per-way columns
-and Berti's delta table as flat ``array('q')`` columns (version 4 held
-per-entry lists and the delta table's victim heaps, version 3 the TLBs
-as per-set lists, earlier versions per-line cache objects), leaves out
-the indexes the caches, TLBs and Berti tables rebuild from their
-columns on load, the victim heaps among them, and computes
-``header_crc`` with the shared helper; older files are refused.
+resume.  Version 6 pickles each cache and TLB as its per-way columns,
+Berti's delta table and IPCP's IP table, CSPT and region monitor as
+flat ``array('q')`` columns (version 5 held IPCP's per-entry objects and
+region dict, version 4 the delta table's per-entry lists and victim
+heaps, version 3 the TLBs as per-set lists, earlier versions per-line
+cache objects), leaves out the indexes the caches, TLBs, Berti tables
+and IPCP region monitor rebuild from their columns, the victim heaps
+among them, and computes ``header_crc`` with the shared helper; older
+files are refused.
 Checks run in a fixed order: magic, version, header integrity, payload
 length, payload checksum, trace identity, then payload structure (the
 unpickled state must be a dict carrying every resume field, and its
@@ -59,7 +61,7 @@ from repro.simulator.engine import Run
 from repro.workloads.trace import Trace
 
 MAGIC = "repro-snap"
-VERSION = 5
+VERSION = 6
 
 #: Payload keys: the :class:`~repro.simulator.engine.Run` attributes a
 #: resume restores, in the order they are pickled.

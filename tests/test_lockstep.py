@@ -158,6 +158,42 @@ class TestStateDigest:
             bump(b.l1d_prefetcher)
             assert _first_diff(a, _state_digest(b))[0] == key
 
+    def test_ipcp_tables_are_compared(self):
+        from repro.sanitizer.lockstep import ipcp_trace, small_ipcp
+
+        def trained():
+            run = Run.build(ipcp_trace(600), small_ipcp())
+            run.use_engine("classic").advance(600)
+            return run.hierarchy
+
+        def live_rows(pf):
+            return [r for r in range(pf._scalars[1]) if pf._bitmap[r]]
+
+        def bump_stride(pf):
+            pf._stride[0] += 1
+
+        def bump_cspt(pf):
+            pf._cspt_conf[0] ^= 1
+
+        def bump_region(pf):
+            pf._bitmap[live_rows(pf)[0]] ^= 1 << 5
+
+        a = _state_digest(trained())
+        assert a["ipcp"] is not None
+        for bump in (bump_stride, bump_cspt, bump_region):
+            b = trained()
+            bump(b.l1d_prefetcher)
+            assert _first_diff(a, _state_digest(b))[0] == "ipcp"
+        # The live region rows are compared as a map: swapping two of
+        # them (with the region index) changes no digest.
+        b = trained()
+        pf = b.l1d_prefetcher
+        r, q = live_rows(pf)[:2]
+        for column in (pf._region, pf._bitmap, pf._last, pf._direction):
+            column[r], column[q] = column[q], column[r]
+        pf.drop_index()
+        assert _state_digest(b) == a
+
 
 class TestReferenceEngine:
     def _hierarchy(self, l1d="none"):
@@ -198,6 +234,25 @@ class TestReferenceEngine:
         ref = simulate(trace, l1d_prefetcher=make_prefetcher("berti"),
                        post_build=to_reference)
         assert opt.to_dict() == ref.to_dict()
+
+
+class TestSmallIPCPLeg:
+    def test_every_ipcp_event_fires(self):
+        from repro.sanitizer.lockstep import (
+            IPCP_EVENTS,
+            ipcp_events,
+            ipcp_trace,
+            small_ipcp,
+        )
+
+        events = ipcp_events(ipcp_trace(), small_ipcp())
+        assert list(events) == list(IPCP_EVENTS)
+        assert all(events[name] > 0 for name in IPCP_EVENTS), events
+        # What the leg adds: on the quick trace the three IPs alias to
+        # one IP-table entry, so these never fire there.
+        quick = ipcp_events(quick_trace(), make_prefetcher("ipcp"))
+        for name in ("cs", "cplx", "region_clear", "negative_target"):
+            assert quick[name] == 0, (name, quick)
 
 
 class TestQuickTrace:

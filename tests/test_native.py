@@ -22,6 +22,7 @@ from repro.errors import ConfigError, SimulationError, TraceError
 from repro.memory.replacement import LRUPolicy
 from repro.native import build as native_build
 from repro.native.marshal import RIX
+from repro.native.marshal import PF_IPCP
 from repro.native.runner import (
     DEMOTION_REASONS,
     NativeRunner,
@@ -29,7 +30,8 @@ from repro.native.runner import (
     native_mode,
     non_stock_reason,
 )
-from repro.prefetchers.registry import make_prefetcher
+from repro.prefetchers.ipcp import IPCPPrefetcher
+from repro.prefetchers.registry import IPCPL2Prefetcher, make_prefetcher
 from repro.sanitizer.lockstep import _state_digest, lockstep_engines, quick_trace
 from repro.sanitizer.reference import to_reference
 from repro.sanitizer.snapshot import snapshot_path
@@ -101,14 +103,14 @@ class TestBitIdentity:
         assert pickle.dumps(hn) == pickle.dumps(hc)
 
     @pytest.mark.parametrize(
-        "l1d", ["none", "berti", "berti_page", "ip_stride"]
+        "l1d", ["none", "berti", "ipcp", "berti_page", "ip_stride"]
     )
     def test_engines_identical(self, trace, l1d):
         # From a cold TLB, so page walks run inside the spans too.  The
         # prefetchers the kernel does not implement demote to classic.
         rc, hc = run(trace, l1d, "classic", prewarm_tlb=False)
         rn, hn = run(trace, l1d, "native", prewarm_tlb=False)
-        if l1d in ("none", "berti"):
+        if l1d in ("none", "berti", "ipcp"):
             assert rn.extra["native_demoted_spans"] == 0
         else:
             assert rn.extra["native_spans"] == 0
@@ -341,16 +343,90 @@ class TestOneBertiRepresentation:
         assert pickle.dumps(hn) == pickle.dumps(hc)
 
 
+@needs_kernel
+class TestOneIPCPRepresentation:
+    """The kernel runs IPCP on the prefetcher's own columns."""
+
+    COLUMNS = (
+        ("IPT_VALID", "_valid"), ("IPT_TAG", "_tags"),
+        ("IPT_LAST", "_last_line"), ("IPT_STRIDE", "_stride"),
+        ("IPT_CONF", "_cs_conf"), ("IPT_SIG", "_signature"),
+        ("CSPT_STRIDE", "_cspt_stride"), ("CSPT_CONF", "_cspt_conf"),
+        ("RG_REGION", "_region"), ("RG_BITMAP", "_bitmap"),
+        ("RG_LAST", "_last"), ("RG_DIR", "_direction"),
+        ("IPCP_SCALARS", "_scalars"),
+    )
+
+    def test_columns_are_the_kernel_buffers(self):
+        from repro.sanitizer.lockstep import ipcp_trace, small_ipcp
+        from repro.simulator.engine import Run, span_cuts
+
+        # The small-IPCP leg of sancheck --quick: the IP table, CSPT and
+        # region monitor churn; a callback every 17 records cuts spans.
+        trace = ipcp_trace(RECORDS)
+        runs = [Run.build(trace, small_ipcp()) for _ in range(2)]
+        runs[0].use_engine("classic")
+        runs[1].use_engine("native", native="force")
+        cuts = span_cuts(len(trace), runs[0].warmup_end, every=17)
+        pf = runs[1].hierarchy.l1d_prefetcher
+        for cut in cuts:
+            for r in runs:
+                r.advance(cut)
+            state = runs[1].span._state
+            assert state.R[RIX["PF_KIND"]] == PF_IPCP
+            for name, column in self.COLUMNS:
+                assert state.bufs[name] is getattr(pf, column), name
+            # A native span drops the region index; _gs rebuilds it.
+            assert pf._rows is None
+            assert pf.reindex() == runs[0].hierarchy.l1d_prefetcher._rows
+        assert runs[1].span.native_spans == len(cuts)
+        hc, hn = (r.hierarchy for r in runs)
+        assert _state_digest(hn) == _state_digest(hc)
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+    @pytest.mark.parametrize("name", ["mcf_s-1554B", "bfs-kron"])
+    @pytest.mark.parametrize("every", [333, 10**9])
+    def test_native_matches_classic_with_heartbeat_cuts(self, name, every):
+        from repro.workloads.catalog import resolve_trace
+
+        t = resolve_trace(name, 0.1)
+        rc, hc = run(t, "ipcp", "classic")
+        rn, hn = run(t, "ipcp", "native", progress=lambda i: None,
+                     progress_every=every)
+        assert rn.extra["native_spans"] > 0
+        assert rn.extra["native_demoted_spans"] == 0
+        assert strip_native(rn.to_dict()) == rc.to_dict()
+        assert _state_digest(hn) == _state_digest(hc)
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+    def test_descending_stride_drops_negative_targets(self):
+        # CS on a stride of -2 lines suggests lines below 0 as the
+        # stream nears address 0: each is counted, then dropped as an
+        # untranslatable target, in both engines.
+        t = Trace("descending")
+        t.extend([(0x400, (40 - 2 * (i % 20)) << 6, False, 3, 0)
+                  for i in range(400)])
+        rc, hc = run(t, "ipcp", "classic", warmup_fraction=0.0)
+        rn, hn = run(t, "ipcp", "native", warmup_fraction=0.0)
+        assert rn.extra["native_demoted_spans"] == 0
+        dropped = rc.to_dict()["pf_l1d"]["dropped_translation"]
+        assert dropped > 0
+        assert rn.to_dict()["pf_l1d"]["dropped_translation"] == dropped
+        assert strip_native(rn.to_dict()) == rc.to_dict()
+        assert pickle.dumps(hn) == pickle.dumps(hc)
+
+
 class TestLockstepEngines:
     def test_all_quick_prefetchers_agree(self, trace):
         labels = {}
-        for l1d in ("none", "berti", "berti_page", "ip_stride"):
+        for l1d in ("none", "berti", "ipcp", "berti_page", "ip_stride"):
             report = lockstep_engines(trace, l1d=l1d)
             assert report.ok, report.describe()
             assert report.kind == "engines"
             assert "and classic" in report.describe()
             labels[l1d] = report.engine
         assert labels == {"none": "native", "berti": "native",
+                          "ipcp": "native",
                           "berti_page": "native[demoted]",
                           "ip_stride": "native[demoted]"}
 
@@ -522,6 +598,47 @@ class TestDemotionGuards:
         assert not ok and code == 3
         assert "geometry" in detail
 
+    def test_stock_ipcp_is_native_ok(self):
+        h, core = self.make_parts("ipcp")
+        assert native_mode(h, core) == (True, 0, "")
+
+    @pytest.mark.parametrize("variant", [
+        "cs_degree", "cplx_degree", "gs_degree", "region_lines",
+        "wrapped_on_access", "ipcp_l2", "fdp", "subclass",
+    ])
+    def test_ipcp_out_of_bounds_demotes(self, variant):
+        from repro.prefetchers.throttle import FDPThrottle
+
+        class TracingIPCP(IPCPPrefetcher):
+            pass
+
+        pf = {"ipcp_l2": IPCPL2Prefetcher, "subclass": TracingIPCP}.get(
+            variant, IPCPPrefetcher)()
+        if variant.endswith("degree"):
+            setattr(pf, variant, 65)
+        elif variant == "region_lines":
+            pf.region_lines = 64  # past the constructor's check
+        elif variant == "wrapped_on_access":
+            inner = pf.on_access
+            pf.on_access = lambda access: inner(access)
+        elif variant == "fdp":
+            pf = FDPThrottle(pf)
+        h, core = self.make_parts(pf)
+        ok, code, detail = native_mode(h, core)
+        assert not ok and code == 3, detail
+
+    def test_ipcp_high_addresses_demote(self):
+        # Past 2**56 IPCP's strided targets could leave int64 in C.
+        t = Trace("high_addrs")
+        t.extend([(0x400, (1 << 57) + 4096 * i, False, 1, 0)
+                  for i in range(64)])
+        h, core = self.make_parts("ipcp")
+        runner = make_native_runner(t, h, core)
+        runner(0, len(t))
+        assert runner.native_spans == 0
+        expected = 3 if runner._fn is not None else 1
+        assert runner.demotion_code == expected
+
     def test_reference_hierarchy_demotes(self):
         h, core = self.make_parts()
         to_reference(h)
@@ -552,7 +669,8 @@ class TestDemotionGuards:
 
     @pytest.mark.parametrize(
         "variant,code", [("to_reference", 2), ("subclass", 3),
-                         ("bare_subclass", 3), ("berti_page", 3)]
+                         ("bare_subclass", 3), ("berti_page", 3),
+                         ("ipcp_degree", 3)]
     )
     def test_demotes_with_code_and_matches_classic(self, trace, variant,
                                                    code):
@@ -561,6 +679,8 @@ class TestDemotionGuards:
                    "bare_subclass": BareSubclass}.get(variant)
             if cls is not None:
                 return cls()
+            if variant == "ipcp_degree":
+                return IPCPPrefetcher(cs_degree=65, gs_degree=70)
             return make_prefetcher(
                 "berti_page" if variant == "berti_page" else "berti")
 

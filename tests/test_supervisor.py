@@ -534,11 +534,11 @@ class TestThroughputEdges:
 
     def test_engine_breakdown_in_manifest(self, tmp_path):
         # Both jobs take the default engine: the kernel runs Berti, and
-        # IPCP demotes to the classic loop, so it is credited there.
+        # MLOP demotes to the classic loop, so it is credited there.
         journal = tmp_path / "j.jsonl"
         jobs = [
             JobSpec(trace=TRACE, l1d="berti", scale=SCALE),
-            JobSpec(trace=TRACE, l1d="ipcp", scale=SCALE),
+            JobSpec(trace=TRACE, l1d="mlop", scale=SCALE),
         ]
         CampaignSupervisor(
             RunnerConfig(workers=1, journal_path=journal), fast_sup(),
@@ -555,19 +555,19 @@ class TestThroughputEdges:
         from repro.native.runner import DEMOTION_REASONS
 
         journal = tmp_path / "j.jsonl"
-        ipcp = [JobSpec(trace=trace, l1d="ipcp", scale=SCALE)
+        mlop = [JobSpec(trace=trace, l1d="mlop", scale=SCALE)
                 for trace in (TRACE, TRACE2)]
         berti = JobSpec(trace=TRACE, l1d="berti", scale=SCALE)
         CampaignSupervisor(
             RunnerConfig(workers=1, journal_path=journal), fast_sup(),
-        ).run(ipcp + [berti])
+        ).run(mlop + [berti])
         manifest = json.loads(
             (tmp_path / "j.jsonl.manifest.json").read_text())
         events = [e for e in manifest["events"]
                   if e["event"] == "native-demotion"]
-        # With a kernel only IPCP demotes (unsupported prefetcher);
+        # With a kernel only MLOP demotes (unsupported prefetcher);
         # without one every job does, for want of a compiler.
-        code, demoted = (3, ipcp) if _KERNEL_FN else (1, ipcp + [berti])
+        code, demoted = (3, mlop) if _KERNEL_FN else (1, mlop + [berti])
         assert len(events) == 1, events
         (event,) = events
         assert event["code"] == code
