@@ -294,15 +294,18 @@ def cmd_sancheck(args) -> int:
     from repro.prefetchers.registry import L1D_PREFETCHERS, L2_PREFETCHERS
     from repro.sanitizer import (
         IPCP_EVENTS,
+        QUEUE_DROPS,
         ipcp_events,
         ipcp_trace,
         lockstep_engines,
         lockstep_multicore,
         lockstep_run,
+        queue_drops,
         quick_trace,
         small_berti_config,
         small_ipcp,
         small_ipcp_factory,
+        small_queue_config,
         small_tlb_config,
     )
 
@@ -373,6 +376,21 @@ def cmd_sancheck(args) -> int:
             print(f"error: the small-IPCP leg never fired "
                   f"{', '.join(unseen)}", file=sys.stderr)
             return 4
+        # Small MSHRs and PQ on a catalog trace: the leg that drives
+        # every drop branch of the prefetch issue tail.  IPCP fills
+        # nothing below the L1D here, so only Berti's L2 fills count.
+        mcf = resolve_trace("mcf_s-1554B", 0.1)
+        for pf, counted in (("berti", QUEUE_DROPS),
+                            ("ipcp", QUEUE_DROPS[:-1])):
+            check(mcf, l1d=pf, config=small_queue_config())
+            drops = queue_drops(mcf, pf)
+            print(f"{pf} queue drops on {mcf.name} (small queues): "
+                  + " ".join(f"{name}={drops[name]}" for name in counted))
+            unseen = [name for name in counted if not drops[name]]
+            if unseen:
+                print(f"error: the small-queue leg never counted "
+                      f"{', '.join(unseen)} for {pf}", file=sys.stderr)
+                return 4
     else:
         check(resolve_trace(args.trace, args.scale), l1d=args.l1d,
               l2=args.l2, seed_divergence=args.seed_divergence)
@@ -873,7 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="sweep every registry prefetcher, one Berti "
                           "run on cold small TLBs, one on small Berti "
                           "tables and one multicore mix on a small "
-                          "synthetic trace")
+                          "synthetic trace, IPCP on small tables, and "
+                          "Berti and IPCP on small MSHRs and PQ")
     san.add_argument("--records", type=int, default=1200,
                      help="records in the --quick synthetic trace")
     san.add_argument("--trace", default="mcf_s-1554B",

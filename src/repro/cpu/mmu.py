@@ -15,7 +15,8 @@ PSCL2–PSCL5).  We model:
 
 Demand translations always succeed (walks fill both TLBs).  Prefetch
 translations use :meth:`translate_prefetch`, which only probes the STLB
-and returns ``None`` on a miss so the caller drops the request.
+(and the dTLB) and returns ``None`` on a miss so the caller drops the
+request.
 """
 
 from __future__ import annotations
@@ -122,42 +123,21 @@ class MMU:
         return (ppage << _LINES_PER_PAGE_BITS) | offset, latency
 
     def translate_prefetch(self, vline: int) -> Optional[int]:
-        """Translate a prefetch target via the STLB only.
+        """Translate a prefetch target via the STLB, else a dTLB hit.
 
-        Returns the physical line, or ``None`` when the STLB misses (the
-        prefetch is then dropped, per paper §III-B).
+        Returns the physical line, or ``None`` when both miss (the
+        prefetch is then dropped, per paper §III-B).  The dTLB may serve
+        the translation because ChampSim's L1D prefetches consult the
+        full TLB path available at L1.  Neither probe walks, updates LRU
+        state or counts demand statistics.
         """
-        # Runs once per prefetch suggestion: the TLB probe bookkeeping is
-        # inlined here (identical counters to TLB.probe) to avoid two
-        # function calls on this hot path.  The hierarchy's kernel issue
-        # loop additionally inlines this STLB-hit path itself and falls
-        # back to _translate_prefetch_cold below, so the counter
-        # bookkeeping must stay split exactly this way.
         vpage = vline >> _LINES_PER_PAGE_BITS
-        stlb = self.stlb
-        stlb.stats.prefetch_probes += 1
-        tmap = stlb._map
-        if tmap is None:
-            tmap = stlb.reindex()
-        slot = tmap.get(vpage)
-        if slot is None:
-            return self._translate_prefetch_cold(vline, vpage)
-        stlb.stats.prefetch_probe_hits += 1
-        return ((stlb.ppages[slot] << _LINES_PER_PAGE_BITS)
-                | (vline & _PAGE_OFFSET_MASK))
-
-    def _translate_prefetch_cold(
-        self, vline: int, vpage: int
-    ) -> Optional[int]:
-        """STLB-miss tail of :meth:`translate_prefetch` (probes counted).
-
-        Also allow a dTLB hit to serve the translation; ChampSim's L1D
-        prefetches consult the full TLB path available at L1.
-        """
-        ppage = self.dtlb.probe(vpage)
+        ppage = self.stlb.probe(vpage)
         if ppage is None:
-            self.stats.dropped_prefetch_translations += 1
-            return None
+            ppage = self.dtlb.probe(vpage)
+            if ppage is None:
+                self.stats.dropped_prefetch_translations += 1
+                return None
         return (ppage << _LINES_PER_PAGE_BITS) | (vline & _PAGE_OFFSET_MASK)
 
     def prewarm(self, vlines) -> None:

@@ -16,8 +16,8 @@ kernel (:mod:`repro.native`) binds these columns by pointer.
 
 ``_map`` (vpage → slot) follows the contract of the cache's ``_where``:
 kept current here, dropped after a native span (:meth:`TLB.drop_index`),
-rebuilt by the next reader (these methods, the MMU's inlined probes,
-:meth:`TLB.index`), never pickled.
+rebuilt by the next reader (these methods, the MMU's inlined dTLB
+hit, :meth:`TLB.index`), never pickled.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ writes the columns behind the cache's back, so afterwards the marshal
 drops both (:meth:`Cache.drop_index`, O(1)) rather than rebuilding
 them, and whichever reader comes next rebuilds them: every method of
 this class that reads the index, and :meth:`Cache.index` for readers
-outside it.  The hierarchy's inlined probes read ``_where`` directly;
-the native runner restores the index before it hands a span to them.
+outside it.  The hierarchy's prefetch presence filter reads ``_where``
+directly; the native runner restores the index before it hands a span
+to it.
 A dropped index is ``None``, so a stale read fails loudly.
 
 The cache is timing-agnostic: the hierarchy decides latencies, the cache

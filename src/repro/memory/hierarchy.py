@@ -19,14 +19,10 @@ import weakref
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Optional
 
 from repro.core.delta_table import L1D_PREF
-from repro.cpu.mmu import (
-    MMU,
-    _LINES_PER_PAGE_BITS as LINES_PER_PAGE_BITS,
-    _PAGE_OFFSET_MASK as PAGE_OFFSET_MASK,
-)
+from repro.cpu.mmu import MMU
 from repro.memory.address import same_page
 from repro.memory.cache import (
     ORIGIN_L1D,
@@ -306,31 +302,7 @@ class Hierarchy:
         # class): safe to skip its no-op hooks.
         pf_active = type(self.l1d_prefetcher) is not NoPrefetcher
 
-        # L1D probe with Cache.lookup inlined (identical bookkeeping;
-        # one call per record adds up).  Exact type: a substituted cache
-        # model keeps the virtual call.
-        if type(l1d) is Cache:
-            l1d_stats = l1d.stats
-            l1d_stats.demand_accesses += 1
-            slot = l1d._where.get(pline)
-            if slot is None:
-                l1d_stats.demand_misses += 1
-                if l1d._drrip is not None:
-                    l1d._drrip.record_miss(pline & l1d._set_mask)
-            else:
-                l1d_stats.demand_hits += 1
-                sidx = pline & l1d._set_mask
-                lru = l1d._lru
-                if lru is not None:
-                    clock = lru._clock[sidx] + 1
-                    lru._clock[sidx] = clock
-                    lru._age[slot] = clock
-                elif l1d._srrip_hit is not None:
-                    l1d._srrip_hit[slot] = 0
-                else:
-                    l1d.policy.on_hit(sidx, slot - sidx * l1d.ways)
-        else:
-            slot = l1d.lookup(pline, is_demand=True)
+        slot = l1d.lookup(pline)
         if slot is not None:
             latency = trans_latency + l1d_latency
             was_pf, was_late, residual = l1d.demand_touch(
@@ -423,33 +395,7 @@ class Hierarchy:
     ) -> int:
         """Fetch ``pline`` for the L1D; returns the cycle data reaches L1D."""
         l2 = self.l2
-        # Cache.lookup inlined (identical bookkeeping), as in demand_access.
-        if type(l2) is Cache:
-            slot = l2._where.get(pline)
-            if slot is None:
-                if not is_prefetch:
-                    stats2 = l2.stats
-                    stats2.demand_accesses += 1
-                    stats2.demand_misses += 1
-                    if l2._drrip is not None:
-                        l2._drrip.record_miss(pline & l2._set_mask)
-            else:
-                if not is_prefetch:
-                    stats2 = l2.stats
-                    stats2.demand_accesses += 1
-                    stats2.demand_hits += 1
-                sidx = pline & l2._set_mask
-                lru = l2._lru
-                if lru is not None:
-                    clock = lru._clock[sidx] + 1
-                    lru._clock[sidx] = clock
-                    lru._age[slot] = clock
-                elif l2._srrip_hit is not None:
-                    l2._srrip_hit[slot] = 0
-                else:
-                    l2.policy.on_hit(sidx, slot - sidx * l2.ways)
-        else:
-            slot = l2.lookup(pline, is_demand=not is_prefetch)
+        slot = l2.lookup(pline, is_demand=not is_prefetch)
         if slot is not None:
             ready = max(now + l2.latency, l2.arrival[slot])
             if not is_prefetch:
@@ -500,33 +446,7 @@ class Hierarchy:
         if not is_prefetch:
             self.llc_demand_accesses += 1
         llc = self.llc
-        # Cache.lookup inlined (identical bookkeeping), as in demand_access.
-        if type(llc) is Cache:
-            slot = llc._where.get(pline)
-            if slot is None:
-                if not is_prefetch:
-                    stats3 = llc.stats
-                    stats3.demand_accesses += 1
-                    stats3.demand_misses += 1
-                    if llc._drrip is not None:
-                        llc._drrip.record_miss(pline & llc._set_mask)
-            else:
-                if not is_prefetch:
-                    stats3 = llc.stats
-                    stats3.demand_accesses += 1
-                    stats3.demand_hits += 1
-                sidx = pline & llc._set_mask
-                lru = llc._lru
-                if lru is not None:
-                    clock = lru._clock[sidx] + 1
-                    lru._clock[sidx] = clock
-                    lru._age[slot] = clock
-                elif llc._srrip_hit is not None:
-                    llc._srrip_hit[slot] = 0
-                else:
-                    llc.policy.on_hit(sidx, slot - sidx * llc.ways)
-        else:
-            slot = llc.lookup(pline, is_demand=not is_prefetch)
+        slot = llc.lookup(pline, is_demand=not is_prefetch)
         if slot is not None:
             ready = max(now + llc.latency, llc.arrival[slot])
             if not is_prefetch:
@@ -580,64 +500,30 @@ class Hierarchy:
         now: int,
         is_write: bool,
     ) -> None:
-        # Occupancy sampling inlined (this hook runs on every access with
-        # a prefetcher attached): expire lazily, then divide — the same
-        # arithmetic occupancy_fraction performs.  Subclasses (the fault
-        # injectors override occupancy) keep the virtual call.
-        mshr = self.l1d_mshr
-        if type(mshr) is MSHR:
-            if now != mshr._last_expire:
-                if mshr._entries and now >= mshr._min_ready:
-                    mshr._expire(now)
-                else:
-                    mshr._last_expire = now
-            mshr_occ = len(mshr._entries) / mshr.size if mshr.size else 0.0
-        else:
-            mshr_occ = mshr.occupancy_fraction(now)
-        pq = self.pq
-        if type(pq) is _FIFOQueue:
-            st = pq._service_times
-            while st and st[0] <= now:
-                st.popleft()
-            pq_occ = len(st) / pq.size if pq.size else 0.0
-        else:
-            pq_occ = pq.occupancy_fraction(now)
+        # Both samples run on every path: their lazy expiry is state the
+        # lockstep digest reads.
+        mshr_occ = self.l1d_mshr.occupancy_fraction(now)
+        pq_occ = self.pq.occupancy_fraction(now)
         # Kernel dispatch: a prefetcher that opted in (Berti) trains and
-        # predicts without AccessInfo/PrefetchRequest objects; the
-        # prediction policy (_predict) is applied inline over its
-        # memoised (delta, status) list.  Counter order is identical to
-        # the virtual path: deltas whose target underflows are skipped
+        # predicts without AccessInfo/PrefetchRequest objects, and its
+        # prediction policy (_predict) is applied here over the memoised
+        # (delta, status) list it returns.  Counter order is identical to
+        # the virtual path: a delta whose target underflows is skipped
         # uncounted (as _predict does), cross-page suppression precedes
-        # the suggested count, and the translate → duplicate → issue
-        # ladder below mirrors the prologue inlined for the virtual path.
+        # the suggested count, and an L1D_PREF delta fills the L1D only
+        # while the L1D MSHR is below the watermark (paper §III-B).
         kern = self._l1d_kernel
         if kern is not None:
             selected = kern.on_access_kernel(ip, vline, hit, now)
             if not selected:
                 return
-            if (
-                type(self.mmu) is MMU
-                and type(mshr) is MSHR
-                and type(pq) is _FIFOQueue
-                and type(self.l1d) is Cache
-                and type(self.l2) is Cache
-                and type(self.l2_mshr) is MSHR
-            ):
-                # Every structure on the issue ladder is the stock
-                # implementation: run the fully inlined loop.
-                self._kernel_issue_selected(
-                    kern, selected, ip, vline, now, mshr_occ
-                )
-                return
-            # Generic kernel path (a wrapped or fault-injected structure
-            # is present): identical counters through virtual calls.
             pf_stats = self._pf_l1d_stats
             translate = self.mmu.translate_prefetch
             l1d_where = self.l1d._where
             l2_where = self.l2._where
             mshr_below = mshr_occ < self._l1d_kern_watermark
             cross_ok = self._l1d_kern_cross_page
-            issue = self._issue_l1d_prefetch_fast
+            issue = self._issue_prefetch
             for delta, status in selected:
                 target = vline + delta
                 if target < 0:
@@ -678,258 +564,9 @@ class Hierarchy:
         # typed wrappers without a class-level cycle still get called.
         if getattr(type(pf), "cycle", None) is not Prefetcher.cycle:
             requests.extend(pf.cycle(now))
-        if not requests:
-            return
-        # Most suggestions die on the duplicate filter (the target line
-        # is already cached), so the translate-and-filter prologue of
-        # issue_l1d_prefetch is inlined here — identical counters in
-        # identical order — and only survivors pay the full call, with
-        # their translation passed along.
         issue = self.issue_l1d_prefetch
-        pf_stats = self._pf_l1d_stats
-        translate = self.mmu.translate_prefetch
-        l1d_where = self.l1d._where
-        l2_where = self.l2._where
-        llc_where = self.llc._where
         for req in requests:
-            pf_stats.suggested += 1
-            req_vline = req.line
-            if req_vline < 0:
-                pf_stats.dropped_translation += 1
-                continue
-            pline = translate(req_vline)
-            if pline is None:
-                pf_stats.dropped_translation += 1
-                continue
-            fill_level = req.fill_level
-            where = l1d_where if fill_level == FILL_L1 else (
-                l2_where if fill_level == FILL_L2 else llc_where
-            )
-            if pline in where:
-                pf_stats.dropped_duplicate += 1
-                continue
-            issue(req, ip, now, _pline=pline)
-
-    def _kernel_issue_selected(
-        self, kern, selected, ip: int, vline: int, now: int,
-        mshr_occ: float,
-    ) -> None:
-        """Issue a kernel prefetcher's ``(delta, status)`` suggestions.
-
-        This is ``_issue_l1d_prefetch_fast`` unrolled into the suggestion
-        loop for the exact-type fast case (the caller has verified every
-        structure on the ladder is the stock implementation): the
-        translate → dedup → PQ → MSHR-reserve → fill sequence runs on
-        hoisted locals with no per-suggestion calls beyond the real work
-        (``_access_l2``/``_access_llc``, ``allocate``, ``fill``).  Side
-        effects happen in the same order as the call-based path; pure
-        counter increments accumulate in locals and are flushed once
-        after the loop, which is unobservable — the lockstep digest and all
-        stats readers only sample between accesses.  Two loop-level
-        facts the call-based path cannot exploit:
-
-        * a PQ push that failed at ``now`` fails for every later push at
-          the same ``now`` (expiry cannot free a slot: surviving service
-          times all exceed ``now``), so a sticky flag skips the deque
-          work while still counting each drop;
-        * the kernel prediction list only carries L1/L2 fill levels, so
-          the FILL_LLC branch is dead here.
-        """
-        mmu = self.mmu
-        stlb_stats = mmu.stlb.stats
-        stlb_map, stlb_ppages = mmu.stlb._map, mmu.stlb.ppages
-        translate_cold = mmu._translate_prefetch_cold
-        l1d = self.l1d
-        l2 = self.l2
-        l1d_where = l1d._where
-        l2_where = l2._where
-        l1d_fill = l1d.fill
-        l2_fill = l2.fill
-        l2_latency = l2.latency
-        mshr = self.l1d_mshr
-        mshr_entries = mshr._entries
-        mshr_allocate = mshr.allocate
-        mshr_reserve = mshr.size - 2
-        l2_mshr = self.l2_mshr
-        l2_entries = l2_mshr._entries
-        l2_size = l2_mshr.size
-        pq = self.pq
-        st = pq._service_times
-        pq_size = pq.size
-        period = 1.0 / pq.rate
-        access_l2 = self._access_l2
-        access_llc = self._access_llc
-        mshr_below = mshr_occ < self._l1d_kern_watermark
-        cross_ok = self._l1d_kern_cross_page
-        latency_cap = 1 << LATENCY_FIELD_BITS
-
-        suggested = 0
-        dropped_translation = 0
-        dropped_duplicate = 0
-        dropped_queue_full = 0
-        dropped_mshr_full = 0
-        fills = 0
-        issued = 0
-        stlb_probes = 0
-        stlb_hits = 0
-        tr_l1d_l2 = 0
-        tr_l2_llc = 0
-        pq_full = False
-
-        for delta, status in selected:
-            target = vline + delta
-            if target < 0:
-                continue
-            if not cross_ok and not same_page(vline, target):
-                kern.cross_page_suppressed += 1
-                continue
-            fill_l1 = status == L1D_PREF and mshr_below
-            suggested += 1
-            # translate_prefetch, STLB-hit path inlined.
-            vpage = target >> LINES_PER_PAGE_BITS
-            stlb_probes += 1
-            slot = stlb_map.get(vpage)
-            if slot is None:
-                pline = translate_cold(target, vpage)
-                if pline is None:
-                    dropped_translation += 1
-                    continue
-            else:
-                stlb_hits += 1
-                pline = (stlb_ppages[slot] << LINES_PER_PAGE_BITS) | (
-                    target & PAGE_OFFSET_MASK
-                )
-            if fill_l1:
-                if pline in l1d_where:
-                    dropped_duplicate += 1
-                    continue
-                # MSHR.lookup inlined.  The expire scan is memoised per
-                # cycle, and skipped entirely — bar the memo write _expire
-                # itself would do — when nothing can have expired yet.
-                if now != mshr._last_expire:
-                    if mshr_entries and now >= mshr._min_ready:
-                        mshr._expire(now)
-                    else:
-                        mshr._last_expire = now
-                if pline in mshr_entries:
-                    dropped_duplicate += 1
-                    continue
-                if pq_full:
-                    dropped_queue_full += 1
-                    continue
-                # _FIFOQueue.push inlined.
-                while st and st[0] <= now:
-                    st.popleft()
-                if len(st) >= pq_size:
-                    pq_full = True
-                    dropped_queue_full += 1
-                    continue
-                start = now
-                if st and st[-1] > start:
-                    start = st[-1]
-                service = start + period
-                st.append(service)
-                issue_time = now + int(service - now)
-                # Demand-reserve check (occupancy inlined at issue time).
-                if issue_time != mshr._last_expire:
-                    if mshr_entries and issue_time >= mshr._min_ready:
-                        mshr._expire(issue_time)
-                    else:
-                        mshr._last_expire = issue_time
-                if len(mshr_entries) >= mshr_reserve:
-                    dropped_mshr_full += 1
-                    continue
-                ready = access_l2(ip, pline, issue_time, is_prefetch=True)
-                latency = ready - now
-                mshr_allocate(
-                    pline, issue_time, ready, is_prefetch=True, ip=ip,
-                    vline=target,
-                )
-                l1d_fill(
-                    pline,
-                    now=issue_time,
-                    arrival_cycle=ready,
-                    is_prefetch=True,
-                    ip=ip,
-                    vline=target,
-                    pf_latency=(
-                        latency if 0 < latency < latency_cap else 0
-                    ),
-                    pf_origin=ORIGIN_L1D,
-                )
-                tr_l1d_l2 += 1
-                fills += 1
-                issued += 1
-            else:
-                if pline in l2_where:
-                    dropped_duplicate += 1
-                    continue
-                if pq_full:
-                    dropped_queue_full += 1
-                    continue
-                while st and st[0] <= now:
-                    st.popleft()
-                if len(st) >= pq_size:
-                    pq_full = True
-                    dropped_queue_full += 1
-                    continue
-                start = now
-                if st and st[-1] > start:
-                    start = st[-1]
-                service = start + period
-                st.append(service)
-                issue_time = now + int(service - now)
-                # The L2 dedup probe runs after the PQ slot is consumed
-                # (hardware matches in-queue entries at the L2, not at
-                # PQ insert) — same order as the call-based path.
-                if now != l2_mshr._last_expire:
-                    if l2_entries and now >= l2_mshr._min_ready:
-                        l2_mshr._expire(now)
-                    else:
-                        l2_mshr._last_expire = now
-                if pline in l2_where or pline in l2_entries:
-                    dropped_duplicate += 1
-                    continue
-                if issue_time != l2_mshr._last_expire:
-                    if l2_entries and issue_time >= l2_mshr._min_ready:
-                        l2_mshr._expire(issue_time)
-                    else:
-                        l2_mshr._last_expire = issue_time
-                if len(l2_entries) >= l2_size:
-                    dropped_mshr_full += 1
-                    continue
-                ready = access_llc(pline, issue_time + l2_latency, True)
-                l2_mshr.allocate(pline, issue_time, ready, True, ip=ip)
-                latency = ready - now
-                l2_fill(
-                    pline,
-                    now=issue_time,
-                    arrival_cycle=ready,
-                    is_prefetch=True,
-                    ip=ip,
-                    vline=target,
-                    pf_latency=(
-                        latency if 0 < latency < latency_cap else 0
-                    ),
-                    pf_origin=ORIGIN_L1D,
-                )
-                tr_l1d_l2 += 1
-                tr_l2_llc += 1
-                fills += 1
-                issued += 1
-
-        pf_stats = self._pf_l1d_stats
-        pf_stats.suggested += suggested
-        pf_stats.dropped_translation += dropped_translation
-        pf_stats.dropped_duplicate += dropped_duplicate
-        pf_stats.dropped_queue_full += dropped_queue_full
-        pf_stats.dropped_mshr_full += dropped_mshr_full
-        pf_stats.fills += fills
-        pf_stats.issued += issued
-        stlb_stats.prefetch_probes += stlb_probes
-        stlb_stats.prefetch_probe_hits += stlb_hits
-        self.traffic_l1d_l2.prefetch += tr_l1d_l2
-        self.traffic_l2_llc.prefetch += tr_l2_llc
+            issue(req, ip, now)
 
     def _run_l1d_prefetcher_on_fill(
         self, vline: int, now: int, latency: int, was_prefetch: bool, ip: int
@@ -952,16 +589,7 @@ class Hierarchy:
     ) -> None:
         # The MSHR sampling (and its lazy-expiry side effect) runs on
         # both paths: the lockstep digest reads the raw entry map.
-        mshr = self.l1d_mshr
-        if type(mshr) is MSHR:
-            if now != mshr._last_expire:
-                if mshr._entries and now >= mshr._min_ready:
-                    mshr._expire(now)
-                else:
-                    mshr._last_expire = now
-            mshr_occ = len(mshr._entries) / mshr.size if mshr.size else 0.0
-        else:
-            mshr_occ = mshr.occupancy_fraction(now)
+        mshr_occ = self.l1d_mshr.occupancy_fraction(now)
         kern = self._l1d_kernel
         if kern is not None:
             kern.on_prefetch_hit_kernel(ip, vline, now, pf_latency)
@@ -977,114 +605,66 @@ class Hierarchy:
         self.l1d_prefetcher.on_prefetch_hit(info, pf_latency)
 
     def issue_l1d_prefetch(
-        self,
-        req: PrefetchRequest,
-        ip: int,
-        now: int,
-        _pline: Optional[int] = None,
+        self, req: PrefetchRequest, ip: int, now: int
     ) -> bool:
         """Translate, filter, and issue one L1D-prefetcher request.
 
         Returns True when the prefetch actually went out to the hierarchy.
-        ``_pline`` is an internal fast path: the access hook pre-counts
-        the suggestion, translates, and runs the duplicate filter inline
-        before calling here (identical counters either way).
         """
         stats = self._pf_l1d_stats
+        stats.suggested += 1
         vline = req.line
+        if vline < 0:
+            stats.dropped_translation += 1
+            return False
+        pline = self.mmu.translate_prefetch(vline)
+        if pline is None:
+            stats.dropped_translation += 1
+            return False
+        # Duplicate suppression happens before a PQ slot is consumed:
+        # hardware PQs match same-address entries at insert, so repeated
+        # suggestions for already-covered lines are free and cannot
+        # starve other streams of queue space.  Most suggestions die
+        # here, so the presence index is probed directly.
         fill_level = req.fill_level
-        if _pline is not None:
-            pline = _pline
-        else:
-            stats.suggested += 1
-            if vline < 0:
-                stats.dropped_translation += 1
-                return False
-            pline = self.mmu.translate_prefetch(vline)
-            if pline is None:
-                stats.dropped_translation += 1
-                return False
+        target = self.l1d if fill_level == FILL_L1 else (
+            self.l2 if fill_level == FILL_L2 else self.llc
+        )
+        if pline in target._where:
+            stats.dropped_duplicate += 1
+            return False
+        return self._issue_prefetch(vline, pline, fill_level, ip, now)
 
-            # Duplicate suppression happens before a PQ slot is consumed:
-            # hardware PQs match same-address entries at insert, so
-            # repeated suggestions for already-covered lines are free and
-            # cannot starve other streams of queue space.  Most
-            # suggestions die here, so the presence index is probed
-            # directly.
-            target = self.l1d if fill_level == FILL_L1 else (
-                self.l2 if fill_level == FILL_L2 else self.llc
-            )
-            if pline in target._where:
-                stats.dropped_duplicate += 1
-                return False
-        return self._issue_l1d_prefetch_fast(vline, pline, fill_level, ip, now)
-
-    def _issue_l1d_prefetch_fast(
+    def _issue_prefetch(
         self, vline: int, pline: int, fill_level: int, ip: int, now: int
     ) -> bool:
-        """The post-dedup issue tail shared by the kernel and virtual
-        paths: PQ admission, MSHR reservation, and the fill walk.  The
-        caller has already counted the suggestion, translated ``vline``
-        to ``pline``, and run the presence-index duplicate filter.
+        """The issue tail behind both prologues (Berti's kernel loop and
+        :meth:`issue_l1d_prefetch`): PQ admission, MSHR reservation, and
+        the fill walk.  The caller has counted the suggestion, translated
+        ``vline`` to ``pline``, and run the presence filter.
         """
         stats = self._pf_l1d_stats
         l1d_mshr = self.l1d_mshr
-        mshr_exact = type(l1d_mshr) is MSHR
-        if fill_level == FILL_L1:
-            # MSHR.lookup inlined (the expire scan is memoised per cycle,
-            # so repeated calls cost one comparison); fault-injection
-            # subclasses keep the virtual call.
-            if mshr_exact:
-                if now != l1d_mshr._last_expire:
-                    l1d_mshr._expire(now)
-                inflight = l1d_mshr._entries.get(pline)
-            else:
-                inflight = l1d_mshr.lookup(pline, now)
-            if inflight is not None:
-                stats.dropped_duplicate += 1
-                return False
+        if fill_level == FILL_L1 and l1d_mshr.lookup(pline, now) is not None:
+            stats.dropped_duplicate += 1
+            return False
 
         # The bounded PQ (16 entries, Table I) drains through the two
-        # L1D read ports; overflow drops the request.  push() is inlined
-        # (identical arithmetic and drop behaviour) — it runs once per
-        # suggestion that survives the duplicate filter.
-        pq = self.pq
-        if type(pq) is _FIFOQueue:
-            st = pq._service_times
-            while st and st[0] <= now:
-                st.popleft()
-            if len(st) >= pq.size:
-                stats.dropped_queue_full += 1
-                return False
-            start = now
-            if st and st[-1] > start:
-                start = st[-1]
-            service = start + 1.0 / pq.rate
-            st.append(service)
-            issue_time = now + int(service - now)
-        else:
-            pq_delay = pq.push(now)
-            if pq_delay is None:
-                stats.dropped_queue_full += 1
-                return False
-            issue_time = now + pq_delay
+        # L1D read ports; overflow drops the request.
+        pq_delay = self.pq.push(now)
+        if pq_delay is None:
+            stats.dropped_queue_full += 1
+            return False
+        issue_time = now + pq_delay
 
         if fill_level == FILL_L1:
             # Keep two MSHR entries in reserve for demand misses, so a
             # prefetch burst cannot stall the demand path outright.
-            # (occupancy inlined, same expire memo as above.)
-            if mshr_exact:
-                if issue_time != l1d_mshr._last_expire:
-                    l1d_mshr._expire(issue_time)
-                occ = len(l1d_mshr._entries)
-            else:
-                occ = l1d_mshr.occupancy(issue_time)
-            if occ >= l1d_mshr.size - 2:
+            if l1d_mshr.occupancy(issue_time) >= l1d_mshr.size - 2:
                 stats.dropped_mshr_full += 1
                 return False
             ready = self._access_l2(ip, pline, issue_time, is_prefetch=True)
-            latency = ready - now
-            self.l1d_mshr.allocate(
+            l1d_mshr.allocate(
                 pline, issue_time, ready, is_prefetch=True, ip=ip, vline=vline
             )
             self.l1d.fill(
@@ -1094,38 +674,25 @@ class Hierarchy:
                 is_prefetch=True,
                 ip=ip,
                 vline=vline,
-                pf_latency=self._clamp_latency(latency),
+                pf_latency=self._clamp_latency(ready - now),
                 pf_origin=ORIGIN_L1D,
             )
             self.traffic_l1d_l2.prefetch += 1
-            stats.fills += 1
         elif fill_level == FILL_L2:
-            # Cache.probe is a pure presence test and MSHR.lookup /
-            # can_allocate reduce to the memoised expire plus a dict
-            # probe / length check, so all three are inlined here under
-            # the same exact-type guards as elsewhere on this path.
+            # The L2 dedup probe runs after the PQ slot is consumed
+            # (hardware matches in-queue entries at the L2, not at PQ
+            # insert).
+            l2 = self.l2
             l2_mshr = self.l2_mshr
-            if type(self.l2) is Cache and type(l2_mshr) is MSHR:
-                if now != l2_mshr._last_expire:
-                    l2_mshr._expire(now)
-                if pline in self.l2._where or pline in l2_mshr._entries:
-                    stats.dropped_duplicate += 1
-                    return False
-                if issue_time != l2_mshr._last_expire:
-                    l2_mshr._expire(issue_time)
-                if len(l2_mshr._entries) >= l2_mshr.size:
-                    stats.dropped_mshr_full += 1
-                    return False
-            else:
-                if self.l2.probe(pline) or l2_mshr.lookup(pline, now):
-                    stats.dropped_duplicate += 1
-                    return False
-                if not l2_mshr.can_allocate(issue_time):
-                    stats.dropped_mshr_full += 1
-                    return False
-            ready = self._access_llc(pline, issue_time + self.l2.latency, True)
+            if l2.probe(pline) or l2_mshr.lookup(pline, now):
+                stats.dropped_duplicate += 1
+                return False
+            if not l2_mshr.can_allocate(issue_time):
+                stats.dropped_mshr_full += 1
+                return False
+            ready = self._access_llc(pline, issue_time + l2.latency, True)
             l2_mshr.allocate(pline, issue_time, ready, True, ip=ip)
-            self.l2.fill(
+            l2.fill(
                 pline, now=issue_time, arrival_cycle=ready, is_prefetch=True,
                 ip=ip, vline=vline,
                 pf_latency=self._clamp_latency(ready - now),
@@ -1133,7 +700,6 @@ class Hierarchy:
             )
             self.traffic_l1d_l2.prefetch += 1
             self.traffic_l2_llc.prefetch += 1
-            stats.fills += 1
         else:  # FILL_LLC
             if self.llc.probe(pline):
                 stats.dropped_duplicate += 1
@@ -1148,7 +714,7 @@ class Hierarchy:
                 pf_origin=ORIGIN_L1D,
             )
             self.traffic_llc_dram.prefetch += 1
-            stats.fills += 1
+        stats.fills += 1
         stats.issued += 1
         return True
 

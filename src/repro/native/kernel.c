@@ -2,11 +2,14 @@
  * path for one span of records -- CoreModel.issue_memory around
  * Hierarchy.demand_access (repro/memory/hierarchy.py: the dTLB/STLB
  * path of MMU.translate_demand, the L1D probe and MSHR merge ladder,
- * _access_l2 / _access_llc, and the prefetch ladder of
- * _run_l1d_prefetcher_on_access / _kernel_issue_selected) -- plus the
- * L1D prefetcher the PF_KIND register names: the Berti kernel hooks
- * (repro/core/berti.py over history_table.py / delta_table.py) or IPCP
- * (repro/prefetchers/ipcp.py), each over its own Python columns.
+ * and _access_l2 / _access_llc, which the demand miss and the prefetch
+ * ladder share) -- plus the L1D prefetcher the PF_KIND register names
+ * and its prologue in front of the one issue tail (_issue_prefetch):
+ * the Berti kernel hooks (repro/core/berti.py over history_table.py /
+ * delta_table.py) with the kernel loop of _run_l1d_prefetcher_on_access,
+ * or IPCP (repro/prefetchers/ipcp.py) with issue_l1d_prefetch, each
+ * over its own Python columns.  Each function's comment names the
+ * Python it transcribes.
  *
  * The layout header (repro_native_layout.h) is generated from
  * repro/native/marshal.py at build time; the R_/FR_/B_ indexes are the
@@ -593,10 +596,18 @@ static i64 physical_page(i64 vpage) {
     return ppage;
 }
 
-/* MMU._translate_prefetch_cold: dTLB probe, no MRU, no demand stats. */
-static i64 translate_cold(i64 target, i64 vpage) {
+/* MMU.translate_prefetch: the STLB's probe, else the dTLB's (TLB.probe:
+ * no LRU update, no demand stats); -1 when both miss. */
+static i64 translate_prefetch(i64 target) {
+    i64 vpage = target >> LPB;
+    d_D_STLB_PROBES++;
+    i64 i = tlb_slot(&TST, vpage);
+    if (i >= 0) {
+        d_D_STLB_HITS++;
+        return (TST.pp[i] << LPB) | (target & POM);
+    }
     R[R_DT_PPROBES]++;
-    i64 i = tlb_slot(&TDT, vpage);
+    i = tlb_slot(&TDT, vpage);
     if (i < 0) {
         R[R_MMU_DROPPED]++;
         return -1;
@@ -622,6 +633,20 @@ static void pq_expire(i64 now) {
         memmove(PQST, PQST + n, (size_t)(pq_len - n) * sizeof(f64));
         pq_len -= n;
     }
+}
+
+/* _FIFOQueue.push: the cycle the entry issues at (now plus its queueing
+ * delay), or -1 when the queue is full at `now`. */
+static i64 pq_push(i64 now) {
+    pq_expire(now);
+    if (pq_len >= pq_size)
+        return -1;
+    f64 start = (f64)now;
+    if (pq_len && PQST[pq_len - 1] > start)
+        start = PQST[pq_len - 1];
+    f64 service = start + pq_period;
+    PQST[pq_len++] = service;
+    return now + (i64)(service - (f64)now);
 }
 
 /* ------------------------------------------------------------------ */
@@ -661,6 +686,121 @@ static void handle_wb(int level, i64 tag, i64 now) {
             break;
         }
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Lower levels, shared by the demand miss and the prefetch ladder     */
+/* ------------------------------------------------------------------ */
+
+/* Hierarchy._access_llc: the LLC hit, or the DRAM read and LLC fill, at
+ * cycle t; returns the cycle the line is ready.  Only a demand counts,
+ * trains DRRIP and consumes a prefetched line. */
+static i64 access_llc(i64 pline, i64 t, int is_pf) {
+    if (!is_pf)
+        d_D_H_LLC_ACC++;
+    i64 s3 = pline & CLL.set_mask;
+    i64 w3 = cache_way(&CLL, s3, pline);
+    if (w3 >= 0) {
+        cache_touch(&CLL, s3, w3);
+        i64 ci = s3 * CLL.ways + w3;
+        i64 ready = t + CLL.lat;
+        if (CLL.arr[ci] > ready)
+            ready = CLL.arr[ci];
+        if (!is_pf) {
+            d_D_LLC_ACC++;
+            d_D_LLC_HIT++;
+            if (CLL.pref[ci]) {
+                d_D_LLC_USEFUL++;
+                CLL.pref[ci] = 0;
+                if (CLL.org[ci] == 1)
+                    d_D_PF_USEFUL++;
+                else if (CLL.org[ci] == 2)
+                    R[R_CREDIT2_USEFUL]++;
+            }
+        }
+        return ready;
+    }
+    i64 mt3 = t + CLL.lat;
+    if (is_pf) {
+        d_D_TLD_PF++;
+    } else {
+        d_D_LLC_ACC++;
+        d_D_LLC_MISS++;
+        if (CLL.pol == POL_DRRIP)
+            drrip_record_miss(&CLL, s3);
+        d_D_H_LLC_MISS++;
+        d_D_H_DRAM++;
+        d_D_TLD_DEM++;
+    }
+    i64 ready = dram_read(pline, mt3);
+    i64 v3 = cache_fill(&CLL, pline, mt3, ready, is_pf, 0, -1, 0, 0);
+    if (v3 >= 0)
+        handle_wb(2, v3, ready);
+    return ready;
+}
+
+/* Hierarchy._access_l2: fetch pline for the L1D at cycle t; returns the
+ * cycle the data reaches the L1D.  Only a demand counts, trains DRRIP,
+ * consumes a prefetched line and promotes an in-flight prefetch. */
+static i64 access_l2(i64 ip, i64 pline, i64 t, int is_pf) {
+    i64 s2 = pline & CL2.set_mask;
+    i64 w2 = cache_way(&CL2, s2, pline);
+    if (w2 >= 0) {
+        cache_touch(&CL2, s2, w2);
+        i64 ci = s2 * CL2.ways + w2;
+        i64 ready = t + CL2.lat;
+        if (CL2.arr[ci] > ready)
+            ready = CL2.arr[ci];
+        if (!is_pf) {
+            d_D_L2_ACC++;
+            d_D_L2_HIT++;
+            if (CL2.pref[ci]) {
+                d_D_L2_USEFUL++;
+                CL2.pref[ci] = 0;
+                if (CL2.org[ci] == 1)
+                    d_D_PF_USEFUL++;
+                else if (CL2.org[ci] == 2)
+                    R[R_CREDIT2_USEFUL]++;
+            }
+        }
+        return ready;
+    }
+    if (!is_pf) {
+        d_D_L2_ACC++;
+        d_D_L2_MISS++;
+        if (CL2.pol == POL_DRRIP)
+            drrip_record_miss(&CL2, s2);
+    }
+    mshr_expire(&M2, t);
+    i64 mi = mshr_find(&M2, pline);
+    if (mi >= 0) {
+        d_D_M2_MERGES++;
+        M2.merged[mi]++;
+        i64 wait = M2.ready[mi] - t;
+        if (wait < 0)
+            wait = 0;
+        if (!is_pf && M2.ispf[mi]) {
+            M2.ispf[mi] = 0;
+            d_D_PF2_USEFUL++;
+            d_D_PF2_LATE++;
+            d_D_PF2_PROMOTED++;
+        }
+        return t + CL2.lat + wait;
+    }
+    i64 mt2 = t + CL2.lat;
+    if (is_pf)
+        d_D_T2L_PF++;
+    else
+        d_D_T2L_DEM++;
+    i64 ready = access_llc(pline, mt2, is_pf);
+    mshr_expire(&M2, mt2);
+    if (M2.count < M2.size)
+        mshr_allocate(&M2, pline, mt2, ready, is_pf, ip, 0);
+    /* Copies installed on the way back up carry no origin. */
+    i64 v2 = cache_fill(&CL2, pline, mt2, ready, is_pf, ip, -1, 0, 0);
+    if (v2 >= 0)
+        handle_wb(1, v2, ready);
+    return ready;
 }
 
 /* ------------------------------------------------------------------ */
@@ -919,150 +1059,52 @@ static void berti_learn(i64 ip, i64 vline, i64 demand_time, i64 latency) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Prefetch ladder (Hierarchy._kernel_issue_selected, verbatim order)  */
+/* Prefetch issue (Hierarchy._issue_prefetch and its two prologues)    */
 /* ------------------------------------------------------------------ */
 
 static i64 m1_reserve;
 
-/* _access_llc for a prefetch reaching the LLC at cycle t: the LLC hit,
- * or the DRAM read and LLC fill.  Returns when the line is ready. */
-static i64 llc_prefetch(i64 pline, i64 t) {
-    i64 s3 = pline & CLL.set_mask;
-    i64 w3 = cache_way(&CLL, s3, pline);
-    i64 mt3 = t + CLL.lat;
-    if (w3 >= 0) {
-        cache_touch(&CLL, s3, w3);
-        i64 a3 = CLL.arr[s3 * CLL.ways + w3];
-        return a3 > mt3 ? a3 : mt3;
+/* One suggestion after its prologue counted it: translate_prefetch and
+ * the presence filter of the fill level's cache, then the issue tail
+ * Hierarchy._issue_prefetch (the L1D MSHR dedup, PQ admission, MSHR
+ * reservation and the fill walk). */
+static void issue_prefetch(i64 target, int fill_l1, i64 ip, i64 now) {
+    i64 pline = translate_prefetch(target);
+    if (pline < 0) {
+        d_D_PF_DTRANS++;
+        return;
     }
-    d_D_TLD_PF++;
-    i64 ready = dram_read(pline, mt3);
-    i64 v3 = cache_fill(&CLL, pline, mt3, ready, 1, 0, -1, 0, 0);
-    if (v3 >= 0)
-        handle_wb(2, v3, ready);
-    return ready;
-}
-
-/* One suggestion's issue tail, shared by every prefetcher kind: the
- * translate -> dedup -> PQ -> MSHR-reserve -> fill sequence of
- * Hierarchy._issue_l1d_prefetch_fast behind the translation and
- * duplicate filter its callers inline (_kernel_issue_selected unrolls
- * the same order).  The caller has counted the suggestion.  *pq_full is
- * the caller's sticky flag: a PQ push that failed at `now` fails for
- * every later push at the same `now`. */
-static void issue_prefetch(i64 target, int fill_l1, i64 ip, i64 now,
-                           int *pq_full) {
-    i64 vpage = target >> LPB;
-    d_D_STLB_PROBES++;
-    i64 pline;
-    i64 si = tlb_slot(&TST, vpage);
-    if (si < 0) {
-        pline = translate_cold(target, vpage);
-        if (pline < 0) {
-            d_D_PF_DTRANS++;
-            return;
-        }
-    } else {
-        d_D_STLB_HITS++;
-        pline = (TST.pp[si] << LPB) | (target & POM);
+    CCache *c = fill_l1 ? &CL1 : &CL2;
+    i64 s = pline & c->set_mask;
+    if (cache_way(c, s, pline) >= 0) {
+        d_D_PF_DDUP++;
+        return;
     }
     if (fill_l1) {
-        i64 s1 = pline & CL1.set_mask;
-        if (cache_way(&CL1, s1, pline) >= 0) {
-            d_D_PF_DDUP++;
-            return;
-        }
         mshr_expire(&M1, now);
         if (mshr_find(&M1, pline) >= 0) {
             d_D_PF_DDUP++;
             return;
         }
-        if (*pq_full) {
-            d_D_PF_DQ++;
-            return;
-        }
-        pq_expire(now);
-        if (pq_len >= pq_size) {
-            *pq_full = 1;
-            d_D_PF_DQ++;
-            return;
-        }
-        f64 start = (f64)now;
-        if (pq_len && PQST[pq_len - 1] > start)
-            start = PQST[pq_len - 1];
-        f64 service = start + pq_period;
-        PQST[pq_len++] = service;
-        i64 issue_time = now + (i64)(service - (f64)now);
+    }
+    i64 issue_time = pq_push(now);
+    if (issue_time < 0) {
+        d_D_PF_DQ++;
+        return;
+    }
+    i64 ready;
+    if (fill_l1) {
         mshr_expire(&M1, issue_time);
         if (M1.count >= m1_reserve) {
             d_D_PF_DM++;
             return;
         }
-        i64 ready;
-        i64 s2 = pline & CL2.set_mask;
-        i64 w2 = cache_way(&CL2, s2, pline);
-        if (w2 >= 0) {
-            cache_touch(&CL2, s2, w2);
-            ready = issue_time + CL2.lat;
-            i64 a2 = CL2.arr[s2 * CL2.ways + w2];
-            if (a2 > ready)
-                ready = a2;
-        } else {
-            mshr_expire(&M2, issue_time);
-            i64 mi = mshr_find(&M2, pline);
-            if (mi >= 0) {
-                d_D_M2_MERGES++;
-                M2.merged[mi]++;
-                i64 wait2 = M2.ready[mi] - issue_time;
-                if (wait2 < 0)
-                    wait2 = 0;
-                ready = issue_time + CL2.lat + wait2;
-            } else {
-                i64 mt2 = issue_time + CL2.lat;
-                d_D_T2L_PF++;
-                ready = llc_prefetch(pline, mt2);
-                mshr_expire(&M2, mt2);
-                if (M2.count < M2.size)
-                    mshr_allocate(&M2, pline, mt2, ready, 1, ip, 0);
-                i64 v2 = cache_fill(&CL2, pline, mt2, ready, 1,
-                                    ip, -1, 0, 0);
-                if (v2 >= 0)
-                    handle_wb(1, v2, ready);
-            }
-        }
-        i64 latency = ready - now;
+        ready = access_l2(ip, pline, issue_time, 1);
         mshr_allocate(&M1, pline, issue_time, ready, 1, ip, target);
-        /* Ladder L1 fill: the victim is dropped (no wb chain). */
-        cache_fill(&CL1, pline, issue_time, ready, 1, ip, target,
-                   (0 < latency && latency < LATENCY_CAP) ? latency : 0,
-                   1);
-        d_D_T12_PF++;
-        d_D_PF_FILLS++;
-        d_D_PF_ISSUED++;
     } else {
-        i64 s2 = pline & CL2.set_mask;
-        if (cache_way(&CL2, s2, pline) >= 0) {
-            d_D_PF_DDUP++;
-            return;
-        }
-        if (*pq_full) {
-            d_D_PF_DQ++;
-            return;
-        }
-        pq_expire(now);
-        if (pq_len >= pq_size) {
-            *pq_full = 1;
-            d_D_PF_DQ++;
-            return;
-        }
-        f64 start = (f64)now;
-        if (pq_len && PQST[pq_len - 1] > start)
-            start = PQST[pq_len - 1];
-        f64 service = start + pq_period;
-        PQST[pq_len++] = service;
-        i64 issue_time = now + (i64)(service - (f64)now);
+        /* The L2 dedup probe runs after the PQ slot is consumed. */
         mshr_expire(&M2, now);
-        if (cache_way(&CL2, s2, pline) >= 0
+        if (cache_way(&CL2, s, pline) >= 0
             || mshr_find(&M2, pline) >= 0) {
             d_D_PF_DDUP++;
             return;
@@ -1072,27 +1114,25 @@ static void issue_prefetch(i64 target, int fill_l1, i64 ip, i64 now,
             d_D_PF_DM++;
             return;
         }
-        i64 ready = llc_prefetch(pline, issue_time + CL2.lat);
+        ready = access_llc(pline, issue_time + CL2.lat, 1);
         mshr_allocate(&M2, pline, issue_time, ready, 1, ip, 0);
-        i64 latency = ready - now;
-        /* Ladder L2 fill: victim dropped, origin "l1d". */
-        cache_fill(&CL2, pline, issue_time, ready, 1, ip, target,
-                   (0 < latency && latency < LATENCY_CAP) ? latency : 0,
-                   1);
-        d_D_T12_PF++;
         d_D_T2L_PF++;
-        d_D_PF_FILLS++;
-        d_D_PF_ISSUED++;
     }
+    i64 latency = ready - now;
+    /* The prefetch fill's victim is dropped (no writeback chain). */
+    cache_fill(c, pline, issue_time, ready, 1, ip, target,
+               (0 < latency && latency < LATENCY_CAP) ? latency : 0, 1);
+    d_D_T12_PF++;
+    d_D_PF_FILLS++;
+    d_D_PF_ISSUED++;
 }
 
-/* Berti's prologue (_kernel_issue_selected): a delta whose target
- * underflows is skipped uncounted, cross-page suppression precedes the
- * suggested count, and an L1D_PREF delta fills the L1D only while the
- * L1D MSHR is below the watermark. */
+/* Berti's prologue (_run_l1d_prefetcher_on_access's kernel loop): a
+ * delta whose target underflows is skipped uncounted, cross-page
+ * suppression precedes the suggested count, and an L1D_PREF delta fills
+ * the L1D only while the L1D MSHR is below the watermark. */
 static void berti_issue(i64 n_sel, i64 vline, i64 ip, i64 now,
                         int mshr_below) {
-    int pq_full = 0;
     i64 k;
     for (k = 0; k < n_sel; k++) {
         i64 target = vline + SEL_D[k];
@@ -1103,8 +1143,7 @@ static void berti_issue(i64 n_sel, i64 vline, i64 ip, i64 now,
             continue;
         }
         d_D_PF_SUGG++;
-        issue_prefetch(target, SEL_S[k] == 1 && mshr_below, ip, now,
-                       &pq_full);
+        issue_prefetch(target, SEL_S[k] == 1 && mshr_below, ip, now);
     }
 }
 
@@ -1260,14 +1299,13 @@ static i64 ipcp_on_access(i64 ip, i64 line) {
 }
 
 /* _run_l1d_prefetcher_on_access for IPCP at cycle t: the MSHR and PQ
- * sampling, on_access, then the virtual path's prologue over
- * issue_l1d_prefetch -- each suggestion is counted first, a negative
- * target is a dropped translation, and no cross-page check runs. */
+ * sampling, on_access, then issue_l1d_prefetch's prologue -- each
+ * suggestion is counted first, a negative target is a dropped
+ * translation, and no cross-page check runs. */
 static void ipcp_access(i64 ip, i64 vline, i64 t) {
     mshr_expire(&M1, t);
     pq_expire(t);
     i64 n_sel = ipcp_on_access(ip, vline);
-    int pq_full = 0;
     i64 k;
     for (k = 0; k < n_sel; k++) {
         i64 target = SEL_D[k];
@@ -1276,7 +1314,7 @@ static void ipcp_access(i64 ip, i64 vline, i64 t) {
             d_D_PF_DTRANS++;
             continue;
         }
-        issue_prefetch(target, SEL_S[k] == 1, ip, t, &pq_full);
+        issue_prefetch(target, SEL_S[k] == 1, ip, t);
     }
 }
 
@@ -1611,92 +1649,7 @@ static void run(void) {
                         miss_time = earliest;
                 }
                 d_D_T12_DEM++;
-                i64 ready;
-                i64 s2 = pline & CL2.set_mask;
-                i64 w2 = cache_way(&CL2, s2, pline);
-                if (w2 >= 0) {
-                    d_D_L2_ACC++;
-                    d_D_L2_HIT++;
-                    cache_touch(&CL2, s2, w2);
-                    i64 ci = s2 * CL2.ways + w2;
-                    ready = miss_time + CL2.lat;
-                    if (CL2.arr[ci] > ready)
-                        ready = CL2.arr[ci];
-                    if (CL2.pref[ci]) {
-                        d_D_L2_USEFUL++;
-                        CL2.pref[ci] = 0;
-                        if (CL2.org[ci] == 1)
-                            d_D_PF_USEFUL++;
-                        else if (CL2.org[ci] == 2)
-                            R[R_CREDIT2_USEFUL]++;
-                    }
-                } else {
-                    d_D_L2_ACC++;
-                    d_D_L2_MISS++;
-                    if (CL2.pol == POL_DRRIP)
-                        drrip_record_miss(&CL2, pline & CL2.set_mask);
-                    mshr_expire(&M2, miss_time);
-                    i64 mi2 = mshr_find(&M2, pline);
-                    if (mi2 >= 0) {
-                        d_D_M2_MERGES++;
-                        M2.merged[mi2]++;
-                        i64 wait2 = M2.ready[mi2] - miss_time;
-                        if (wait2 < 0)
-                            wait2 = 0;
-                        if (M2.ispf[mi2]) {
-                            M2.ispf[mi2] = 0;
-                            d_D_PF2_USEFUL++;
-                            d_D_PF2_LATE++;
-                            d_D_PF2_PROMOTED++;
-                        }
-                        ready = miss_time + CL2.lat + wait2;
-                    } else {
-                        i64 mt2 = miss_time + CL2.lat;
-                        d_D_T2L_DEM++;
-                        d_D_H_LLC_ACC++;
-                        i64 s3 = pline & CLL.set_mask;
-                        i64 w3 = cache_way(&CLL, s3, pline);
-                        if (w3 >= 0) {
-                            d_D_LLC_ACC++;
-                            d_D_LLC_HIT++;
-                            cache_touch(&CLL, s3, w3);
-                            i64 ci3 = s3 * CLL.ways + w3;
-                            ready = mt2 + CLL.lat;
-                            if (CLL.arr[ci3] > ready)
-                                ready = CLL.arr[ci3];
-                            if (CLL.pref[ci3]) {
-                                d_D_LLC_USEFUL++;
-                                CLL.pref[ci3] = 0;
-                                if (CLL.org[ci3] == 1)
-                                    d_D_PF_USEFUL++;
-                                else if (CLL.org[ci3] == 2)
-                                    R[R_CREDIT2_USEFUL]++;
-                            }
-                        } else {
-                            d_D_LLC_ACC++;
-                            d_D_LLC_MISS++;
-                            if (CLL.pol == POL_DRRIP)
-                                drrip_record_miss(&CLL,
-                                                  pline & CLL.set_mask);
-                            i64 mt3 = mt2 + CLL.lat;
-                            d_D_H_LLC_MISS++;
-                            d_D_H_DRAM++;
-                            d_D_TLD_DEM++;
-                            ready = dram_read(pline, mt3);
-                            i64 v3 = cache_fill(&CLL, pline, mt3, ready,
-                                                0, 0, -1, 0, 0);
-                            if (v3 >= 0)
-                                handle_wb(2, v3, ready);
-                        }
-                        mshr_expire(&M2, mt2);
-                        if (M2.count < M2.size)
-                            mshr_allocate(&M2, pline, mt2, ready, 0, ip, 0);
-                        i64 v2 = cache_fill(&CL2, pline, mt2, ready,
-                                            0, ip, -1, 0, 0);
-                        if (v2 >= 0)
-                            handle_wb(1, v2, ready);
-                    }
-                }
+                i64 ready = access_l2(ip, pline, miss_time, 0);
                 mshr_allocate(&M1, pline, miss_time, ready, 0, ip, vline);
                 i64 v1 = cache_fill(&CL1, pline, miss_time, ready,
                                     0, ip, vline, 0, 0);

@@ -69,7 +69,8 @@ def non_stock_reason(hierarchy, core) -> str:
     """Why the hot path is not all stock parts (``""`` when it is).
 
     Exact-type checks: any subclass — fault injectors, the sanitizer's
-    reference engine — keeps full virtual dispatch.  Instrumentation
+    reference engine — runs on the classic loop, which calls its
+    overrides.  Instrumentation
     that shadows ``demand_access`` with an instance attribute (the
     sanitizer, the lockstep capture) counts too: the kernel never goes
     through that method.  So does any L2 prefetcher.
@@ -238,7 +239,8 @@ class NativeRunner:
         h = self.hierarchy
         if self._state is not None:
             # Native spans drop the caches' and TLBs' indexes; the
-            # classic loop's inlined probes read them directly.
+            # classic loop's prefetch presence filter reads a cache's
+            # directly.
             for part in (h.l1d, h.l2, h.llc, h.mmu.dtlb, h.mmu.stlb):
                 part.index()
         # Built per span: the guard that demoted this span may be a

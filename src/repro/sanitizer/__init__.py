@@ -25,16 +25,19 @@ from repro.sanitizer.invariants import (
 )
 from repro.sanitizer.lockstep import (
     IPCP_EVENTS,
+    QUEUE_DROPS,
     LockstepReport,
     ipcp_events,
     ipcp_trace,
     lockstep_engines,
     lockstep_multicore,
     lockstep_run,
+    queue_drops,
     quick_trace,
     small_berti_config,
     small_ipcp,
     small_ipcp_factory,
+    small_queue_config,
     small_tlb_config,
 )
 from repro.sanitizer.reference import is_reference, to_reference
@@ -54,16 +57,19 @@ __all__ = [
     "attach_sanitizer",
     "check_hierarchy",
     "IPCP_EVENTS",
+    "QUEUE_DROPS",
     "LockstepReport",
     "ipcp_events",
     "ipcp_trace",
     "lockstep_engines",
     "lockstep_multicore",
     "lockstep_run",
+    "queue_drops",
     "quick_trace",
     "small_berti_config",
     "small_ipcp",
     "small_ipcp_factory",
+    "small_queue_config",
     "small_tlb_config",
     "is_reference",
     "to_reference",

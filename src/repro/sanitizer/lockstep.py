@@ -47,7 +47,7 @@ from repro.prefetchers.ipcp import (
 from repro.prefetchers.registry import make_prefetcher
 from repro.sanitizer.reference import to_reference
 from repro.simulator.config import SystemConfig, default_config
-from repro.simulator.engine import Run, span_cuts
+from repro.simulator.engine import Run, simulate, span_cuts
 from repro.simulator.multicore import simulate_multicore
 from repro.workloads.trace import Trace
 
@@ -525,6 +525,42 @@ def small_tlb_config() -> SystemConfig:
     covers what the Table II STLB never does on these traces)."""
     return replace(default_config(), dtlb_entries=4, dtlb_ways=2,
                    stlb_entries=8, stlb_ways=2)
+
+
+def small_queue_config() -> SystemConfig:
+    """A 4-entry L1D MSHR, a 4-entry L2 MSHR and a 2-entry PQ on the
+    default system: on ``mcf_s-1554B`` (scale 0.1) Berti and IPCP drive
+    every drop branch of the prefetch issue tail, and Berti both of its
+    fill levels (the ``sancheck --quick`` leg :func:`queue_drops`
+    counts).  No other leg shrinks the PQ or an MSHR."""
+    return replace(default_config(), l1d_mshr=4, l2_mshr=4, pq_size=2)
+
+
+#: What :func:`queue_drops` counts, in report order.
+QUEUE_DROPS = ("dropped_queue_full", "dropped_mshr_full",
+               "dropped_duplicate", "dropped_translation", "l1d_fills",
+               "l2_only_fills")
+
+
+def queue_drops(trace: Trace, l1d: str,
+                config: Optional[SystemConfig] = None) -> Dict[str, int]:
+    """The L1D prefetcher's :data:`QUEUE_DROPS` when registry prefetcher
+    ``l1d`` runs ``trace`` on ``config`` (default
+    :func:`small_queue_config`; classic engine, default warmup): its
+    drop counters, its fills into the L1D, and its fills that stopped
+    at a lower level (``fills - l1d_prefetch_fills``).  The coverage
+    report of the small-queue ``sancheck`` leg."""
+    res = simulate(trace, l1d_prefetcher=make_prefetcher(l1d),
+                   config=config or small_queue_config())
+    pf = res.pf_l1d
+    return {
+        "dropped_queue_full": pf.dropped_queue_full,
+        "dropped_mshr_full": pf.dropped_mshr_full,
+        "dropped_duplicate": pf.dropped_duplicate,
+        "dropped_translation": pf.dropped_translation,
+        "l1d_fills": res.l1d_prefetch_fills,
+        "l2_only_fills": pf.fills - res.l1d_prefetch_fills,
+    }
 
 
 def small_ipcp() -> IPCPPrefetcher:

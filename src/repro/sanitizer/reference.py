@@ -1,31 +1,43 @@
 """Pure-reference simulation engine for differential checking.
 
-PR 2 rebuilt the demand path around *exact-type* fast paths: the engine
-and hierarchy inline cache lookups, replacement updates, and MSHR/PQ
-occupancy sampling only when the component is the stock class
-(``type(x) is Cache`` and friends), falling back to virtual dispatch for
-any subclass.  That contract is what makes the optimisation safe — and
-also what makes it checkable: substituting *empty subclasses* for every
-component forces the entire simulation through the original virtual
-methods, yielding a slower engine whose observable behaviour must be
-bit-identical to the optimised one.
+The hierarchy calls the methods of its caches, MSHRs, PQ and MMU, and
+issues every L1D prefetch through one tail; what is left of the fast
+paths sits in front of those methods: the cache's replacement-policy
+memos, the MSHR's expiry memo, the ``pf_active`` hook skip for exactly
+``NoPrefetcher`` and Berti's ``kernel_hooks`` protocol over its
+memoised tables.  Substituting subclasses defeats each of them — the
+policy memos are set only for the stock policy classes, the hook skip
+and the kernel protocol test the prefetcher's own class, and
+:class:`ReferenceMSHR` overrides the memoised methods — and yields a
+slower engine whose observable behaviour must be bit-identical to the
+optimised one.
 
 :func:`to_reference` performs that substitution in place via
 ``__class__`` reassignment (all components are plain-``__dict__``
-classes, so this is layout-safe), plus:
+classes, so this is layout-safe).  What each substitution still
+changes:
 
-* nulling the cache's memoised policy fast paths (``_lru``,
-  ``_srrip_hit``, ``_srrip_fill``) so replacement updates go through
-  ``ReplacementPolicy`` virtual calls (``_drrip`` is kept — DRRIP miss
-  notification is functional behaviour, not a fast path);
-* :class:`ReferenceMSHR` re-deriving expiry from first principles on
+* the caches: nulling their memoised policy fast paths (``_lru``,
+  ``_srrip_hit``, ``_srrip_fill``) sends every hit and fill through
+  ``ReplacementPolicy.on_hit``/``on_fill`` calls (``_drrip`` is kept —
+  DRRIP miss notification is functional behaviour, not a fast path);
+* :class:`ReferenceMSHR` re-derives expiry from first principles on
   every query — no per-cycle memo, no ``_min_ready`` early-out — so a
   memoisation bug in the optimised MSHR shows up as an entry-set
   divergence;
-* :class:`ReferenceNoPrefetcher` defeating the ``pf_active`` hook-skip,
+* :class:`ReferenceNoPrefetcher` defeats the ``pf_active`` hook-skip,
   so the hook plumbing runs even for no-op prefetchers (it is
   statistics-neutral by construction, which the differential test
-  verifies rather than assumes).
+  verifies rather than assumes);
+* :class:`ReferenceBertiPrefetcher` (and its per-page twin) takes the
+  virtual ``on_access``/``on_fill``/``on_prefetch_hit`` hooks over the
+  object-per-entry tables of :mod:`repro.core.reference_tables`;
+* :class:`ReferenceCache`, :class:`ReferenceLRU`,
+  :class:`ReferenceSRRIP` and :class:`ReferencePQ` change no dispatch
+  of their own: the hierarchy calls the same methods on the stock
+  classes.  They mark the hierarchy as reference (:func:`is_reference`)
+  and, being non-stock, make ``native_mode`` demote it to the classic
+  loop.
 
 The conversion is idempotent (every rewrite is guarded by an exact-type
 check), so it is safe as a multicore ``post_build`` hook where the
@@ -48,19 +60,22 @@ from repro.prefetchers.base import NoPrefetcher
 
 
 class ReferenceCache(Cache):
-    """A Cache whose lookups/fills take the virtual-dispatch path."""
+    """A Cache whose policy memos :func:`to_reference` nulls, so its
+    lookups/fills make virtual policy calls."""
 
 
 class ReferenceLRU(LRUPolicy):
-    """An LRUPolicy that defeats the cache's inline age update."""
+    """An LRUPolicy the cache reaches through ``on_hit``/``on_fill``
+    once its ``_lru`` memo is nulled."""
 
 
 class ReferenceSRRIP(SRRIPPolicy):
-    """An SRRIPPolicy that defeats the cache's inline RRPV update."""
+    """An SRRIPPolicy the cache reaches through ``on_hit``/``on_fill``
+    once its ``_srrip_*`` memos are nulled."""
 
 
 class ReferencePQ(_FIFOQueue):
-    """A PQ whose occupancy sampling takes the virtual-dispatch path."""
+    """A non-stock PQ: same methods, but the native runner demotes."""
 
 
 class ReferenceNoPrefetcher(NoPrefetcher):

@@ -1,18 +1,23 @@
-"""Regression pin for PR 2's exact-type fast-path guards.
+"""Regression pin: substituted components see their methods called.
 
-The engine and hierarchy inline cache lookups, replacement updates, and
-MSHR/PQ occupancy sampling only when the component is the stock class
-(``type(x) is Cache`` etc.).  The entire sanitizer subsystem — and any
-user-substituted component model — relies on the complementary
-guarantee: a *subclass* must be routed through the virtual methods.
-These tests install counting subclasses via ``post_build`` and assert
-their overridden methods actually run, so a future optimisation cannot
-widen an exact-type check to ``isinstance`` (which would silently
-bypass substituted components) without failing here.
+The hierarchy calls ``Cache.lookup``, ``MSHR.occupancy_fraction`` and
+``_FIFOQueue.occupancy_fraction`` rather than inlining them, and three
+fast paths are left in front of virtual calls, each keyed on an exact
+class: the cache's replacement-policy memos (``_lru`` only for a stock
+``LRUPolicy``), the ``pf_active`` skip (exactly ``NoPrefetcher``), and
+Berti's ``kernel_hooks`` (declared in the prefetcher's own class body).
+The entire sanitizer subsystem — and any user-substituted component
+model — relies on the complementary guarantee: a *subclass* must be
+routed through the virtual methods.  These tests install counting
+subclasses via ``post_build`` and assert their overridden methods
+actually run, so a future optimisation cannot inline one of those
+methods again, or widen an exact-type check to ``isinstance`` (which
+would silently bypass substituted components), without failing here.
 """
 
 import pytest
 
+from repro.core.berti import BertiPrefetcher
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import _FIFOQueue
 from repro.memory.mshr import MSHR
@@ -63,6 +68,17 @@ class CountingNoPrefetcher(NoPrefetcher):
         return super().on_access(access)
 
 
+class CountingBerti(BertiPrefetcher):
+    """Does not re-declare ``kernel_hooks``, so the hierarchy must drive
+    it through the virtual hooks."""
+
+    on_access_calls = 0
+
+    def on_access(self, access):
+        CountingBerti.on_access_calls += 1
+        return super().on_access(access)
+
+
 @pytest.fixture
 def trace():
     return quick_trace(600, "guard_trace")
@@ -87,6 +103,7 @@ def _reset_counters():
     CountingPQ.occupancy_calls = 0
     CountingLRU.on_hit_calls = 0
     CountingNoPrefetcher.on_access_calls = 0
+    CountingBerti.on_access_calls = 0
 
 
 class TestSubclassesTakeVirtualPath:
@@ -138,6 +155,16 @@ class TestSubclassesTakeVirtualPath:
         # pf_active must be True for a NoPrefetcher *subclass*: wrapped
         # or faulty prefetchers rely on their hooks being invoked.
         assert CountingNoPrefetcher.on_access_calls >= len(trace)
+
+    def test_berti_subclass_gets_virtual_hooks(self, trace):
+        _reset_counters()
+        res = simulate(trace, l1d_prefetcher=CountingBerti())
+        # kernel_hooks is read from the prefetcher's own class body, so
+        # a subclass gets on_access per access, and its suggestions go
+        # through the same issue path.
+        assert CountingBerti.on_access_calls >= len(trace)
+        assert res.to_dict() == simulate(
+            trace, l1d_prefetcher=make_prefetcher("berti")).to_dict()
 
     def test_subclassed_run_matches_stock_run(self, trace):
         """The virtual path must be semantically identical to the fast

@@ -265,3 +265,29 @@ class TestQuickTrace:
         t = quick_trace(600)
         writes = sum(1 for rec in t if rec[2])
         assert 0 < writes < len(t)
+
+
+class TestSmallQueueLeg:
+    """The small-MSHR/PQ leg of ``sancheck --quick``: the only leg whose
+    prefetches reach every drop branch of the issue tail."""
+
+    @pytest.fixture(scope="class")
+    def mcf(self):
+        from repro.workloads.catalog import resolve_trace
+
+        return resolve_trace("mcf_s-1554B", 0.1)
+
+    def test_every_drop_branch_counts(self, mcf):
+        from repro.sanitizer.lockstep import QUEUE_DROPS, queue_drops
+
+        assert len(mcf) == 1080
+        assert queue_drops(mcf, "berti") == dict(
+            zip(QUEUE_DROPS, (3487, 428, 1944, 29, 531, 172)))
+        assert queue_drops(mcf, "ipcp") == dict(
+            zip(QUEUE_DROPS, (741, 520, 475, 3, 483, 0)))
+
+    def test_reference_engine_agrees(self, mcf):
+        from repro.sanitizer.lockstep import small_queue_config
+
+        report = lockstep_run(mcf, l1d="berti", config=small_queue_config())
+        assert report.ok, report.describe()

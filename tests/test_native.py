@@ -417,6 +417,9 @@ class TestOneIPCPRepresentation:
 
 
 class TestLockstepEngines:
+    # Both read the native side's labels and pass only when a kernel
+    # ran: without one, lockstep_engines reports the demotion.
+    @needs_kernel
     def test_all_quick_prefetchers_agree(self, trace):
         labels = {}
         for l1d in ("none", "berti", "ipcp", "berti_page", "ip_stride"):
@@ -430,6 +433,7 @@ class TestLockstepEngines:
                           "berti_page": "native[demoted]",
                           "ip_stride": "native[demoted]"}
 
+    @needs_kernel
     def test_small_chunk_runs_per_record(self, trace):
         report = lockstep_engines(trace, l1d="berti", chunk_size=1)
         assert report.ok, report.describe()
@@ -785,7 +789,14 @@ class TestDemotionGuards:
         assert _state_digest(hn) == _state_digest(hc)
         assert pickle.dumps(hn) == pickle.dumps(hc)
 
-    def test_negative_addresses_demote(self):
+    def test_negative_addresses_demote(self, monkeypatch):
+        # A stand-in kernel, so the address guard (not the missing
+        # compiler) is what demotes on every host; it must never run.
+        def kernel(*args):
+            raise AssertionError("the kernel ran on negative addresses")
+
+        monkeypatch.setattr(native_build, "kernel_available",
+                            lambda: (kernel, ""))
         t = Trace("negative_addrs")
         t.extend([(0x400, -4096 * (i + 1), False, 1, 0)
                   for i in range(64)])
