@@ -772,7 +772,7 @@ def _add_runner_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--retries", type=int, default=1,
                    help="extra attempts for transient failures (default 1)")
     g.add_argument("--journal", default=None,
-                   help="JSONL checkpoint journal path")
+                   help="checkpoint journal path")
     g.add_argument("--resume", action="store_true",
                    help="replay completed jobs from --journal")
     g.add_argument("--inject", action="append", default=None,

@@ -1,49 +1,47 @@
-"""Shared crash-durability primitives for whole-file artifacts.
+"""Shared crash-durability primitives: whole files and one append-only log.
 
-Three layers of the system persist whole-document JSON next to their
-append-only journals: the fleet event manifest
-(:mod:`repro.fleet.manifest`), the campaign supervisor's manifest
-(:mod:`repro.runner.supervisor`), and the fuzzing campaign reports
-(:mod:`repro.fuzz`).  The runner's checkpoint journal
-(:mod:`repro.runner.journal`), the simulator snapshots
-(:mod:`repro.sanitizer.snapshot`), the service's result cache
-(:mod:`repro.service.resultcache`) and the trace stores
-(:mod:`repro.memory.tracestore`) write whole files the same way through
-:func:`atomic_write_bytes`.  They all need the same three guarantees:
+**Whole documents** — trace stores, snapshots, result-cache entries,
+the fleet and campaign manifests, fuzzing reports — are written with
+:func:`atomic_write_bytes` (temp file, ``fsync``, ``os.replace``, then
+a directory ``fsync``), so a reader sees the old file or the new.  The
+manifests reload through :func:`tolerant_read_json`, which heals a
+document an older, non-atomic writer tore: :func:`heal_truncated_json`
+only removes trailing data and appends closers, so a healed document
+holds only key/value pairs fully present on disk.
 
-* **atomic visibility** — readers never observe a half-written file
-  (temp file + ``fsync`` + ``os.replace``);
-* **durable renames** — the rename itself survives power loss where the
-  platform allows it (``fsync`` of the containing directory);
-* **tolerant reload** — a document written by an older, non-atomic
-  writer (or truncated by a dying filesystem) is *healed* rather than
-  silently discarded: the longest structurally complete prefix is
-  recovered and the caller is told bytes were lost.
-
-:func:`heal_truncated_json` is the torn-tail recovery: it scans the
-prefix once to learn the open bracket/string state, then tries a
-bounded number of cut points from the tail backwards, closing whatever
-is open.  It is deliberately conservative — it only ever *removes*
-trailing data and appends closers, so a healed document contains only
-key/value pairs that were fully present in the bytes on disk.
+**Append-only logs** — the service WAL and the runner's checkpoint
+journal — are a :class:`RecordLog`: one line per record, a frame
+``{"crc":…,"rec":{…},"seq":N}`` in :func:`canonical_json`, where
+``crc`` is the CRC32 of the record's canonical JSON and ``seq`` counts
+from 1 with no gap.  An append writes one frame and syncs it to disk; a
+failed one leaves the log as it was.  Replay cuts a torn final frame
+and refuses any other bad frame with
+:class:`~repro.errors.RecordLogError`: guessing at history would serve
+results that were never computed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.errors import RecordLogError
 
 __all__ = [
+    "RecordLog",
     "atomic_write_bytes",
     "atomic_write_json",
     "canonical_json",
     "crc32_of",
+    "encode_frame",
     "fsync_dir",
     "heal_truncated_json",
+    "read_log",
     "tolerant_read_json",
 ]
 
@@ -224,3 +222,160 @@ def tolerant_read_json(path: str | Path) -> Tuple[Optional[Any], bool]:
         return json.loads(raw.decode("utf-8")), False
     except (json.JSONDecodeError, UnicodeDecodeError):
         return heal_truncated_json(raw), True
+
+
+# ----------------------------------------------------------------------
+# The append-only record log
+# ----------------------------------------------------------------------
+
+def encode_frame(seq: int, rec: Dict[str, Any]) -> bytes:
+    """The log line for record ``rec`` at sequence number ``seq``.
+
+    The bytes are ``canonical_json({"seq": seq, "crc": crc, "rec": rec})``
+    plus a newline (the keys sort as crc, rec, seq), with ``rec``
+    encoded once instead of twice.
+    """
+    body = canonical_json(rec)
+    crc = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
+    return f'{{"crc":{crc},"rec":{body},"seq":{seq}}}\n'.encode("ascii")
+
+
+def _decode_frame(line: bytes, seq: int) -> Optional[Dict[str, Any]]:
+    """The record of a verified frame numbered ``seq``, else ``None``."""
+    try:
+        frame = json.loads(line)
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        return None
+    if (not isinstance(frame, dict) or not isinstance(frame.get("rec"), dict)
+            or frame.get("crc") != crc32_of(frame["rec"])
+            or type(frame.get("seq")) is not int or frame["seq"] != seq):
+        return None
+    return frame["rec"]
+
+
+def _scan(raw: bytes, path: Path) -> Tuple[List[Dict[str, Any]], int]:
+    """Verified records and the byte offset just past the last of them.
+
+    A bad frame followed by nothing but whitespace is the torn tail and
+    ends the scan; any other bad frame raises :class:`RecordLogError`.
+    """
+    records: List[Dict[str, Any]] = []
+    good_end = offset = 0
+    while offset < len(raw):
+        nl = raw.find(b"\n", offset)
+        end = len(raw) if nl < 0 else nl + 1
+        rec = _decode_frame(raw[offset:end], len(records) + 1)
+        if rec is None:
+            if not raw[end:].strip():
+                break
+            raise RecordLogError(
+                f"{path} corrupt before EOF at byte {offset} "
+                f"({raw[offset:offset + 60]!r}); refusing to guess at its "
+                f"history", field=path.name,
+            )
+        records.append(rec)
+        good_end = offset = end
+    return records, good_end
+
+
+def _read(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except FileNotFoundError:
+        return b""
+    except OSError as exc:
+        raise RecordLogError(f"cannot read {path}: {exc}",
+                             field=path.name) from exc
+
+
+def read_log(path: str | Path) -> List[Dict[str, Any]]:
+    """Read-only replay: the verified records of the log at ``path``.
+
+    A torn tail is skipped but left on disk, so a checker may read a
+    log while its writer appends; a missing log is empty.
+    """
+    path = Path(path)
+    return _scan(_read(path), path)[0]
+
+
+class RecordLog:
+    """The append-only, ``fsync``'d, torn-tail-healing record log.
+
+    One writer per file.  :meth:`replay` runs before the first
+    :meth:`append` and continues the sequence from the last good frame;
+    after :meth:`close` an append reopens the file where the log ends.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._fh = None  # unbuffered, written with ``os.pwrite``
+        self._seq = 0
+        #: Bytes of verified frames: where the next frame is written.
+        self._end: Optional[int] = None
+
+    def replay(
+        self,
+        unframed: Optional[Callable[[bytes], Optional[List[dict]]]] = None,
+    ) -> List[Dict[str, Any]]:
+        """Verify the log, truncate a torn tail, return the records.
+
+        ``unframed`` reads a file written before the log was framed: if
+        it returns records for the raw bytes, the file is atomically
+        rewritten as their frames and those records are returned.
+        """
+        if self._fh is not None:
+            raise RecordLogError(
+                "replay() must run before the first append",
+                field=self.path.name,
+            )
+        raw = _read(self.path)
+        old = unframed(raw) if unframed is not None and raw else None
+        if old is not None:
+            frames = [encode_frame(seq, rec)
+                      for seq, rec in enumerate(old, 1)]
+            atomic_write_bytes(self.path, *frames)
+            self._seq, self._end = len(frames), sum(map(len, frames))
+            return old
+        records, good_end = _scan(raw, self.path)
+        if good_end < len(raw):
+            with open(self.path, "r+b") as fh:
+                fh.truncate(good_end)
+                os.fsync(fh.fileno())
+        self._seq, self._end = len(records), good_end
+        return records
+
+    def append(self, rec: Dict[str, Any]) -> int:
+        """Durably append one record; returns its sequence number.
+
+        The sequence advances only once the frame is ``fsync``'d; if
+        the write or the ``fsync`` raises, the file is cut back to the
+        last good frame before the error propagates.
+        """
+        frame = encode_frame(self._seq + 1, rec)
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = os.fdopen(
+                os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666),
+                "wb", buffering=0)
+            if self._end is None:
+                self._end = os.fstat(self._fh.fileno()).st_size
+        fd, offset, view = self._fh.fileno(), self._end, memoryview(frame)
+        try:
+            while view:
+                written = os.pwrite(fd, view, offset)
+                view, offset = view[written:], offset + written
+            os.fsync(fd)
+        except BaseException:
+            # If the cut fails too, the next frame is written over the
+            # partial one and a replay cuts any rest as a torn tail.
+            with contextlib.suppress(OSError):
+                os.ftruncate(fd, self._end)
+            raise
+        self._end += len(frame)
+        self._seq += 1
+        return self._seq
+
+    def close(self) -> None:
+        if self._fh is not None:
+            fh, self._fh = self._fh, None
+            fh.close()

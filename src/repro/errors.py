@@ -366,6 +366,13 @@ class CacheCorruption(ServiceError):
         super().__init__(message, **kwargs)
 
 
+class RecordLogError(ReproError):
+    """A :class:`repro.durability.RecordLog` (the service WAL, the
+    checkpoint journal) refused to replay: a bad frame before the torn
+    tail, a sequence gap, or a replay after appends began.  Not
+    retryable: the log's history cannot be trusted."""
+
+
 class HeartbeatTimeout(JobTimeout):
     """A worker stopped emitting progress heartbeats and was preempted.
 
@@ -381,5 +388,5 @@ class FuzzError(ReproError):
     Raised by :mod:`repro.fuzz` when a replayable case file cannot be
     parsed or fails its schema check — the fuzzer holds its own
     artifacts to the same typed-rejection standard it enforces on the
-    four persisted simulator formats.
+    five persisted simulator formats.
     """

@@ -1,18 +1,21 @@
 """Corruption injector: every persisted format vs hostile bytes.
 
 Builds one small, pristine artifact per persisted format — a ``.trc``
-trace store, a simulator snapshot, a service WAL, and a result-cache
-entry — then applies a deterministic battery of mutations (single-bit
-flips spread over the file, truncations at structural and arbitrary
-offsets, block splices, and a grown tail) and asserts the reader's
-contract on every mutant:
+trace store, a simulator snapshot, a service WAL, a checkpoint journal,
+and a result-cache entry — then applies a deterministic battery of
+mutations (single-bit flips spread over the file, truncations at
+structural and arbitrary offsets, block splices, and a grown tail) and
+asserts the reader's contract on every mutant:
 
 * ``.trc``      → :class:`TraceStoreError` from open or ``verify()``;
 * snapshot      → :class:`SnapshotError` from ``load_snapshot``;
-* WAL           → :class:`ServiceError`, **or** a healed replay whose
-  records are a strict prefix of the original history (torn-tail
-  healing is the WAL's documented contract — anything that "heals" to
-  a non-prefix is corruption being laundered into history);
+* WAL, journal  → :class:`RecordLogError`, **or** a healed replay whose
+  records are a prefix of the original history (torn-tail healing is
+  the record log's documented contract — anything that "heals" to a
+  non-prefix is corruption being laundered into history).  The journal
+  is read through ``Journal.load``, the resume path, so a mutant that
+  the unframed-journal migration would read with the old tolerant
+  rules shows up here as a finding;
 * result cache  → :class:`CacheCorruption` from ``get``.
 
 Any other exception type is a **non-typed-error finding** (a raw
@@ -32,6 +35,7 @@ from typing import Any, Callable, Dict, List, Tuple
 
 from repro.errors import (
     CacheCorruption,
+    RecordLogError,
     ServiceError,
     SnapshotError,
 )
@@ -43,7 +47,7 @@ from repro.memory.tracestore import (
 
 __all__ = ["CorruptionReport", "corruption_matrix"]
 
-FORMATS = ("tracestore", "snapshot", "wal", "resultcache")
+FORMATS = ("tracestore", "snapshot", "wal", "journal", "resultcache")
 
 
 @dataclass
@@ -52,7 +56,7 @@ class CorruptionReport:
 
     checked: int = 0
     rejected: int = 0
-    healed: int = 0   # WAL only: torn tail cut back to a clean prefix
+    healed: int = 0   # WAL and journal: torn tail cut back to a prefix
     findings: List[Dict[str, Any]] = field(default_factory=list)
     per_format: Dict[str, int] = field(default_factory=dict)
 
@@ -133,14 +137,10 @@ def _check_format(
         report.checked += 1
         try:
             verdict = reader()
-        except (TraceStoreError, SnapshotError, CacheCorruption) as exc:
-            # ServiceError is CacheCorruption's parent; isinstance order
-            # does not matter — all three are the typed families the
-            # formats document.
-            del exc
-            report.rejected += 1
-            continue
-        except ServiceError:
+        except (TraceStoreError, SnapshotError, RecordLogError,
+                ServiceError):
+            # ServiceError is CacheCorruption's parent; these are the
+            # typed families the formats document.
             report.rejected += 1
             continue
         except Exception as exc:  # noqa: BLE001 — that *is* the check
@@ -162,9 +162,21 @@ def _check_format(
     path.write_bytes(pristine)  # leave the artifact clean for reuse
 
 
+def _healed(path: Path, mutant: bytes, got: list, original: list) -> str:
+    """The torn-tail contract: replay cut at most the mutant's last line
+    and returned a prefix of the original records (possibly all of them,
+    e.g. after a stripped final newline or a grown garbage tail)."""
+    kept = path.read_bytes()
+    cut = mutant[len(kept):]
+    if (mutant.startswith(kept) and b"\n" not in cut.rstrip()
+            and got == original[:len(got)]):
+        return "healed"
+    return "accepted"
+
+
 def corruption_matrix(workdir, seed: int = 0,
                       flips_per_format: int = 24) -> CorruptionReport:
-    """Build all four artifacts and run the mutant battery on each."""
+    """Build all five artifacts and run the mutant battery on each."""
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     report = CorruptionReport()
@@ -206,10 +218,10 @@ def corruption_matrix(workdir, seed: int = 0,
                   flips_per_format, report)
 
     # -- service WAL ---------------------------------------------------
-    from repro.service.wal import ServiceWAL
+    from repro.durability import RecordLog
 
     wal_path = workdir / "probe.wal"
-    wal = ServiceWAL(wal_path)
+    wal = RecordLog(wal_path)
     original = [{"type": "submit", "i": i, "payload": "x" * 20}
                 for i in range(8)]
     for rec in original:
@@ -217,17 +229,37 @@ def corruption_matrix(workdir, seed: int = 0,
     wal.close()
 
     def read_wal() -> str:
-        got = ServiceWAL(wal_path).replay()
-        if got == original[:len(got)]:
-            # Every replayed record is CRC-verified and sequence-checked,
-            # so a prefix (possibly the full history — e.g. a stripped
-            # final newline or a healed garbage tail) means no corrupted
-            # content was accepted: the documented torn-tail contract.
-            return "healed"
-        return "accepted"
+        mutant = wal_path.read_bytes()
+        return _healed(wal_path, mutant, RecordLog(wal_path).replay(),
+                       original)
 
     _check_format("wal", wal_path, wal_path.read_bytes(), read_wal,
                   Random(seed ^ zlib.crc32(b"wal")),
+                  flips_per_format, report)
+
+    # -- checkpoint journal --------------------------------------------
+    from repro.runner.jobs import CompletedRun
+    from repro.runner.journal import Journal
+
+    journal_path = workdir / "probe.jsonl"
+    journal = Journal(journal_path)
+    for i in range(4):
+        journal.append(CompletedRun(
+            key=f"{trace.name}|berti|{i}", elapsed=0.5 + i,
+            result={"l1d_misses": 114 + i, "ipc": 1.25, "cycles": 9000 + i},
+        ))
+    journal.close()
+    entries = list(Journal(journal_path).load().values())
+
+    def read_journal() -> str:
+        # A rewrite, not a cut, would mean the mutant was taken for an
+        # unframed journal and read by the old tolerant rules.
+        mutant = journal_path.read_bytes()
+        return _healed(journal_path, mutant,
+                       list(Journal(journal_path).load().values()), entries)
+
+    _check_format("journal", journal_path, journal_path.read_bytes(),
+                  read_journal, Random(seed ^ zlib.crc32(b"journal")),
                   flips_per_format, report)
 
     # -- result cache --------------------------------------------------

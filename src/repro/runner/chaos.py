@@ -9,9 +9,9 @@ held:
   must be buffered and flushed once the disk "recovers", in order,
   losing and duplicating nothing.
 * ``sigkill``     — the campaign process SIGKILLs *itself* in the middle
-  of a journal append (after spilling a torn half-line, the classic
-  crash artefact); the journal must stay parseable and a plain resume
-  must execute exactly the missing jobs.
+  of a journal append (after spilling half a frame, the classic crash
+  artefact); the journal must still replay and a plain resume must
+  execute exactly the missing jobs.
 * ``hung-worker`` — a worker sleeps forever; the heartbeat watchdog must
   preempt it long before any wall-clock budget.
 * ``balloon``     — a worker allocates real resident memory and idles;
@@ -62,10 +62,10 @@ fault-injecting transport for deterministic network failure:
   lease budget, and the healed file must then produce byte-identical
   results.
 
-After every scenario the harness checks the **journal invariants**: all
-lines parse (a torn line is tolerated only at EOF), no key has more than
-one ``ok`` record, a resume executes exactly the missing keys, and the
-merged results are bit-identical to a fault-free reference run.
+After every scenario the harness checks the **journal invariants**: every
+frame verifies (a torn frame is tolerated only at EOF), no key has more
+than one ``ok`` record, a resume executes exactly the missing keys, and
+the merged results are bit-identical to a fault-free reference run.
 
 Everything is counter-based — no randomness, no reliance on real host
 pressure — so a failing scenario reproduces exactly.  ``repro chaos``
@@ -82,10 +82,13 @@ import os
 import signal
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
+from repro.durability import encode_frame, read_log
+from repro.errors import RecordLogError
 from repro.runner import worker
 from repro.runner.executor import ExperimentRunner, RunnerConfig
 from repro.runner.faultinject import FaultSpec
@@ -140,10 +143,11 @@ class ENOSPCJournal(Journal):
 class KillerJournal(Journal):
     """A journal that SIGKILLs its own process mid-append.
 
-    On the ``kill_on``-th append it first spills a torn half-line
-    directly into the journal file — the artefact a real power cut or
-    OOM kill leaves behind — and then SIGKILLs the process, so neither
-    ``finally`` blocks nor ``atexit`` hooks get to tidy up.
+    On the ``kill_on``-th append it first spills the first half of the
+    frame that append would write directly into the journal file — the
+    artefact a real power cut or OOM kill leaves behind — and then
+    SIGKILLs the process, so neither ``finally`` blocks nor ``atexit``
+    hooks get to tidy up.
     """
 
     def __init__(self, path: Union[str, Path], kill_on: int = 2) -> None:
@@ -154,9 +158,9 @@ class KillerJournal(Journal):
     def append(self, outcome) -> None:
         self._appends += 1
         if self._appends == self.kill_on:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write('{"schema": 2, "key": "torn-')
+            frame = encode_frame(self._appends, self._encode(outcome))
+            with self.path.open("ab") as fh:
+                fh.write(frame[:len(frame) // 2])
                 fh.flush()
                 os.fsync(fh.fileno())
             os.kill(os.getpid(), signal.SIGKILL)
@@ -190,35 +194,23 @@ class SkewedClock:
 def verify_journal(path: Union[str, Path]) -> List[str]:
     """Check the journal invariants; returns human-readable problems.
 
-    * every line parses as JSON — a torn line is tolerated only as the
-      very last line (the artefact of a mid-append kill);
+    * the journal replays (:func:`repro.durability.read_log`): every
+      frame verifies, and a torn frame is tolerated only at EOF (the
+      artefact of a mid-append kill);
     * no key has more than one ``ok`` record (a resume must replay, not
       re-run, finished jobs).
     """
     path = Path(path)
-    problems: List[str] = []
     if not path.exists():
         return ["journal file does not exist"]
-    lines = path.read_text(encoding="utf-8").splitlines()
-    ok_counts: Dict[str, int] = {}
-    for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            if i != len(lines) - 1:
-                problems.append(
-                    f"torn/corrupt line {i + 1} of {len(lines)} is not "
-                    f"at EOF: {line[:60]!r}"
-                )
-            continue
-        if rec.get("status") == "ok" and rec.get("key"):
-            ok_counts[rec["key"]] = ok_counts.get(rec["key"], 0) + 1
-    for key, count in sorted(ok_counts.items()):
-        if count > 1:
-            problems.append(f"{count} duplicate ok records for {key!r}")
-    return problems
+    try:
+        records = read_log(path)
+    except RecordLogError as exc:
+        return [f"journal does not replay: {exc}"]
+    ok_counts = Counter(rec["key"] for rec in records
+                        if rec.get("status") == "ok" and rec.get("key"))
+    return [f"{count} duplicate ok records for {key!r}"
+            for key, count in sorted(ok_counts.items()) if count > 1]
 
 
 def _reference_results(specs: Sequence[JobSpec]) -> Dict[str, dict]:
@@ -566,24 +558,11 @@ def _service_results_map(service, cid: str) -> Dict[str, dict]:
     return {r["key"]: r.get("result") for r in resp["results"]}
 
 
-def _wal_records(state_dir: Path) -> List[dict]:
-    records = []
-    path = state_dir / "service.wal"
-    if not path.exists():
-        return records
-    for line in path.read_text(encoding="ascii").splitlines():
-        try:
-            records.append(json.loads(line)["rec"])
-        except (json.JSONDecodeError, KeyError):
-            continue  # torn tail; the WAL's own replay handles it
-    return records
-
-
 def _check_wal_exactly_once(state_dir: Path,
                             expect_keys: int) -> List[str]:
     """Every content key must have exactly one ``ok`` result record."""
     counts: Dict[str, int] = {}
-    for rec in _wal_records(state_dir):
+    for rec in read_log(state_dir / "service.wal"):
         if rec.get("type") == "result" and rec.get("status") == "ok":
             key = rec.get("content_key", "?")
             counts[key] = counts.get(key, 0) + 1
@@ -643,7 +622,7 @@ def _scenario_service_sigkill(workdir: Path) -> List[str]:
     proc.join()
 
     computed_before = sum(
-        1 for rec in _wal_records(state_dir)
+        1 for rec in read_log(state_dir / "service.wal")
         if rec.get("type") == "result" and rec.get("status") == "ok"
     )
     if computed_before >= len(specs):
@@ -658,7 +637,7 @@ def _scenario_service_sigkill(workdir: Path) -> List[str]:
                             f"expected 2")
         # Only the records written before the restart's epoch marker
         # describe the kill; the resumed workers append concurrently.
-        wal = _wal_records(state_dir)
+        wal = read_log(state_dir / "service.wal")
         epoch2 = next(i for i, r in enumerate(wal)
                       if r.get("type") == "epoch" and r.get("epoch") == 2)
         dead_epoch = wal[:epoch2]
@@ -847,7 +826,7 @@ def _scenario_duplicate_submit(workdir: Path) -> List[str]:
             problems.append(f"duplicate submission caused recomputation: "
                             f"{service.jobs_computed} computes for "
                             f"{len(specs)} unique jobs")
-        campaign_recs = [r for r in _wal_records(state_dir)
+        campaign_recs = [r for r in read_log(state_dir / "service.wal")
                          if r.get("type") == "campaign"]
         if len(campaign_recs) != 1:
             problems.append(f"{len(campaign_recs)} campaign WAL records "
@@ -983,7 +962,7 @@ def _scenario_agent_sigkill(workdir: Path) -> List[str]:
                                 f"(saw {events})")
         if not service.fleet_status()["degraded"]:
             problems.append("daemon is not degraded with zero live agents")
-        requeued = [r for r in _wal_records(state_dir)
+        requeued = [r for r in read_log(state_dir / "service.wal")
                     if r.get("type") == "lease-expired" and r.get("agent")]
         if not requeued:
             problems.append("no agent-attributed lease-expired WAL record")
@@ -1169,7 +1148,7 @@ def _scenario_digest_mismatch(workdir: Path) -> List[str]:
                             f"done={agent.jobs_done})")
         if service.jobs_computed != 0:
             problems.append("a job ran against corrupted trace bytes")
-        refused = [r for r in _wal_records(state_dir)
+        refused = [r for r in read_log(state_dir / "service.wal")
                    if r.get("type") == "refused"]
         if len(refused) != 1 or not refused[0].get("requeued") \
                 or refused[0].get("agent") != agent.agent_id:

@@ -10,7 +10,7 @@ Runs a batch of jobs either inline (``workers=0``) or across a
 * **bounded retry with exponential backoff** — transient failures
   (``SimulationError``, lost workers, optionally timeouts) are retried
   up to ``retries`` extra attempts; trace/config errors never are;
-* **checkpoint journaling** — every outcome is appended to a JSONL
+* **checkpoint journaling** — every outcome is appended to a CRC-framed
   journal the moment it is known, and ``resume=True`` replays completed
   jobs instead of re-running them.  If the journal itself cannot be
   written (disk full), outcomes are buffered in order and flushed the
@@ -289,14 +289,18 @@ class ExperimentRunner:
         outcomes: Dict[str, RunOutcome] = {}
         pending: List = list(jobs)
 
-        if self._journal is not None and self.config.resume:
-            replayed = self._replay_journal(pending, outcomes)
-            pending = [job for job in pending if job.key not in outcomes]
-            if self.config.verbose and replayed:
-                print(
-                    f"[runner] resumed {replayed} completed jobs from "
-                    f"{self._journal.path}", file=sys.stderr,
-                )
+        if self._journal is not None:
+            # Opening the journal verifies it, so a corrupt one is
+            # refused before any job runs.
+            records = self._journal.load()
+            if self.config.resume:
+                replayed = self._replay_journal(records, pending, outcomes)
+                pending = [job for job in pending if job.key not in outcomes]
+                if self.config.verbose and replayed:
+                    print(
+                        f"[runner] resumed {replayed} completed jobs from "
+                        f"{self._journal.path}", file=sys.stderr,
+                    )
 
         if pending:
             if self.config.workers == 0:
@@ -305,6 +309,8 @@ class ExperimentRunner:
                 self._run_pool(pending, outcomes)
 
         self._flush_journal()  # last chance for backlogged records
+        if self._journal is not None:
+            self._journal.close()
         interrupted = any(k not in outcomes for k in keys)
         return SuiteResult(
             outcomes=[outcomes[k] for k in keys if k in outcomes],
@@ -313,8 +319,10 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
 
-    def _replay_journal(self, jobs: Sequence, outcomes: Dict) -> int:
-        records = self._journal.load()
+    def _replay_journal(self, records: Dict[str, dict], jobs: Sequence,
+                        outcomes: Dict) -> int:
+        """Adopt the journal's ``ok`` records for ``jobs``; returns how
+        many were replayed."""
         replayed = 0
         for job in jobs:
             rec = records.get(job.key)

@@ -1,14 +1,14 @@
-"""JSONL checkpoint journal: crash-safe progress for long campaigns.
+"""Checkpoint journal: crash-safe progress for long campaigns.
 
-One line per finished job (completed, given up on, *or* quarantined),
-appended and flushed immediately, so an interrupted suite loses at most
-the jobs that were still in flight.  On ``--resume`` the journal is
-replayed: jobs with a stored ``ok`` record return their deserialised
-result without re-running; failed and quarantined records are retried
-(the supervisor turns quarantined groups into half-open probes).
+One record per finished job (completed, given up on, *or* quarantined),
+one fsync'd frame of a :class:`repro.durability.RecordLog` each, so an
+interrupted suite loses at most the jobs that were still in flight.  On
+``--resume`` the journal is replayed: jobs with a stored ``ok`` record
+return their deserialised result without re-running; failed and
+quarantined records are retried (the supervisor turns quarantined
+groups into half-open probes).
 
-Line format — schema version 3 (all lines are independent JSON
-objects)::
+Record format — schema version 3 (the ``rec`` of each frame)::
 
     {"schema": 3, "key": "<job key>", "status": "ok", "attempt": 1,
      "elapsed_seconds": 1.2, "worker_pid": 4242,
@@ -24,24 +24,29 @@ objects)::
 Version 3 is purely *additive* over version 2: ``lease_id`` and
 ``lineage`` record which campaign-service lease (:mod:`repro.service`)
 produced the outcome and its grant/renew/expiry history; both are
-omitted for direct runner executions, so v2-shaped lines keep being
-written where no lease was involved and v2 journals replay byte-for-
-byte unchanged.  Version-1 journals (no ``schema`` field;
-``attempts`` / ``elapsed`` instead of ``attempt`` /
+omitted for direct runner executions.  Version-1 records (no
+``schema`` field; ``attempts`` / ``elapsed`` instead of ``attempt`` /
 ``elapsed_seconds``; no ``worker_pid``) are also still read: missing
 fields default, so pre-supervisor campaigns resume unchanged.
 
-The *last* record for a key wins, so re-runs simply append.  Truncated
-or corrupt lines (a worker killed mid-write) are skipped, not fatal.
+Opening the journal (the first :meth:`Journal.load` or append) replays
+it: a torn final frame is cut off, any other bad frame raises
+:class:`~repro.errors.RecordLogError`.  An unframed journal (schemas
+1–3 wrote one bare JSON record per line) is read once with the old
+rules, unparseable lines skipped, and rewritten as frames.  A file is
+unframed only when some line is a record with a ``key`` and no line
+parses as a frame, so a damaged framed journal is never read that way.
+
+The *last* record for a key wins, so re-runs simply append.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
-from repro.durability import atomic_write_bytes
+from repro.durability import RecordLog, read_log
 from repro.errors import ResourceError
 from repro.runner.jobs import CompletedRun, QuarantinedRun, RunOutcome
 from repro.simulator.stats import SimResult
@@ -49,16 +54,35 @@ from repro.simulator.stats import SimResult
 #: Bumped when the record shape changes; readers accept all versions.
 SCHEMA_VERSION = 3
 
+_FRAME_KEYS = frozenset(("crc", "rec", "seq"))
+
+
+def _read_unframed(raw: bytes) -> Optional[List[dict]]:
+    """The records of an unframed (schema 1–3) journal, else ``None``."""
+    records = []
+    for line in raw.splitlines():
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            continue  # torn write from an interrupted run
+        if not isinstance(rec, dict):
+            continue
+        if not _FRAME_KEYS.isdisjoint(rec):
+            return None
+        if rec.get("key"):
+            records.append(rec)
+    return records or None
+
 
 class Journal:
-    """Append-only JSONL record of job outcomes.
+    """Append-only record of job outcomes.
 
     ``guard`` is an optional pre-write check (the supervisor installs a
     free-disk probe): it returns a human-readable reason to refuse the
     write, or ``None`` to proceed.  A refused append raises
-    :class:`~repro.errors.ResourceError` *before* any bytes are written,
-    so the journal is never half-updated by a full disk — the runner
-    buffers the outcome and flushes it once the guard clears.
+    :class:`~repro.errors.ResourceError` *before* any bytes are written
+    — and a failed write leaves the journal as it was — so the runner
+    buffers the outcome and flushes it once the journal recovers.
     """
 
     def __init__(
@@ -68,51 +92,39 @@ class Journal:
     ) -> None:
         self.path = Path(path)
         self.guard = guard
+        self._log: Optional[RecordLog] = None
 
-    def load(self) -> Dict[str, dict]:
-        """Parse the journal; returns the last record per job key."""
-        records: Dict[str, dict] = {}
-        if not self.path.exists():
-            return records
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn write from an interrupted run
-                key = rec.get("key")
-                if key:
-                    records[key] = rec
+    def _open(self) -> List[dict]:
+        log = RecordLog(self.path)
+        records = log.replay(unframed=_read_unframed)
+        self._log = log
         return records
 
-    def append(self, outcome: RunOutcome) -> None:
-        """Record one outcome, durable on disk before returning.
+    def load(self) -> Dict[str, dict]:
+        """The last record per job key.
 
-        Write-temp-then-rename: the journal's existing bytes plus the
-        new line go to a temp file in the same directory, are fsynced,
-        and replace the journal atomically.  A crash at any point leaves
-        either the old journal or the new one — never a torn line in the
-        middle of the file (a torn *tail* from pre-hardening journals is
-        still tolerated by :meth:`load`).  Journals are one line per
-        finished job, so the rewrite is a few kilobytes per append.
+        The first call opens the journal (see the module docstring);
+        later ones re-read it without writing.
         """
+        records = self._open() if self._log is None else read_log(self.path)
+        return {rec["key"]: rec for rec in records if rec.get("key")}
+
+    def append(self, outcome: RunOutcome) -> None:
+        """Record one outcome as one frame, durable before returning."""
         if self.guard is not None:
             reason = self.guard()
             if reason:
                 raise ResourceError(
                     f"journal append refused: {reason}", field="journal"
                 )
-        try:
-            existing = self.path.read_bytes()
-        except FileNotFoundError:
-            existing = b""
-        if existing and not existing.endswith(b"\n"):
-            existing += b"\n"  # heal a torn tail so the new record parses
-        line = (json.dumps(self._encode(outcome)) + "\n").encode("utf-8")
-        atomic_write_bytes(self.path, existing, line)
+        if self._log is None:
+            self._open()
+        self._log.append(self._encode(outcome))
+
+    def close(self) -> None:
+        """Release the file; a later append reopens it where it ends."""
+        if self._log is not None:
+            self._log.close()
 
     @staticmethod
     def _encode(outcome: RunOutcome) -> dict:
@@ -198,7 +210,7 @@ class Journal:
             return None
         return QuarantinedRun(
             key=rec["key"],
-            group=rec.get("group", rec["key"]),
+            group=rec.get("group") or rec["key"],
             failures=rec.get("failures", 0),
             message=rec.get("message", ""),
             from_journal=True,

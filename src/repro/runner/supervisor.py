@@ -236,8 +236,6 @@ class CampaignSupervisor(ExperimentRunner):
         self._drain = False
         self._hard_killed = False
         self._campaign_started = self._now()
-        if self.config.resume and self._journal is not None:
-            self._seed_breakers()
         self._ensure_heartbeat_dir()
         restore = self._install_signal_handlers()
         try:
@@ -573,20 +571,22 @@ class CampaignSupervisor(ExperimentRunner):
     # Circuit breakers
     # ------------------------------------------------------------------
 
-    def _seed_breakers(self) -> None:
-        """On resume, rebuild breaker state from quarantined journal
+    def _replay_journal(self, records: Dict[str, dict], jobs,
+                        outcomes: Dict) -> int:
+        """On resume, also rebuild breaker state from the quarantined
         records: each quarantined group starts open with one half-open
         probe available."""
-        for rec in self._journal.load().values():
-            if rec.get("status") != "quarantined":
+        for rec in records.values():
+            quarantined = Journal.decode_quarantined(rec)
+            if quarantined is None:
                 continue
-            group = rec.get("group") or rec.get("key")
-            breaker = self._breakers.setdefault(group, _Breaker())
+            breaker = self._breakers.setdefault(quarantined.group,
+                                                _Breaker())
             breaker.state = "open"
-            breaker.strikes = max(breaker.strikes,
-                                  rec.get("failures", 0))
+            breaker.strikes = max(breaker.strikes, quarantined.failures)
             breaker.tripped_this_run = False
             breaker.probe_spent = False
+        return super()._replay_journal(records, jobs, outcomes)
 
     def _update_breaker(self, outcome: RunOutcome, job) -> None:
         if isinstance(outcome, QuarantinedRun):

@@ -3,10 +3,10 @@
 ``repro serve`` runs :class:`~repro.service.daemon.CampaignService`, a
 crash-safe scheduler in front of the simulation workers:
 
-* a write-ahead, fsync'd, torn-tail-healing journal
-  (:mod:`~repro.service.wal`) makes every queue/lease/result transition
-  durable, so a SIGKILL'd daemon restarts into the exact same campaign
-  state;
+* a write-ahead, fsync'd, torn-tail-healing log (``service.wal``, a
+  :class:`~repro.durability.RecordLog`) makes every queue/lease/result
+  transition durable, so a SIGKILL'd daemon restarts into the exact
+  same campaign state;
 * time-bounded job leases (:mod:`~repro.service.leases`) renewed from
   worker heartbeats turn lost workers into bounded requeues with full
   attempt lineage — never lost or duplicated results;
@@ -27,7 +27,6 @@ from repro.service.daemon import (CampaignService, ServiceConfig,
                                   canonical_job_config, job_content_key)
 from repro.service.leases import Lease, LeaseTable
 from repro.service.resultcache import ResultCache, content_key
-from repro.service.wal import ServiceWAL, canonical_json, crc32_of
 
 __all__ = [
     "CampaignService",
@@ -40,7 +39,4 @@ __all__ = [
     "LeaseTable",
     "ResultCache",
     "content_key",
-    "ServiceWAL",
-    "canonical_json",
-    "crc32_of",
 ]

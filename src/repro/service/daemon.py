@@ -4,10 +4,10 @@
 long-running, crash-safe simulation service:
 
 * **Durable state** — every transition is written ahead to a CRC-framed
-  fsync'd WAL (:mod:`repro.service.wal`); after a SIGKILL the daemon
-  replays it and resumes the full queue and in-flight picture
-  bit-identically (in-flight jobs of the dead epoch are provably
-  orphaned and requeue immediately, with lineage).
+  fsync'd WAL (``service.wal``, a :class:`repro.durability.RecordLog`);
+  after a SIGKILL the daemon replays it and resumes the full queue and
+  in-flight picture bit-identically (in-flight jobs of the dead epoch
+  are provably orphaned and requeue immediately, with lineage).
 * **Idempotent submission** — each job is keyed by the content hash of
   (trace digest, canonicalized config).  Identical submissions dedupe
   into one computation; completed keys are served from the
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Union
 
+from repro.durability import RecordLog
 from repro.errors import ConfigError, ReproError, ServiceError
 from repro.fleet.manifest import FleetManifest
 from repro.fleet.registry import AgentRegistry
@@ -49,7 +50,6 @@ from repro.runner.jobs import JobSpec, classify_error
 from repro.runner.resources import read_heartbeat
 from repro.service.leases import LeaseTable
 from repro.service.resultcache import ResultCache, content_key
-from repro.service.wal import ServiceWAL
 
 __all__ = ["CampaignService", "ServiceConfig", "canonical_job_config",
            "job_content_key"]
@@ -219,7 +219,7 @@ class CampaignService:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self._now = now_fn or time.monotonic
         self._run_fn = run_fn or runner_worker.run_job
-        self.wal = ServiceWAL(self.state_dir / "service.wal")
+        self.wal = RecordLog(self.state_dir / "service.wal")
         self.cache = ResultCache(self.state_dir / "cache")
         self._hb_dir = self.state_dir / "hb"
 

@@ -22,9 +22,7 @@ iterate/compare) for tests, generators, and the fault-injection harness.
 
 from __future__ import annotations
 
-import json
 from array import array
-from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -288,51 +286,6 @@ class Trace:
         out._gaps = self._gaps * times
         out._deps = self._deps * times
         out._lines = self._lines * times
-        return out
-
-    # ------------------------------------------------------------------
-    # Serialisation (npz + json sidecar)
-    # ------------------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        path = Path(path)
-        np.savez_compressed(
-            path,
-            ips=np.asarray(self._ips, dtype=np.int64),
-            addrs=np.asarray(self._addrs, dtype=np.int64),
-            writes=np.asarray(self._writes, dtype=np.int64).astype(np.bool_),
-            gaps=np.asarray(self._gaps, dtype=np.int32),
-            deps=np.asarray(self._deps, dtype=np.int32),
-        )
-        meta = {
-            "name": self.name,
-            "suite": self.suite,
-            "description": self.description,
-        }
-        Path(str(path) + ".json").write_text(json.dumps(meta))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Trace":
-        path = Path(path)
-        data = np.load(path if path.suffix == ".npz" else str(path) + ".npz")
-        meta_path = Path(str(path) + ".json")
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-        out = cls(
-            name=meta.get("name", path.stem),
-            suite=meta.get("suite", ""),
-            description=meta.get("description", ""),
-        )
-        for col, key in (
-            (out._ips, "ips"), (out._addrs, "addrs"), (out._writes, "writes"),
-            (out._gaps, "gaps"), (out._deps, "deps"),
-        ):
-            col.frombytes(
-                np.ascontiguousarray(data[key], dtype=np.int64).tobytes()
-            )
-        addrs = out._addrs
-        out._lines.frombytes(
-            (np.frombuffer(addrs, dtype=np.int64) >> _LINE_SHIFT).tobytes()
-        )
         return out
 
 

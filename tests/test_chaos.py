@@ -6,11 +6,11 @@ healthy tree, the journal checker actually catches corruption, and the
 CLI exit codes behave.
 """
 
-import json
 import sys
 
 import pytest
 
+from repro.durability import RecordLog
 from repro.runner.chaos import (
     QUICK_SCENARIOS,
     SCENARIOS,
@@ -25,30 +25,39 @@ needs_linux = pytest.mark.skipif(
 )
 
 
+def _framed(path, records):
+    log = RecordLog(path)
+    for rec in records:
+        log.append(rec)
+    log.close()
+    return path.read_bytes()
+
+
 class TestVerifyJournal:
     def test_clean_journal_passes(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        path.write_text(
-            json.dumps({"key": "a", "status": "ok", "result": 1}) + "\n"
-            + json.dumps({"key": "b", "status": "failed"}) + "\n"
-        )
+        _framed(path, [{"key": "a", "status": "ok", "result": 1},
+                       {"key": "b", "status": "failed"}])
         assert verify_journal(path) == []
 
     def test_torn_tail_tolerated_but_torn_middle_is_not(self, tmp_path):
-        ok = json.dumps({"key": "a", "status": "ok", "result": 1})
+        ok = {"key": "a", "status": "ok", "result": 1}
+        raw = _framed(tmp_path / "j.jsonl",
+                      [ok, {"key": "b", "status": "ok", "result": 2}])
+        first_end = raw.index(b"\n") + 1
         tail_torn = tmp_path / "tail.jsonl"
-        tail_torn.write_text(ok + "\n" + '{"key": "b", "sta')
+        tail_torn.write_bytes(raw[:-9])
         assert verify_journal(tail_torn) == []
 
         mid_torn = tmp_path / "mid.jsonl"
-        mid_torn.write_text('{"key": "b", "sta' + "\n" + ok + "\n")
+        mid_torn.write_bytes(raw[:first_end - 9] + b"\n" + raw[first_end:])
         problems = verify_journal(mid_torn)
-        assert problems and "not at EOF" in problems[0]
+        assert problems and "corrupt before EOF" in problems[0]
 
     def test_duplicate_ok_records_detected(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        rec = json.dumps({"key": "a", "status": "ok", "result": 1})
-        path.write_text(rec + "\n" + rec + "\n")
+        rec = {"key": "a", "status": "ok", "result": 1}
+        _framed(path, [rec, rec])
         problems = verify_journal(path)
         assert problems and "duplicate" in problems[0]
 

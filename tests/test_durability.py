@@ -1,20 +1,111 @@
 """Crash-durability primitives and the manifests built on them.
 
-Covers ``repro.durability`` directly (atomic write, torn-tail healing)
-and the two manifests that adopted it: the fleet manifest and the
-supervisor campaign manifest — both must survive a torn write with a
-healed prefix instead of an unreadable file.
+Covers ``repro.durability`` directly (atomic write, torn-tail healing,
+the append-only record log) and the two manifests that adopted the
+whole-file writer: the fleet manifest and the supervisor campaign
+manifest — both must survive a torn write with a healed prefix instead
+of an unreadable file.  The record log's replay contract is pinned by
+``tests/test_service.py::TestServiceWAL``.
 """
 
+import errno
 import json
+import os
 
 import pytest
 
 from repro.durability import (
+    RecordLog,
     atomic_write_json,
+    canonical_json,
+    crc32_of,
+    encode_frame,
     heal_truncated_json,
+    read_log,
     tolerant_read_json,
 )
+
+
+# ----------------------------------------------------------------------
+# The append-only record log
+# ----------------------------------------------------------------------
+
+
+def test_frame_bytes_are_the_canonical_frame():
+    rec = {"type": "lease", "b": [1, {"z": 0, "a": "x"}]}
+    frame = {"seq": 7, "crc": crc32_of(rec), "rec": rec}
+    assert encode_frame(7, rec) == (canonical_json(frame) + "\n").encode()
+
+
+def _failing_pwrite(monkeypatch, written_share):
+    """Make the next ``os.pwrite`` write ``written_share`` of its bytes
+    and then raise ENOSPC; later calls write normally."""
+    real = os.pwrite
+    armed = [True]
+
+    def pwrite(fd, data, offset):
+        if not armed[0]:
+            return real(fd, data, offset)
+        armed[0] = False
+        part = bytes(data)[:int(len(data) * written_share)]
+        if part:
+            real(fd, part, offset)
+        raise OSError(errno.ENOSPC, "No space left on device (injected)")
+
+    monkeypatch.setattr(os, "pwrite", pwrite)
+
+
+@pytest.mark.parametrize("written_share", [0.5, 0.0],
+                         ids=["half-a-frame", "nothing"])
+def test_failed_append_loses_no_acknowledged_record(tmp_path, monkeypatch,
+                                                    written_share):
+    path = tmp_path / "w.wal"
+    log = RecordLog(path)
+    acked = []
+    for rec in ({"n": "a"}, {"n": "b"}):
+        log.append(rec)
+        acked.append(rec)
+    _failing_pwrite(monkeypatch, written_share)
+    with pytest.raises(OSError):
+        log.append({"n": "lost"})
+    for rec in ({"n": "c"}, {"n": "d"}):
+        assert log.append(rec) == len(acked) + 1
+        acked.append(rec)
+    log.close()
+    assert read_log(path) == acked
+    assert RecordLog(path).replay() == acked
+
+
+def test_failed_fsync_is_cut_back(tmp_path, monkeypatch):
+    path = tmp_path / "w.wal"
+    log = RecordLog(path)
+    log.append({"n": "a"})
+    size = path.stat().st_size
+
+    def failing_fsync(fd):
+        raise OSError(errno.EIO, "injected")
+
+    monkeypatch.setattr(os, "fsync", failing_fsync)
+    with pytest.raises(OSError):
+        log.append({"n": "lost"})
+    assert path.stat().st_size == size
+    monkeypatch.undo()
+    assert log.append({"n": "b"}) == 2
+    log.close()
+    assert read_log(path) == [{"n": "a"}, {"n": "b"}]
+
+
+def test_read_log_leaves_a_torn_tail_on_disk(tmp_path):
+    path = tmp_path / "w.wal"
+    log = RecordLog(path)
+    for n in range(3):
+        log.append({"n": n})
+    log.close()
+    torn = path.read_bytes()[:-9]
+    path.write_bytes(torn)
+    assert read_log(path) == [{"n": 0}, {"n": 1}]
+    assert path.read_bytes() == torn  # a checker never writes
+    assert read_log(tmp_path / "missing.wal") == []
 
 
 # ----------------------------------------------------------------------

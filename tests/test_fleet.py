@@ -40,7 +40,7 @@ from repro.service.daemon import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.service.wal import ServiceWAL
+from repro.durability import read_log
 
 TRACE = "lbm_s-2676B"
 TRACE2 = "mcf_s-1554B"
@@ -500,8 +500,8 @@ class TestDaemonFleet:
         assert entry["attempt"] == 2
         deliver(service, aid, entry, status="refused", error=error)
         assert service._jobs[key].status == "failed"   # budget exhausted
-        refused = [r for r in ServiceWAL(
-            service.state_dir / "service.wal").replay()
+        refused = [r for r in read_log(
+            service.state_dir / "service.wal")
             if r.get("type") == "refused"]
         assert [r["requeued"] for r in refused] == [True, False]
         assert all(r["agent"] == aid for r in refused)
@@ -524,8 +524,8 @@ class TestDaemonFleet:
         assert service.fleet.get(aid).state == "dead"
         assert service._jobs[key].status == "pending"
         assert service.fleet_status()["degraded"] is True
-        expiry = [r for r in ServiceWAL(
-            service.state_dir / "service.wal").replay()
+        expiry = [r for r in read_log(
+            service.state_dir / "service.wal")
             if r.get("type") == "lease-expired"]
         assert len(expiry) == 1
         assert expiry[0]["agent"] == aid
@@ -615,8 +615,8 @@ class TestMultiAgentReplay:
         assert revived._jobs[open_key].status == "pending"
 
         # Only the dead epoch's *open* lease was orphaned — exactly one.
-        orphans = [r for r in ServiceWAL(
-            revived.state_dir / "service.wal").replay()
+        orphans = [r for r in read_log(
+            revived.state_dir / "service.wal")
             if r.get("type") == "lease-expired"
             and r.get("reason") == "daemon epoch lost"]
         assert len(orphans) == 1

@@ -179,8 +179,8 @@ def test_campaign_clean_run_is_ok(tmp_path):
 
 def test_corruption_matrix_green_on_all_formats(tmp_path):
     rep = corruption_matrix(tmp_path, seed=5)
-    assert sorted(rep.per_format) == ["resultcache", "snapshot",
-                                      "tracestore", "wal"]
+    assert sorted(rep.per_format) == ["journal", "resultcache",
+                                      "snapshot", "tracestore", "wal"]
     assert all(n > 20 for n in rep.per_format.values())
     assert rep.findings == []
     assert rep.rejected + rep.healed == rep.checked

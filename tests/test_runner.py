@@ -280,8 +280,8 @@ class TestJournal:
 
 
 class TestJournalDurability:
-    """PR 3 hardening: appends are write-temp-then-rename atomic, and a
-    journal torn mid-line by a crash is healed by the next append."""
+    """Appends are one fsync'd frame each, and a journal torn mid-line by
+    a crash is healed by the next append."""
 
     def _completed(self, key, result=7):
         from repro.runner.jobs import CompletedRun
@@ -296,7 +296,8 @@ class TestJournalDurability:
         Journal(journal).append(self._completed("c"))
 
         lines = journal.read_text().splitlines()
-        assert lines[0] == good  # prior record preserved byte-identically
+        # The unframed journal was framed with its prior record intact.
+        assert json.loads(lines[0])["rec"] == json.loads(good)
         records = Journal(journal).load()
         assert records["a"]["result"] == 1
         assert records["c"]["status"] == "ok"
@@ -312,7 +313,8 @@ class TestJournalDurability:
         j = Journal(journal)
         for i in range(5):
             j.append(self._completed(f"job{i}"))
-        # atomic_write_bytes stages into ".<name>-*.tmp" beside the file.
+        # atomic_write_bytes (the unframed-journal migration) stages
+        # into ".<name>-*.tmp" beside the file; appends stage nothing.
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.name.startswith(".suite.jsonl-")]
         assert leftovers == []
@@ -339,7 +341,7 @@ class TestJournalSchemaV2:
         ExperimentRunner(
             RunnerConfig(workers=0, journal_path=journal)
         ).run(jobs)
-        [rec] = [json.loads(line)
+        [rec] = [json.loads(line)["rec"]
                  for line in journal.read_text().splitlines()]
         assert rec["schema"] >= 2   # v3 keeps every v2 field
         assert rec["attempt"] == 1
@@ -357,7 +359,7 @@ class TestJournalSchemaV2:
         [done] = suite.completed
         assert done.worker_pid is not None
         assert done.worker_pid != os.getpid()  # ran in a pool worker
-        [rec] = [json.loads(line)
+        [rec] = [json.loads(line)["rec"]
                  for line in journal.read_text().splitlines()]
         assert rec["worker_pid"] == done.worker_pid
 
@@ -427,7 +429,7 @@ class TestJournalSchemaV3:
         ExperimentRunner(
             RunnerConfig(workers=0, journal_path=journal)
         ).run(jobs)
-        [rec] = [json.loads(line)
+        [rec] = [json.loads(line)["rec"]
                  for line in journal.read_text().splitlines()]
         assert rec["schema"] == 3
         # No lease was involved: the provenance fields must be absent,
@@ -510,8 +512,121 @@ class TestJournalTornTail:
         path.write_bytes(raw[:-7])  # tear the final record mid-JSON
         Journal(path).append(CompletedRun(key="c", result={"cycles": 3}))
         records = Journal(path).load()
-        assert set(records) == {"a", "c"}  # the torn "b" line is skipped
-        # The heal terminated the torn bytes with a newline, so every
-        # subsequent line starts clean and the new record parses.
-        lines = path.read_text().splitlines()
-        assert json.loads(lines[-1])["key"] == "c"
+        assert set(records) == {"a", "c"}  # the torn "b" frame is cut
+        # The heal cut the torn bytes off, so the new frame starts a
+        # clean line right after the last good one.
+        keys = [json.loads(line)["rec"]["key"]
+                for line in path.read_text().splitlines()]
+        assert keys == ["a", "c"]
+
+
+class TestJournalFraming:
+    """The journal is a CRC-framed record log: one frame per append, a
+    corrupt journal refused before any job runs, and unframed (schema
+    1-3) journals framed once when opened."""
+
+    def _berti_like(self, key):
+        # About the size of a Berti SimResult record (1.2 KB framed).
+        result = {f"counter_{i}": 114 + i for i in range(60)}
+        return CompletedRun(key=key, result=result, elapsed=1.5)
+
+    def test_first_and_200th_append_each_write_one_frame(self, tmp_path,
+                                                         monkeypatch):
+        import os
+
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path)
+        writes = []
+        real_pwrite = os.pwrite
+
+        def counting_pwrite(fd, data, offset):
+            writes.append(bytes(data))
+            return real_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", counting_pwrite)
+        for n in range(1, 201):
+            before = path.read_bytes() if path.exists() else b""
+            writes.clear()
+            journal.append(self._berti_like(f"job{n}"))
+            after = path.read_bytes()
+            assert after.startswith(before)  # nothing rewritten
+            [frame] = after[len(before):].splitlines()
+            if n in (1, 200):
+                assert writes == [frame + b"\n"]  # one write, one frame
+            assert json.loads(frame)["seq"] == n
+            assert json.loads(frame)["rec"]["key"] == f"job{n}"
+        assert len(journal.load()) == 200
+
+    def test_corrupt_journal_is_refused_before_any_job_runs(self, tmp_path):
+        from repro.errors import RecordLogError
+
+        path = tmp_path / "suite.jsonl"
+        jobs = make_jobs(traces=(TRACE,))
+        journal = Journal(path)
+        journal.append(CompletedRun(key=jobs[0].key,
+                                    result={"l1d_misses": 114}))
+        journal.append(CompletedRun(key="other", result={"cycles": 1}))
+        journal.close()
+        # One flipped digit in the first record: without the CRC this
+        # was served on resume as 214 misses.
+        path.write_bytes(path.read_bytes().replace(
+            b'"l1d_misses":114', b'"l1d_misses":214'))
+        for resume in (True, False):
+            runner = ExperimentRunner(RunnerConfig(
+                workers=0, journal_path=path, resume=resume))
+            with pytest.raises(RecordLogError, match="corrupt before EOF"):
+                runner.run(jobs, run_fn=lambda j, a: pytest.fail("ran"))
+
+    def test_unframed_journal_is_framed_once_when_opened(self, tmp_path):
+        from repro.durability import read_log
+
+        path = tmp_path / "suite.jsonl"
+        old = [{"schema": 2, "key": "a", "status": "failed",
+                "kind": "crash", "error_type": "X", "message": "m"},
+               {"schema": 3, "key": "a", "status": "ok", "result": 1},
+               {"key": "b", "status": "ok", "result": 2}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in old)
+                        + '{"key": "c", "sta')  # a torn v2-era tail
+        journal = Journal(path)
+        assert journal.load() == {"a": old[1], "b": old[2]}
+        assert read_log(path) == old  # every record kept, in order
+        journal.append(CompletedRun(key="d", result=4))
+        assert [r["key"] for r in read_log(path)] == ["a", "a", "b", "d"]
+
+    def test_damaged_framed_journal_is_never_read_as_unframed(self,
+                                                             tmp_path):
+        from repro.errors import RecordLogError
+
+        path = tmp_path / "suite.jsonl"
+        journal = Journal(path)
+        for key in ("a", "b", "c"):
+            journal.append(CompletedRun(key=key, result={"cycles": 1}))
+        journal.close()
+        lines = path.read_bytes().splitlines(keepends=True)
+        # The first frame replaced by a well-formed unframed record.
+        forged = json.dumps({"key": "a", "status": "ok", "result": 214})
+        path.write_bytes(forged.encode() + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(RecordLogError):
+            Journal(path).load()
+
+    def test_resume_replays_the_journal_once(self, tmp_path, monkeypatch):
+        from repro.runner import CampaignSupervisor, SupervisorConfig
+
+        path = tmp_path / "suite.jsonl"
+        jobs = make_jobs(traces=(TRACE,), prefetchers=("ip_stride",))
+        ExperimentRunner(RunnerConfig(workers=0, journal_path=path)).run(
+            jobs)
+        loads = []
+        real_load = Journal.load
+
+        def counting_load(self):
+            loads.append(self.path)
+            return real_load(self)
+
+        monkeypatch.setattr(Journal, "load", counting_load)
+        suite = CampaignSupervisor(
+            RunnerConfig(workers=1, journal_path=path, resume=True),
+            supervisor=SupervisorConfig(handle_signals=False),
+        ).run(jobs)
+        assert suite.completed[0].from_journal
+        assert loads == [path]

@@ -21,6 +21,7 @@ from repro.errors import (
     CacheCorruption,
     ConfigError,
     LeaseExpired,
+    RecordLogError,
     ServiceError,
 )
 from repro.runner.jobs import JobSpec
@@ -28,8 +29,6 @@ from repro.service import (
     CampaignService,
     ServiceClient,
     ServiceConfig,
-    canonical_json,
-    crc32_of,
     read_endpoint,
 )
 from repro.service.daemon import (
@@ -41,7 +40,7 @@ from repro.service.daemon import (
 )
 from repro.service.leases import Lease, LeaseTable
 from repro.service.resultcache import ResultCache, content_key
-from repro.service.wal import ServiceWAL
+from repro.durability import RecordLog, canonical_json, crc32_of, read_log
 
 TRACE = "lbm_s-2676B"
 TRACE2 = "mcf_s-1554B"
@@ -112,7 +111,7 @@ SPECS = [JobSpec(trace=TRACE, l1d="none", scale=0.03),
 
 
 # ----------------------------------------------------------------------
-# WAL: framing, healing, refusal
+# WAL (the shared repro.durability.RecordLog): framing, healing, refusal
 # ----------------------------------------------------------------------
 
 
@@ -122,14 +121,14 @@ class TestServiceWAL:
 
     def test_append_replay_roundtrip(self, tmp_path):
         path = tmp_path / "service.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         for rec in self.records():
             wal.append(rec)
         wal.close()
-        assert ServiceWAL(path).replay() == self.records()
+        assert RecordLog(path).replay() == self.records()
 
     def test_seq_is_strictly_monotonic_on_disk(self, tmp_path):
-        wal = ServiceWAL(tmp_path / "w.wal")
+        wal = RecordLog(tmp_path / "w.wal")
         for rec in self.records():
             wal.append(rec)
         wal.close()
@@ -140,14 +139,14 @@ class TestServiceWAL:
 
     def test_appends_after_replay_extend_the_sequence(self, tmp_path):
         path = tmp_path / "w.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         wal.append({"type": "epoch", "epoch": 1})
         wal.close()
-        resumed = ServiceWAL(path)
+        resumed = RecordLog(path)
         resumed.replay()
         assert resumed.append({"type": "epoch", "epoch": 2}) == 2
         resumed.close()
-        assert len(ServiceWAL(path).replay()) == 2
+        assert len(RecordLog(path).replay()) == 2
 
     def test_torn_tail_healed_at_every_byte_offset(self, tmp_path):
         """SIGKILL mid-append tears the final record at an arbitrary
@@ -155,7 +154,7 @@ class TestServiceWAL:
         replay returns the intact prefix and truncates the file so the
         next append starts a clean line."""
         path = tmp_path / "w.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         for rec in self.records(3):
             wal.append(rec)
         wal.close()
@@ -165,7 +164,7 @@ class TestServiceWAL:
         for cut in range(tail_start, len(raw)):
             torn = tmp_path / f"torn-{cut}.wal"
             torn.write_bytes(raw[:cut])
-            replayed = ServiceWAL(torn).replay()
+            replayed = RecordLog(torn).replay()
             if cut == len(raw) - 1:
                 # Only the newline is gone: the final record is intact
                 # and must survive.
@@ -177,34 +176,34 @@ class TestServiceWAL:
 
     def test_healed_wal_accepts_new_appends(self, tmp_path):
         path = tmp_path / "w.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         for rec in self.records(2):
             wal.append(rec)
         wal.close()
         raw = path.read_bytes()
         path.write_bytes(raw[:-5])  # tear the tail
-        resumed = ServiceWAL(path)
+        resumed = RecordLog(path)
         assert resumed.replay() == self.records(1)
         resumed.append({"type": "drain", "epoch": 1})
         resumed.close()
-        assert ServiceWAL(path).replay() == (
+        assert RecordLog(path).replay() == (
             self.records(1) + [{"type": "drain", "epoch": 1}]
         )
 
     def test_corruption_before_eof_is_refused(self, tmp_path):
         path = tmp_path / "w.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         for rec in self.records(3):
             wal.append(rec)
         wal.close()
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0] + b'{"garbage": true}\n' + lines[2])
-        with pytest.raises(ServiceError, match="corrupt before EOF"):
-            ServiceWAL(path).replay()
+        with pytest.raises(RecordLogError, match="corrupt before EOF"):
+            RecordLog(path).replay()
 
     def test_bitflip_mid_file_is_refused(self, tmp_path):
         path = tmp_path / "w.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         for rec in self.records(3):
             wal.append(rec)
         wal.close()
@@ -214,24 +213,24 @@ class TestServiceWAL:
         target = raw.index(b"c0")
         raw[target] ^= 0x01
         path.write_bytes(bytes(raw))
-        with pytest.raises(ServiceError, match="refusing to guess"):
-            ServiceWAL(path).replay()
+        with pytest.raises(RecordLogError, match="refusing to guess"):
+            RecordLog(path).replay()
 
     def test_seq_gap_mid_file_is_refused(self, tmp_path):
         path = tmp_path / "w.wal"
-        wal = ServiceWAL(path)
+        wal = RecordLog(path)
         for rec in self.records(3):
             wal.append(rec)
         wal.close()
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0] + lines[2] + lines[1])  # 1, 3, 2
-        with pytest.raises(ServiceError, match="corrupt"):
-            ServiceWAL(path).replay()
+        with pytest.raises(RecordLogError, match="corrupt"):
+            RecordLog(path).replay()
 
     def test_replay_after_append_is_a_bug(self, tmp_path):
-        wal = ServiceWAL(tmp_path / "w.wal")
+        wal = RecordLog(tmp_path / "w.wal")
         wal.append({"type": "epoch", "epoch": 1})
-        with pytest.raises(ServiceError, match="before the first append"):
+        with pytest.raises(RecordLogError, match="before the first append"):
             wal.replay()
         wal.close()
 
@@ -673,8 +672,8 @@ class TestRecovery:
         resumed = make_service(tmp_path)
         key = job_content_key(SPECS[0])
         assert resumed._jobs[key].status == "pending"
-        expiries = [r for r in ServiceWAL(
-            resumed.state_dir / "service.wal").replay()
+        expiries = [r for r in read_log(
+            resumed.state_dir / "service.wal")
             if r.get("type") == "lease-expired"]
         assert len(expiries) == 1
         assert expiries[0]["reason"] == "daemon epoch lost"

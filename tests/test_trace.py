@@ -61,16 +61,7 @@ class TestContainer:
 
 
 class TestSerialisation:
-    def test_roundtrip(self, tmp_path):
-        t = simple_trace(n=20)
-        t.suite = "spec17"
-        t.description = "test trace"
-        path = tmp_path / "trace.npz"
-        t.save(path)
-        loaded = Trace.load(path)
-        assert loaded.records == t.records
-        assert loaded.name == t.name
-        assert loaded.suite == "spec17"
+    """The one persisted trace format is the trace store."""
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(
@@ -87,12 +78,21 @@ class TestSerialisation:
         import tempfile
         from pathlib import Path
 
-        t = Trace("p")
+        from repro.memory.tracestore import (load_trace_store,
+                                             write_trace_store)
+
+        t = Trace("p", suite="spec17", description="property trace")
         t.extend(records)
         with tempfile.TemporaryDirectory() as d:
-            path = Path(d) / "p.npz"
-            t.save(path)
-            assert Trace.load(path).records == list(records)
+            path = write_trace_store(t, Path(d) / "p.trc")
+            loaded = load_trace_store(path)
+            try:
+                loaded.verify()
+                assert loaded.records == list(records)
+                assert (loaded.name, loaded.suite, loaded.description) == (
+                    "p", "spec17", "property trace")
+            finally:
+                loaded.close()
 
 
 class TestCombinators:
